@@ -5,7 +5,7 @@
 #
 #   bash bench/run.sh --workload sweep --seed 1 --seconds 20 --trace 0
 #
-# Every build product, the Go build cache and the benchmark's scratch files
+# Every build product, the Go build cache and the benchmark's working files
 # stay under .bench_build/ in the checkout. A directory that does not hold
 # the simulator's sources is refused with exit status 2.
 set -euo pipefail

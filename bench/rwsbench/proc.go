@@ -24,7 +24,7 @@ type env struct {
 	ctx  context.Context
 	cfg  config
 	bin  string // directory holding the built experiments and rwsimd
-	work string // this run's scratch directory (journals, daemon log, spans)
+	work string // this run's working directory (journals, daemon log, spans)
 	tr   *tracer
 
 	// client carries every request of a run: at most two connections, so the
@@ -57,8 +57,7 @@ func childEnv(procs int) []string {
 // execResult is what one finished run of a program under test cost.
 type execResult struct {
 	wall  time.Duration
-	cpu   time.Duration // user + system, from wait4
-	rssKB int64         // peak resident set, from wait4
+	rssKB int64 // peak resident set, from wait4
 }
 
 // runOnce runs bin/name with GOMAXPROCS=procs to completion.
@@ -74,17 +73,17 @@ func (e *env) runOnce(stdout io.Writer, procs int, name string, args ...string) 
 	if err != nil {
 		return r, fmt.Errorf("%s %v: %v\n%.2000s", name, args, err, stderr.Bytes())
 	}
-	r.cpu, r.rssKB = usage(cmd.ProcessState)
+	r.rssKB = peakRSS(cmd.ProcessState)
 	return r, nil
 }
 
-// usage returns a finished process's CPU time and peak resident set in KiB.
-func usage(ps *os.ProcessState) (time.Duration, int64) {
+// peakRSS returns a finished process's peak resident set in KiB.
+func peakRSS(ps *os.ProcessState) int64 {
 	ru, ok := ps.SysUsage().(*syscall.Rusage)
 	if !ok {
-		return 0, 0
+		return 0
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), ru.Maxrss // Maxrss is KiB on Linux
+	return ru.Maxrss // KiB on Linux
 }
 
 // daemon is one running rwsimd under test.
@@ -162,8 +161,7 @@ func (d *daemon) stop() (int64, error) {
 	if d.err != nil {
 		return 0, fmt.Errorf("rwsimd exit: %w", d.err)
 	}
-	_, kb := usage(d.cmd.ProcessState)
-	return kb, nil
+	return peakRSS(d.cmd.ProcessState), nil
 }
 
 // killAll kills every daemon still running and waits for each to end; it

@@ -119,11 +119,11 @@ func runSimulateHot(e *env) (*outcome, error)  { return runSimulate(e, true) }
 // `rwsimd -workers 2` with default flags for the window.
 func runSimulate(e *env, hot bool) (*outcome, error) {
 	o := &outcome{unit: "request", latOf: "request"}
-	d, err := e.daemonSetups(o, "-workers", "2")
+	args := []string{"-workers", "2"}
+	d, err := e.daemonSetups(o, setupRepeats-setupRepeats/2, args)
 	if err != nil {
 		return nil, err
 	}
-	defer e.stopDaemon(d, o)
 
 	// Two untimed fresh requests per config build every worker's engines
 	// first. The hot set is also sent once, untimed, so the window starts
@@ -176,13 +176,24 @@ func runSimulate(e *env, hot bool) (*outcome, error) {
 	if err := e.getJSON(d.url+"/statz", &o.statz); err != nil {
 		return nil, err
 	}
+	e.stopDaemon(d, o)
 	o.gateErrs = append(o.gateErrs, recomputeGate(sample)...)
+
+	// The rest of the set-up samples come after the window, so that their
+	// median spans the run rather than one moment of it.
+	last, err := e.daemonSetups(o, setupRepeats/2, args)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := last.stop(); err != nil {
+		return nil, err
+	}
 	return o, nil
 }
 
-// daemonSetups starts rwsimd setupRepeats times, keeping the last one
-// running; each start's exec-to-/healthz time is a set-up sample.
-func (e *env) daemonSetups(o *outcome, args ...string) (*daemon, error) {
+// daemonSetups starts rwsimd n times, keeping the last one running; each
+// start's exec-to-/healthz time is a set-up sample.
+func (e *env) daemonSetups(o *outcome, n int, args []string) (*daemon, error) {
 	setupID := e.tr.id()
 	setupStart := time.Now()
 	defer e.tr.add(setupID, 0, "setup", 0, setupStart)
@@ -192,9 +203,9 @@ func (e *env) daemonSetups(o *outcome, args ...string) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.tr.span(setupID, "setup.rwsimd", int64(i), t0)
+		e.tr.span(setupID, "setup.rwsimd", int64(len(o.setups)+1), t0)
 		o.setups = append(o.setups, took)
-		if i == setupRepeats {
+		if i == n {
 			return d, nil
 		}
 		if _, err := d.stop(); err != nil {

@@ -20,6 +20,10 @@ var sweepDigests string
 // sweepProcs is the sweep's GOMAXPROCS (see runSweep).
 const sweepProcs = 1
 
+// sweepSetupsPerPass is how many set-up samples the sweep takes before each
+// pass.
+const sweepSetupsPerPass = 3
+
 // runSweep execs `experiments -scale full -par 1` back to back until the
 // window is spent. One pass is one unit of work and one latency sample.
 //
@@ -34,27 +38,25 @@ func runSweep(e *env) (*outcome, error) {
 	}
 	o := &outcome{unit: "pass", latOf: "pass"}
 
-	// Set-up is the program's start: the CPU time of `experiments -h`,
-	// which runs the runtime and every package initializer and nothing else.
-	// CPU time, because the wall time of a 1 ms process is mostly how long
-	// the host takes to schedule it: on a shared 2-vCPU KVM guest its
-	// quartile spread was 0.86 against 0.21 for CPU time.
-	setupID := e.tr.id()
-	setupStart := time.Now()
-	for i := 0; i < setupRepeats; i++ {
-		t0 := time.Now()
-		r, err := e.runOnce(nil, sweepProcs, "experiments", "-h")
-		if err != nil {
-			return nil, err
-		}
-		e.tr.span(setupID, "setup.experiments", int64(i+1), t0)
-		o.setups = append(o.setups, r.cpu)
-	}
-	e.tr.add(setupID, 0, "setup", 0, setupStart)
-
+	// Set-up is the program's start: exec to exit of `experiments -h`, which
+	// runs the runtime and every package initializer and nothing else. It
+	// takes about a millisecond, and the host's speed shifts in spells of
+	// seconds, so the samples are taken before every pass, not in one burst:
+	// their median then spans the whole run, as the passes do. The window is
+	// the passes' own wall time.
 	winID := e.tr.id()
 	start := time.Now()
 	for pass := int64(1); pass == 1 || time.Since(start) < e.cfg.window; pass++ {
+		for i := int64(1); i <= sweepSetupsPerPass; i++ {
+			t0 := time.Now()
+			r, err := e.runOnce(nil, sweepProcs, "experiments", "-h")
+			if err != nil {
+				return nil, err
+			}
+			e.tr.span(winID, "setup.experiments", (pass-1)*sweepSetupsPerPass+i, t0)
+			o.setups = append(o.setups, r.wall)
+		}
+
 		var out bytes.Buffer
 		t0 := time.Now()
 		r, err := e.runOnce(&out, sweepProcs, "experiments", "-scale", e.cfg.sz.sweepScale, "-par", "1")
@@ -63,6 +65,7 @@ func runSweep(e *env) (*outcome, error) {
 		if e.ctx.Err() != nil {
 			return nil, fmt.Errorf("sweep pass %d: %w", pass, e.ctx.Err())
 		}
+		o.window += r.wall
 		if err != nil {
 			o.failed++
 			o.gateErrs = append(o.gateErrs, err.Error())
@@ -79,7 +82,6 @@ func runSweep(e *env) (*outcome, error) {
 			o.gateErrs = append(o.gateErrs, fmt.Sprintf("pass %d: output digest %s, pinned %s", pass, got, want))
 		}
 	}
-	o.window = time.Since(start)
 	e.tr.add(winID, 0, "workload.sweep", 0, start)
 	return o, nil
 }
