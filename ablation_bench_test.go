@@ -1,6 +1,6 @@
 package rwsfs
 
-// Ablation benchmarks for the design choices DESIGN.md calls out. Each
+// Ablation benchmarks for the simulator's main design choices. Each
 // reports the metric the paper's analysis says should move:
 //
 //   - steal cost ratio s/b: h(t) carries a (b/s)·E term, so raising s

@@ -1,9 +1,8 @@
 package rwsfs
 
-// One benchmark per reproduction experiment (see DESIGN.md's index and
-// EXPERIMENTS.md for recorded outputs). Each benchmark executes the
-// experiment's full parameter sweep at Quick scale per iteration and reports
-// the headline measured quantity as a custom metric, so
+// One benchmark per reproduction experiment (see harness.All). Each
+// benchmark executes the experiment's full parameter sweep at Quick scale per
+// iteration and reports the headline measured quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //

@@ -1,6 +1,6 @@
-// Command experiments regenerates every reproduction experiment (the
-// per-experiment index lives in DESIGN.md) and prints the tables, either for
-// a terminal or as the markdown that populates EXPERIMENTS.md.
+// Command experiments regenerates every reproduction experiment
+// (harness.All, E01..E21) and prints the tables, either for a terminal or as
+// markdown (-md).
 //
 // Usage:
 //

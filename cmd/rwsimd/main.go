@@ -17,7 +17,7 @@
 //	GET  /workloads        registered workload names
 //
 // Any /simulate request may set "trace": true to get its attempt timeline —
-// queued, dispatched, per-attempt panics and backoffs, hedges, cache/dedup
+// queued, dispatched, per-attempt panics and backoffs, cache/dedup
 // resolution, typed outcome — attached to the response envelope (the result
 // payload bytes are unchanged). GET /batch/{id} reports each row's attempt
 // count and result source (fresh, cache, dedup, journal, peer) the same way.
@@ -42,15 +42,14 @@
 // idle longer than the age are evicted at startup and periodically;
 // unfinished jobs are never aged out.
 //
-// The corpus travels between nodes: -peers host:port,... with -peer-warm
-// makes a starting daemon pull GET /corpus from the first reachable sibling
-// — in the background, after the listener is up, so warm-up never delays
-// serving — and load every verified row into the result cache with
-// source=peer provenance. Each imported row passes the same gate as
-// -warm-cache: the advertised key must match the re-canonicalized request
-// and the result bytes must round-trip json-canonically, so a corrupt or
-// adversarial peer can pollute nothing (rejects land in the
-// corpus_rejected_rows counter). Transfers are bounded by -peer-timeout,
+// The corpus travels between nodes: -peers host:port,... makes a starting
+// daemon pull GET /corpus from the first reachable sibling — in the
+// background, after the listener is up, so warm-up never delays serving —
+// and load every verified row into the result cache with source=peer
+// provenance. Each imported row must re-canonicalize to its advertised key
+// and its result bytes must round-trip json-canonically (the same round trip
+// -warm-cache applies), so a corrupt or adversarial peer can pollute nothing
+// (rejects land in the corpus_rejected_rows counter). Transfers are bounded by -peer-timeout,
 // retried with capped exponential backoff, and fail over across peers; when
 // every peer is down the daemon simply cold-starts. The export stream is
 // checksummed end to end, so truncation and tampering are always detected.
@@ -63,8 +62,8 @@
 //
 // The -inject-* flags wire a serve.FaultInjector for chaos drills: they
 // deterministically pick requests (by canonical key) whose first attempt is
-// delayed, panicked, or stalled, exercising the retry, quarantine, hedging
-// and deadline paths against real traffic shapes.
+// delayed, panicked, or stalled, exercising the retry, quarantine and
+// deadline paths against real traffic shapes.
 package main
 
 import (
@@ -94,7 +93,6 @@ func main() {
 		cacheN     = flag.Int("cache", 1024, "LRU result-cache entries (-1 disables caching)")
 		attempts   = flag.Int("attempts", 3, "attempt budget per request around panicking runs")
 		backoff    = flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (doubled per retry)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "re-dispatch a request to a second worker after this long (0 = off)")
 		deadline   = flag.Duration("deadline", 0, "default per-request deadline when the request carries none (0 = none)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight requests before hard-cancelling")
 		maxN       = flag.Int("max-n", 2048, "largest accepted problem size")
@@ -112,13 +110,12 @@ func main() {
 		traceBuffer   = flag.Int("trace-buffer", 256, "completed attempt timelines retained for GET /tracez (-1 disables the ring)")
 
 		nodeID      = flag.String("node-id", "", "node identity in GET /corpus export headers (empty = random per process)")
-		peers       = flag.String("peers", "", "comma-separated sibling rwsimd nodes (host:port or URL) to pull a warm corpus from")
-		peerWarm    = flag.Bool("peer-warm", false, "warm the result cache from -peers at startup (verified rows only; never delays serving)")
+		peers       = flag.String("peers", "", "comma-separated sibling rwsimd nodes (host:port or URL) whose verified corpus warms the result cache at startup (never delays serving)")
 		peerTimeout = flag.Duration("peer-timeout", 10*time.Second, "per-peer corpus transfer bound, connect and read included")
 
-		injPanic = flag.Int("inject-panic-every", 0, "chaos: panic the first attempt of every Nth request key (0 = off)")
-		injStall = flag.Int("inject-stall-every", 0, "chaos: stall the first attempt of every Nth request key (0 = off)")
-		injDelay = flag.Int("inject-delay-every", 0, "chaos: delay the first attempt of every Nth request key (0 = off)")
+		injPanic   = flag.Int("inject-panic-every", 0, "chaos: panic the first attempt of every Nth request key (0 = off)")
+		injStall   = flag.Int("inject-stall-every", 0, "chaos: stall the first attempt of every Nth request key (0 = off)")
+		injDelay   = flag.Int("inject-delay-every", 0, "chaos: delay the first attempt of every Nth request key (0 = off)")
 		injDelayBy = flag.Duration("inject-delay", 50*time.Millisecond, "chaos: how long -inject-delay-every delays an attempt")
 	)
 	flag.Parse()
@@ -131,7 +128,6 @@ func main() {
 		CacheEntries:    *cacheN,
 		MaxAttempts:     *attempts,
 		RetryBackoff:    *backoff,
-		HedgeAfter:      *hedgeAfter,
 		DefaultDeadline: *deadline,
 		DrainGrace:      *drainGrace,
 		Limits:          serve.Limits{MaxN: *maxN, MaxP: *maxP, MaxRuns: *maxRuns},
@@ -146,7 +142,6 @@ func main() {
 		TraceBuffer:     *traceBuffer,
 		NodeID:          *nodeID,
 		Peers:           splitPeers(*peers),
-		PeerWarm:        *peerWarm,
 		PeerTimeout:     *peerTimeout,
 		Injector:        buildInjector(*injPanic, *injStall, *injDelay, *injDelayBy),
 		Logf:            log.Printf,
@@ -200,8 +195,8 @@ func splitPeers(s string) []string {
 // buildInjector turns the -inject-* knobs into a serve.FaultInjector, or nil
 // when all are off. Selection hashes the request's canonical key, so a given
 // request is deterministically faulty across retries of the drill — but only
-// its first attempt (attempt 0) is sabotaged, leaving the retry, hedge and
-// deadline machinery to dig the request out.
+// its first attempt (attempt 0) is sabotaged, leaving the retry and deadline
+// machinery to dig the request out.
 func buildInjector(panicEvery, stallEvery, delayEvery int, delayBy time.Duration) serve.FaultInjector {
 	if panicEvery <= 0 && stallEvery <= 0 && delayEvery <= 0 {
 		return nil

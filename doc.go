@@ -11,7 +11,7 @@
 // Entry points:
 //
 //   - internal/rws: the scheduler and the Ctx fork-join programming model
-//   - internal/harness: the E01..E18 experiment registry
+//   - internal/harness: the E01..E21 experiment registry
 //   - internal/serve: the fault-tolerant simulation service layer
 //   - cmd/rwsim, cmd/experiments: command-line front ends
 //   - cmd/rwsimd: the HTTP/JSON simulation daemon
@@ -153,14 +153,12 @@
 //     fast, typed rejections;
 //   - per-request deadlines (deadline_ms, -deadline) cancel at simulator run
 //     boundaries via context; a panicking run quarantines its engine and is
-//     retried with backoff on a replacement (-attempts/-backoff); straggler
-//     dispatches can be hedged to a second worker (-hedge-after), correct
-//     because both attempts return identical bytes;
+//     retried with backoff on a replacement (-attempts/-backoff);
 //   - SIGTERM/SIGINT drains gracefully: admission stops with typed 503s,
 //     in-flight requests complete (bounded by -drain-grace), final stats
 //     flush to the log;
 //   - every request's life is traceable: "trace": true attaches an attempt
-//     timeline (queued → dispatched → attempts/panics/backoffs → hedged →
+//     timeline (queued → dispatched → attempts/panics/backoffs →
 //     cache/dedup resolution → typed outcome) to the response envelope
 //     without touching the cached payload bytes, GET /tracez retains the
 //     last -trace-buffer completed timelines, and GET /batch/{id} rows
@@ -190,8 +188,8 @@
 // rewrites. scripts/bench.sh records the trajectory in BENCH_rws.json and
 // fails when a tracked benchmark regresses more than 25%.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for recorded results.
+// ROADMAP.md holds the open work and CHANGES.md the history; bench/README.md
+// documents the end-to-end benchmark.
 package rwsfs
 
 // Version identifies the reproduction snapshot.

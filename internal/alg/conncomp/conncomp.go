@@ -4,7 +4,7 @@
 //
 // The paper's algorithm [6] iterates list ranking; as with list ranking we
 // substitute a standard deterministic equivalent with the same iterated-BP
-// structure (recorded in DESIGN.md): min-label propagation with pointer
+// structure: min-label propagation with pointer
 // jumping. Each round is a sequence of BP computations over vertices and
 // CSR edge ranges with Regular Pattern writes into fresh per-round buffers:
 //

@@ -185,7 +185,7 @@ func biToRMNatural(c *rws.Ctx, src matrix.Mat, r0, c0 int, dst matrix.Mat) {
 // strided but reads never invalidate, so the block delay stays O(S·B) at
 // depth O(log n) and work O(n²) — beating BIToRM on both counts.
 //
-// [6] was never published with code; DESIGN.md records this reconstruction.
+// [6] was never published with code; this is a reconstruction.
 func BIToRMRowGather(src, dst matrix.Mat) func(*rws.Ctx) {
 	check(src, layout.BitInterleaved, dst, layout.RowMajor)
 	n := src.N

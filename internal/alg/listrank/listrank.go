@@ -5,7 +5,7 @@
 // The paper's list ranking [6] iterates a sorting algorithm; [6] was never
 // published with code and its reduction is orthogonal to the scheduling
 // analysis, so this package substitutes the classic Wyllie pointer-jumping
-// algorithm (documented in DESIGN.md): ⌈log₂ n⌉ rounds, each of which is a
+// algorithm: ⌈log₂ n⌉ rounds, each of which is a
 // BP computation over the n list nodes with Regular Pattern writes into
 // fresh per-round arrays (so Property 4.1, limited access, holds per round
 // variable exactly as in the paper's iterated structure).

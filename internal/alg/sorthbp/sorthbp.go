@@ -5,7 +5,7 @@
 // sorting on multicores"), a Type-2 HBP algorithm whose recursion solves
 // collections of Θ(√n)-size subproblems. SPMS is a full paper of its own;
 // this package substitutes two from-scratch sorts that bracket its HBP
-// structure (the substitution is recorded in DESIGN.md):
+// structure:
 //
 //   - Mergesort: binary HBP mergesort — one collection (c=1) of two parallel
 //     half-size recursive sorts joined by a BP parallel merge with Regular

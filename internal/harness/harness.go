@@ -1,8 +1,8 @@
 // Package harness runs the reproduction experiments: for each lemma/theorem
 // in the paper's analysis it sweeps the relevant parameter, runs the
 // algorithms on the simulated machine, evaluates the corresponding bound
-// from package analysis, and renders a predicted-vs-measured table. The
-// experiment index lives in DESIGN.md; EXPERIMENTS.md records the output.
+// from package analysis, and renders a predicted-vs-measured table.
+// All lists the experiments, E01..E21.
 package harness
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 // Scale selects experiment sizes: Quick for tests/benchmarks, Full for the
-// EXPERIMENTS.md run.
+// reproduction run.
 type Scale int
 
 const (

@@ -14,8 +14,9 @@
 // Victim selection and the per-steal take size are pluggable through
 // Config.Policy (see StealPolicy in policy.go): Uniform is the paper's
 // discipline and the default, byte-identical to the pre-policy engine;
-// Localized, StealHalf and Affinity explore socket-biased, half-deque and
-// directory-affine disciplines over the machine's Topology. Everything
+// Localized, StealHalf, Affinity, Hierarchical and LatencyAware explore
+// socket-biased, half-deque, directory-affine, socket-escalating and
+// distance-priced disciplines over the machine's Topology. Everything
 // else about the attempt protocol — costs, budget, RNG ownership — stays
 // fixed in the engine.
 //

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -188,12 +187,13 @@ func (s *Server) batch(id string) (*batchEntry, bool) {
 // re-expanded (deterministically, so row indexes and keys line up), the
 // journal's terminal rows are applied — those are served as-is, never
 // recomputed — and jobs with rows still missing get a runner to finish
-// them. With WarmCache on, replayed RowOK records are loaded into the LRU
-// result cache on the way through. Journals whose replay stopped at a
-// corrupt line are rewritten from their intact prefix before any append
-// (appends landing after the corruption would be invisible to every future
-// replay), and finished jobs whose logs carry waste — duplicates, ignored
-// records, a corrupt tail — are compacted down to spec + terminal rows.
+// them. With WarmCache on, the job's journaled results (journalRows) go
+// through the warm-up sink into the LRU result cache on the way through.
+// Journals whose replay stopped at a corrupt line are rewritten from their
+// intact prefix before any append (appends landing after the corruption
+// would be invisible to every future replay), and finished jobs whose logs
+// carry waste — duplicates, ignored records, a corrupt tail — are compacted
+// down to spec + terminal rows.
 func (s *Server) resumeJournaledJobs() {
 	if s.journal == nil {
 		return
@@ -210,7 +210,8 @@ func (s *Server) resumeJournaledJobs() {
 			s.cfg.Logf("serve: journal job %s: spec no longer expands (%v); leaving journal untouched", rj.ID, err)
 			continue
 		}
-		job := jobs.NewJob(rj.ID, spec, rowKeys(rows))
+		keys := rowKeys(rows)
+		job := jobs.NewJob(rj.ID, spec, keys)
 		applied := job.ApplyReplayed(rj.Rows)
 		e := &batchEntry{job: job, rows: rows}
 		for i := range rows {
@@ -219,8 +220,13 @@ func (s *Server) resumeJournaledJobs() {
 			}
 		}
 		if s.cfg.WarmCache {
-			if warmed := s.warmFromJournal(job, rows, rj.Rows); warmed > 0 {
-				s.cfg.Logf("serve: journal job %s: warmed result cache with %d rows", rj.ID, warmed)
+			for row := range journalRows(rows, keys, rj.Rows) {
+				p, err := storedPayload(row, sourceJournal)
+				if err != nil {
+					s.cfg.Logf("serve: warm-cache: job %s row %s: %v; skipped", rj.ID, row.Key, err)
+					continue
+				}
+				s.warm(p)
 			}
 		}
 		rtr := s.tracer.start(kindBatchResume)
@@ -270,42 +276,6 @@ func (s *Server) resumeJournaledJobs() {
 		s.cfg.Logf("serve: resuming job %s: %d/%d rows from journal, %d to compute",
 			rj.ID, applied, job.Rows(), job.Rows()-applied)
 	}
-}
-
-// warmFromJournal loads a replayed job's RowOK records into the result
-// cache. A record qualifies only if it matches the re-expanded grid (index
-// in range, key equal — the same trust rule ApplyReplayed applies) and its
-// result bytes round-trip through the wire type unchanged, so a cache hit
-// later serves byte-identical payload bytes to what the journal holds; a
-// record that fails the round-trip is skipped, never served approximately.
-// Inserts stop once the cache is at capacity (AddIfSpace): warming must
-// never churn evictions through a corpus larger than the cache; skipped
-// rows land in the warm_skipped_rows counter.
-func (s *Server) warmFromJournal(job *jobs.Job, rows []Request, recs []jobs.RowRecord) int {
-	warmed, skipped := 0, 0
-	for _, rec := range recs {
-		if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) || rec.Key != job.Key(rec.Index) {
-			continue
-		}
-		runs, ok := canonicalRuns(rec.Result)
-		if !ok {
-			s.cfg.Logf("serve: warm-cache: job %s row %d: result bytes not canonical; skipped", job.ID, rec.Index)
-			continue
-		}
-		p := &payload{Key: rec.Key, Alg: rows[rec.Index].Alg, Runs: runs,
-			warmSrc: sourceJournal, req: wireRequest(rows[rec.Index])}
-		if s.cache.AddIfSpace(rec.Key, p) {
-			warmed++
-		} else {
-			skipped++
-		}
-	}
-	s.stats.add(&s.stats.CacheWarmed, int64(warmed))
-	s.stats.add(&s.stats.WarmSkipped, int64(skipped))
-	if skipped > 0 {
-		s.cfg.Logf("serve: warm-cache: job %s: cache full; %d rows skipped", job.ID, skipped)
-	}
-	return warmed
 }
 
 // gcJournals applies the age bound to the journal directory: completed jobs
@@ -495,7 +465,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, e *batchEnt
 // journal record — exactly the set a restart recomputes. Zero rows are
 // lost either way.
 func (s *Server) runBatch(e *batchEntry) {
-	defer s.exitRunner()
+	defer s.handlerWG.Done() // registered by the caller, outside the in-flight gauge
 	job := e.job
 	sem := make(chan struct{}, s.cfg.BatchParallel)
 	var wg sync.WaitGroup
@@ -534,10 +504,6 @@ func (s *Server) runBatch(e *batchEntry) {
 	}
 }
 
-// exitRunner mirrors exitHandler for batch runner goroutines (registered
-// directly on handlerWG, without the in-flight HTTP gauge).
-func (s *Server) exitRunner() { s.handlerWG.Done() }
-
 // stopDispatch reports whether the runner should stop handing out rows:
 // the server is draining (graceful) or hard-cancelled (crash-like).
 func (s *Server) stopDispatch() bool {
@@ -554,29 +520,16 @@ func (s *Server) runRow(e *batchEntry, i int) {
 	key := e.job.Key(i)
 	tr := s.tracer.start(kindBatchRow)
 	tr.setKey(key)
-	var meta rowMeta
-	ctx := s.baseCtx
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline <= 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
+	ctx, cancel := s.withDeadline(s.baseCtx, req)
+	defer cancel()
 
-	p, reject := s.computeRow(ctx, req, key, tr, &meta)
-	if reject != nil && (reject.Code == codeDeadline || reject.Code == codeDraining) && s.stopDispatch() {
-		e.job.Revert(i)
-		s.tracer.push(tr.finish("reverted"))
-		return
-	}
-	if reject != nil && (reject.Code == codeRateLimited || reject.Code == codeQueueFull) {
-		// Admission rejections are transient serving artifacts, never a row's
-		// result. computeRow only surfaces them when the server is stopping,
-		// so checkpoint the row back to unstarted — no journal record, and a
-		// resumed job recomputes it instead of serving a spurious failure.
+	res := s.resolve(ctx, ctx, req, key, tr, admitBlock)
+	reject := res.reject
+	if reject != nil && reject.inherited() && s.stopDispatch() {
+		// A transient serving outcome, never a row's result: resolve only
+		// surfaces one when the server is stopping, so checkpoint the row back
+		// to unstarted — no journal record, and a resumed job recomputes it
+		// instead of serving a spurious failure.
 		e.job.Revert(i)
 		s.tracer.push(tr.finish("reverted"))
 		return
@@ -585,7 +538,7 @@ func (s *Server) runRow(e *batchEntry, i int) {
 	rec := jobs.RowRecord{Type: "row", Index: i, Key: key}
 	switch {
 	case reject == nil:
-		runs, err := json.Marshal(p.Runs)
+		runs, err := json.Marshal(res.p.Runs)
 		if err != nil {
 			rec.Status, rec.Error = jobs.RowFailed, fmt.Sprintf("marshal result: %v", err)
 		} else {
@@ -607,100 +560,13 @@ func (s *Server) runRow(e *batchEntry, i int) {
 		}
 	}
 	s.stats.add(&s.stats.BatchRows, 1)
-	e.setMeta(i, meta)
+	e.setMeta(i, rowMeta{Attempts: res.attempts, Source: res.source})
 	s.tracer.push(tr.finish(string(rec.Status)))
 	e.job.Finish(rec)
 }
 
-// computeRow is the batch-side analogue of compute: same canonical key,
-// same single-flight group and result cache, but rows block on the work
-// queue instead of shedding (the batch was admitted as a whole) and spend
-// no admission tokens. A follower that inherits a /simulate leader's
-// rejection — admission (rate_limited, queue_full) or the leader's own
-// client-chosen deadline — retries the flight, becoming leader under the
-// row's own context: those outcomes describe the leader's request, never
-// this row. The loop exits on the row's own deadline or on server stop;
-// only in the latter case can a transient rejection escape, and runRow
-// checkpoints the row rather than journaling it.
-func (s *Server) computeRow(ctx context.Context, req *Request, key string, tr *trace, meta *rowMeta) (*payload, *apiError) {
-	if meta == nil {
-		meta = &rowMeta{}
-	}
-	var lastReject *apiError
-	backoff := time.Millisecond
-	for {
-		c, leader := s.flight.join(key)
-		if leader {
-			p, reject := s.computeRowLeader(ctx, req, key, tr, meta)
-			s.flight.finish(key, c, p, reject)
-			return p, reject
-		}
-		s.stats.add(&s.stats.Dedups, 1)
-		tr.event(evDedupFollower, "awaiting in-flight leader")
-		select {
-		case <-c.done:
-			if c.reject == nil {
-				meta.Source = sourceDedup
-				return c.p, nil
-			}
-			switch c.reject.Code {
-			case codeRateLimited, codeQueueFull, codeDeadline, codeDraining:
-				lastReject = c.reject
-			default:
-				return nil, c.reject
-			}
-		case <-ctx.Done():
-			return nil, s.errCtxExpired(ctx)
-		}
-		if s.stopDispatch() {
-			return nil, lastReject
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, s.errCtxExpired(ctx)
-		}
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-func (s *Server) computeRowLeader(ctx context.Context, req *Request, key string, tr *trace, meta *rowMeta) (*payload, *apiError) {
-	if p, ok := s.cache.Get(key); ok {
-		s.stats.add(&s.stats.CacheHits, 1)
-		tr.event(evCacheHit, cacheHitDetail(p))
-		if p.warmSrc != "" {
-			meta.Source = p.warmSrc
-		} else {
-			meta.Source = sourceCache
-		}
-		return p, nil
-	}
-	res := make(chan jobResult, 1)
-	jb := &job{ctx: ctx, req: req, key: key, res: res, tr: tr}
-	select {
-	case s.queue <- jb:
-		tr.event(evQueued, "")
-	case <-ctx.Done():
-		return nil, s.errCtxExpired(ctx)
-	}
-	select {
-	case r := <-res:
-		meta.Attempts += r.attempts
-		if r.reject != nil {
-			return nil, r.reject
-		}
-		meta.Source = sourceFresh
-		s.cache.Add(key, r.p)
-		return r.p, nil
-	case <-ctx.Done():
-		return nil, s.errCtxExpired(ctx)
-	}
-}
-
 // writeBatchReject writes a typed rejection for the batch surface. Unlike
-// writeReject it does not touch the /simulate outcome ledger (Received is
+// rejectTraced it does not touch the /simulate outcome ledger (Received is
 // only bumped there).
 func writeBatchReject(w http.ResponseWriter, e *apiError) {
 	writeJSON(w, e.Status, errorBody{Error: *e})

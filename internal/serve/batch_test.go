@@ -551,50 +551,53 @@ func TestBatchSpecOverflowRejected(t *testing.T) {
 }
 
 // TestBatchRowRetriesInheritedDeadline pins that a batch row joining a
-// flight led by a /simulate request does not inherit that leader's deadline
-// as its own terminal outcome: the leader's (possibly tiny, client-chosen)
-// deadline describes the leader's request, so the row must retry the flight
-// and compute under its own context.
+// flight led by a /simulate request does not inherit that leader's transient
+// outcome as its own terminal state: the leader's admission rejections, its
+// (possibly tiny, client-chosen) deadline and the drain describe the
+// leader's request, so the row must retry the flight and compute under its
+// own context.
 func TestBatchRowRetriesInheritedDeadline(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	req := Request{Alg: "prefix", N: 64, P: 4, Seed: 7}
-	req.normalize()
-	key := req.Key()
+	for _, inherited := range []*apiError{errDeadline(), errRateLimited(), errQueueFull(), errDraining()} {
+		t.Run(inherited.Code, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1})
+			req := Request{Alg: "prefix", N: 64, P: 4, Seed: 7}
+			req.normalize()
+			key := req.Key()
 
-	// Occupy the flight, standing in for a /simulate leader.
-	c, leader := s.flight.join(key)
-	if !leader {
-		t.Fatal("test flight already occupied")
-	}
-	type outcome struct {
-		p      *payload
-		reject *apiError
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		p, reject := s.computeRow(ctx, &req, key, nil, nil)
-		done <- outcome{p, reject}
-	}()
-	// The row must join as a follower (the key is held until finish), so
-	// wait for the dedup, then hand it the leader's deadline rejection.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Dedups == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.flight.finish(key, c, nil, errDeadline())
-	got := <-done
-	if got.reject != nil {
-		t.Fatalf("row inherited the leader's deadline as a terminal outcome: %+v", got.reject)
-	}
-	if got.p == nil || len(got.p.Runs) == 0 {
-		t.Fatalf("row did not recompute after the inherited deadline: %+v", got.p)
+			// Occupy the flight, standing in for a /simulate leader.
+			c, leader := s.flight.join(key)
+			if !leader {
+				t.Fatal("test flight already occupied")
+			}
+			done := make(chan resolved, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				done <- s.resolve(ctx, ctx, &req, key, nil, admitBlock)
+			}()
+			// The row must join as a follower (the key is held until finish),
+			// so wait for the dedup, then hand it the leader's rejection.
+			deadline := time.Now().Add(5 * time.Second)
+			for s.Stats().Dedups == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			s.flight.finish(key, c, nil, inherited)
+			got := <-done
+			if got.reject != nil {
+				t.Fatalf("row inherited the leader's %s as a terminal outcome: %+v", inherited.Code, got.reject)
+			}
+			if got.p == nil || len(got.p.Runs) == 0 {
+				t.Fatalf("row did not recompute after the inherited %s: %+v", inherited.Code, got.p)
+			}
+			if got.source != sourceFresh || got.attempts != 1 {
+				t.Fatalf("recomputed row provenance = %q/%d, want %q/1", got.source, got.attempts, sourceFresh)
+			}
+		})
 	}
 }
 
 // TestBatchTransientRejectCheckpointsRow pins that a transient admission
-// rejection escaping computeRow (only possible when the server is stopping)
+// rejection escaping resolve (only possible when the server is stopping)
 // checkpoints the row back to unstarted — no journal record, no terminal
 // RowFailed — so a resumed job recomputes it instead of serving a serving
 // artifact as a permanent result.
@@ -736,7 +739,7 @@ func TestStatzSchemaStable(t *testing.T) {
 	wantCounters := []string{
 		"batch_jobs", "batch_rows", "body_too_large", "cache_hits", "cache_warmed",
 		"corpus_exported_rows", "corpus_imported_rows", "corpus_rejected_rows",
-		"deadline_expired", "dedups", "drain_rejected", "hedge_wins", "hedges",
+		"deadline_expired", "dedups", "drain_rejected",
 		"internal", "invalid", "ok", "panics", "peer_warm_failures", "quarantined",
 		"queue_full", "rate_limited", "received", "retries", "rows_quarantined",
 		"simulations", "warm_skipped_rows",

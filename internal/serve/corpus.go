@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"sort"
 	"strings"
@@ -23,9 +24,9 @@ import (
 // per entry carrying the canonical SHA-256 key, the normalized request and
 // the exact cacheable result bytes, and an end trailer whose checksum runs
 // over the row lines so a truncated or tampered transfer is always
-// detectable. The peer warm-up client (Config.Peers + PeerWarm) pulls that
-// stream from a sibling at startup and re-verifies every row with the same
-// gate as -warm-cache before inserting it with source=peer provenance.
+// detectable. The peer warm-up client (Config.Peers) pulls that stream from a
+// sibling at startup, re-verifies every row (verifyCorpusRow), and inserts it
+// through the same sink as -warm-cache with source=peer provenance.
 
 // corpusFaultKey is the key the export handler passes the fault injector;
 // the worker slot is -1 and the attempt is the export ordinal.
@@ -82,8 +83,8 @@ func wireRequest(r Request) Request {
 }
 
 // canonicalRuns decodes result bytes and confirms they re-marshal to the
-// exact same bytes — the round-trip gate both -warm-cache and the peer
-// import apply before stored bytes may ever be served as a cache hit.
+// exact same bytes — the round-trip gate stored bytes pass before they may
+// ever be served as a cache hit or exported.
 func canonicalRuns(result []byte) ([]RunSummary, bool) {
 	var runs []RunSummary
 	if err := json.Unmarshal(result, &runs); err != nil {
@@ -96,42 +97,82 @@ func canonicalRuns(result []byte) ([]RunSummary, bool) {
 	return runs, true
 }
 
-// corpusRows gathers the node's exportable corpus: every journaled RowOK
-// record that passes the warm-cache verification gate, plus every live cache
-// entry, deduplicated by key and sorted so the export is deterministic. Rows
-// are re-verified at export time — a node never re-exports bytes it would
-// not itself serve.
+// storedPayload turns a stored result row — a journaled row or a peer's
+// corpus row — into a cacheable payload marked with its source. The result
+// bytes must pass the canonicalRuns round trip, so a cache hit later serves
+// exactly the stored bytes and never an approximation of them.
+func storedPayload(row corpusRow, source string) (*payload, error) {
+	runs, ok := canonicalRuns(row.Result)
+	if !ok {
+		return nil, errors.New("result bytes not canonical")
+	}
+	return &payload{Key: row.Key, Alg: row.Request.Alg, Runs: runs, warmSrc: source, req: row.Request}, nil
+}
+
+// warm is the one cache sink of warm-up, journal and peer alike. It refuses
+// rows once the server is stopping (no inserts after teardown begins) and
+// never evicts (AddIfSpace): warm-up is a best-effort prefill, never allowed
+// to churn a corpus larger than the cache through it. Inserted rows count in
+// cache_warmed (journal) or corpus_imported_rows (peer), refused rows in
+// warm_skipped_rows.
+func (s *Server) warm(p *payload) bool {
+	if s.baseCtx.Err() != nil || s.Draining() || !s.cache.AddIfSpace(p.Key, p) {
+		s.stats.add(&s.stats.WarmSkipped, 1)
+		return false
+	}
+	if p.warmSrc == sourcePeer {
+		s.stats.add(&s.stats.CorpusImported, 1)
+	} else {
+		s.stats.add(&s.stats.CacheWarmed, 1)
+	}
+	return true
+}
+
+// journalRows is the one reader of journaled results, shared by -warm-cache
+// and the /corpus export. It yields a replayed job's RowOK records whose
+// index lies in the re-expanded grid and whose key equals the key the
+// expansion computed (keys, index-aligned with rows) — the trust rule
+// ApplyReplayed applies. Records are checked against those keys, never
+// re-normalized and re-keyed, and their result bytes are left to the
+// caller's round-trip gate.
+func journalRows(rows []Request, keys []string, recs []jobs.RowRecord) iter.Seq[corpusRow] {
+	return func(yield func(corpusRow) bool) {
+		for _, rec := range recs {
+			if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) || rec.Key != keys[rec.Index] {
+				continue
+			}
+			if !yield(corpusRow{Type: "row", Key: rec.Key, Request: wireRequest(rows[rec.Index]), Result: rec.Result}) {
+				return
+			}
+		}
+	}
+}
+
+// corpusRows gathers the node's exportable corpus: every journaled row that
+// passes the round-trip gate, plus every live cache entry, deduplicated by
+// key and sorted so the export is deterministic. Rows are re-verified at
+// export time — a node never re-exports bytes it would not itself serve.
 func (s *Server) corpusRows() []corpusRow {
 	byKey := make(map[string]corpusRow)
 	if s.journal != nil {
 		replayed, err := s.journal.Replay()
 		if err != nil {
 			s.cfg.Logf("serve: corpus export: journal replay failed (exporting cache only): %v", err)
-		} else {
-			for _, rj := range replayed {
-				spec := rj.Spec
-				rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
-				if err != nil {
-					continue
-				}
-				keys := rowKeys(rows)
-				for _, rec := range rj.Rows {
-					if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) || rec.Key != keys[rec.Index] {
-						continue
-					}
-					if _, ok := canonicalRuns(rec.Result); !ok {
-						continue
-					}
-					byKey[rec.Key] = corpusRow{Type: "row", Key: rec.Key,
-						Request: wireRequest(rows[rec.Index]), Result: rec.Result}
+		}
+		for _, rj := range replayed {
+			spec := rj.Spec
+			rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
+			if err != nil {
+				continue
+			}
+			for row := range journalRows(rows, rowKeys(rows), rj.Rows) {
+				if _, ok := canonicalRuns(row.Result); ok {
+					byKey[row.Key] = row
 				}
 			}
 		}
 	}
 	for _, p := range s.cache.Snapshot() {
-		if p.req.Alg == "" {
-			continue // pre-corpus payload without request context; not exportable
-		}
 		result, err := json.Marshal(p.Runs)
 		if err != nil {
 			continue
@@ -331,10 +372,10 @@ func importCorpusStream(r io.Reader, lim Limits, insert func(*payload) bool) (co
 	}
 }
 
-// verifyCorpusRow applies the warm-cache gate to one imported row: the
+// verifyCorpusRow is the gate for rows from outside the program: the
 // request must normalize, validate against this node's limits, and
 // re-canonicalize to exactly the advertised key, and the result bytes must
-// round-trip json-canonically. Only then does the row become a cacheable
+// pass storedPayload's round trip. Only then does the row become a cacheable
 // payload, marked source=peer.
 func verifyCorpusRow(rec corpusRow, lim Limits) (*payload, error) {
 	req := rec.Request
@@ -346,21 +387,18 @@ func verifyCorpusRow(rec corpusRow, lim Limits) (*payload, error) {
 	if got := req.Key(); got != rec.Key {
 		return nil, fmt.Errorf("key %s does not match re-canonicalized request (%s)", rec.Key, got)
 	}
-	runs, ok := canonicalRuns(rec.Result)
-	if !ok {
-		return nil, errors.New("result bytes not canonical")
-	}
-	return &payload{Key: rec.Key, Alg: req.Alg, Runs: runs, warmSrc: sourcePeer, req: req}, nil
+	rec.Request = req
+	return storedPayload(rec, sourcePeer)
 }
 
-// peerWarm is the warm-up goroutine: it walks the configured peers in order,
-// giving each PeerAttempts tries with capped-exponential backoff, and stops
-// at the first peer whose corpus transfers cleanly. Every failure path
+// warmFromPeers is the warm-up goroutine: it walks the configured peers in
+// order, giving each PeerAttempts tries with capped-exponential backoff, and
+// stops at the first peer whose corpus transfers cleanly. Every failure path
 // degrades — next attempt, next peer, and finally a cold start — because a
 // dead fleet must never prevent this node from serving. The goroutine rides
 // workerWG and aborts promptly on Close (baseCancel cancels both the backoff
 // sleeps and any in-flight transfer).
-func (s *Server) peerWarm() {
+func (s *Server) warmFromPeers() {
 	defer s.workerWG.Done()
 	defer close(s.warmDone)
 	for _, peer := range s.cfg.Peers {
@@ -375,15 +413,13 @@ func (s *Server) peerWarm() {
 				}
 			}
 			st, err := s.importFromPeer(peer)
-			s.stats.add(&s.stats.CorpusImported, int64(st.Imported))
 			s.stats.add(&s.stats.CorpusRejected, int64(st.Rejected))
-			s.stats.add(&s.stats.WarmSkipped, int64(st.Skipped))
 			if err == nil {
 				s.cfg.Logf("serve: peer warm-up from %s: %d rows imported, %d rejected, %d skipped",
 					peer, st.Imported, st.Rejected, st.Skipped)
 				return
 			}
-			s.stats.add(&s.stats.PeerWarmFailures, 1)
+			s.stats.add(&s.stats.PeerFailures, 1)
 			s.cfg.Logf("serve: peer warm-up from %s (attempt %d/%d): %v",
 				peer, attempt+1, s.cfg.PeerAttempts, err)
 		}
@@ -413,16 +449,5 @@ func (s *Server) importFromPeer(peer string) (corpusImportStats, error) {
 	if resp.StatusCode != http.StatusOK {
 		return corpusImportStats{}, fmt.Errorf("peer answered %s", resp.Status)
 	}
-	return importCorpusStream(resp.Body, s.cfg.Limits, s.insertWarmRow)
-}
-
-// insertWarmRow is the peer import's cache sink: it refuses rows once the
-// server is stopping (no inserts after teardown begins) and stops at cache
-// capacity rather than evicting (AddIfSpace) — the warm-up is a best-effort
-// prefill, never allowed to churn the live cache.
-func (s *Server) insertWarmRow(p *payload) bool {
-	if s.baseCtx.Err() != nil || s.Draining() {
-		return false
-	}
-	return s.cache.AddIfSpace(p.Key, p)
+	return importCorpusStream(resp.Body, s.cfg.Limits, s.warm)
 }

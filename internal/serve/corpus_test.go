@@ -200,7 +200,7 @@ func TestCorpusImportTruncationVsCorruption(t *testing.T) {
 }
 
 // TestPeerWarmFleetEndToEnd is the acceptance drill: node A completes a
-// batch, node B starts with Peers=A + PeerWarm and serves A's keys as cache
+// batch, node B starts with Peers=A and serves A's keys as cache
 // hits with source=peer timelines, zero simulations, payload bytes identical
 // to A's journal.
 func TestPeerWarmFleetEndToEnd(t *testing.T) {
@@ -215,9 +215,9 @@ func TestPeerWarmFleetEndToEnd(t *testing.T) {
 	defer ts.Close()
 	rj := replayDir(t, dir)
 
-	b := newTestServer(t, Config{Workers: 2, Peers: []string{peerAddr(ts)}, PeerWarm: true})
+	b := newTestServer(t, Config{Workers: 2, Peers: []string{peerAddr(ts)}})
 	waitWarm(t, b)
-	if st := b.Stats(); st.CorpusImported != 2 || st.CorpusRejected != 0 || st.PeerWarmFailures != 0 {
+	if st := b.Stats(); st.CorpusImported != 2 || st.CorpusRejected != 0 || st.PeerFailures != 0 {
 		t.Fatalf("warm-up stats: %+v", st)
 	}
 
@@ -301,17 +301,17 @@ func TestPeerWarmFailoverAndColdStart(t *testing.T) {
 	ts := httptest.NewServer(a)
 	defer ts.Close()
 
-	b := newTestServer(t, Config{Workers: 2, PeerWarm: true,
+	b := newTestServer(t, Config{Workers: 2,
 		Peers: []string{deadAddr, peerAddr(ts)}, PeerAttempts: 2, PeerBackoff: time.Millisecond})
 	waitWarm(t, b)
-	if st := b.Stats(); st.PeerWarmFailures != 2 || st.CorpusImported != 2 {
+	if st := b.Stats(); st.PeerFailures != 2 || st.CorpusImported != 2 {
 		t.Fatalf("failover stats: %+v", st)
 	}
 
-	c := newTestServer(t, Config{Workers: 2, PeerWarm: true,
+	c := newTestServer(t, Config{Workers: 2,
 		Peers: []string{deadAddr}, PeerAttempts: 2, PeerBackoff: time.Millisecond})
 	waitWarm(t, c)
-	if st := c.Stats(); st.CorpusImported != 0 || st.PeerWarmFailures != 2 {
+	if st := c.Stats(); st.CorpusImported != 0 || st.PeerFailures != 2 {
 		t.Fatalf("cold-start stats: %+v", st)
 	}
 	mustOK(t, c, baseReq) // a dead fleet never prevents serving
@@ -351,12 +351,12 @@ func TestPeerWarmChaosDrill(t *testing.T) {
 	ts := httptest.NewServer(a)
 	defer ts.Close()
 
-	b := newTestServer(t, Config{Workers: 2, PeerWarm: true, Peers: []string{peerAddr(ts)},
+	b := newTestServer(t, Config{Workers: 2, Peers: []string{peerAddr(ts)},
 		PeerAttempts: 6, PeerBackoff: time.Millisecond, PeerTimeout: 500 * time.Millisecond})
 	waitWarm(t, b)
 
 	st := b.Stats()
-	if st.PeerWarmFailures != 4 {
+	if st.PeerFailures != 4 {
 		t.Fatalf("want 4 failed attempts (5xx, truncate, corrupt, stall), got %+v", st)
 	}
 	if st.CorpusImported < 4 {
@@ -432,10 +432,10 @@ func TestPeerWarmAdversarialRowsRejected(t *testing.T) {
 	}))
 	defer evil.Close()
 
-	b := newTestServer(t, Config{Workers: 2, PeerWarm: true, Peers: []string{peerAddr(evil)}})
+	b := newTestServer(t, Config{Workers: 2, Peers: []string{peerAddr(evil)}})
 	waitWarm(t, b)
 	st := b.Stats()
-	if st.CorpusImported != 1 || st.CorpusRejected != 2 || st.PeerWarmFailures != 0 {
+	if st.CorpusImported != 1 || st.CorpusRejected != 2 || st.PeerFailures != 0 {
 		t.Fatalf("adversarial stats: %+v (want 1 imported, 2 rejected, 0 failures)", st)
 	}
 	if n := b.cache.Len(); n != 1 {
@@ -476,7 +476,7 @@ func TestClosePeerWarmStopsCleanly(t *testing.T) {
 	}))
 	defer slow.Close()
 
-	b := New(Config{Workers: 2, PeerWarm: true, Peers: []string{peerAddr(slow)},
+	b := New(Config{Workers: 2, Peers: []string{peerAddr(slow)},
 		PeerAttempts: 1, JournalDir: t.TempDir(), JournalMaxAge: 50 * time.Millisecond,
 		DrainGrace: 2 * time.Second})
 	// Wait until the import is demonstrably mid-stream (at least one row in).
@@ -541,7 +541,7 @@ func TestPeerWarmCapacitySkips(t *testing.T) {
 	ts := httptest.NewServer(a)
 	defer ts.Close()
 
-	b := newTestServer(t, Config{Workers: 2, CacheEntries: 2, PeerWarm: true,
+	b := newTestServer(t, Config{Workers: 2, CacheEntries: 2,
 		Peers: []string{peerAddr(ts)}})
 	waitWarm(t, b)
 	st := b.Stats()

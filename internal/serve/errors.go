@@ -36,6 +36,18 @@ const (
 	codeNotFound    = "not_found"       // 404: unknown batch job id
 )
 
+// inherited reports whether the rejection describes the request that led a
+// single flight rather than the key it computed: admission (rate_limited,
+// queue_full), that request's own deadline, or the drain. A batch row that
+// follows such a flight retries it instead of recording the outcome.
+func (e *apiError) inherited() bool {
+	switch e.Code {
+	case codeRateLimited, codeQueueFull, codeDeadline, codeDraining:
+		return true
+	}
+	return false
+}
+
 func errInvalid(msg string) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Code: codeInvalid, Message: msg}
 }

@@ -7,7 +7,7 @@ import "time"
 type Fault struct {
 	// Delay makes the worker a straggler: it sleeps this long before the
 	// attempt's first engine checkout (interruptible by the request
-	// deadline). Hedged re-dispatch exists for exactly this shape.
+	// deadline).
 	Delay time.Duration
 	// Panic poisons the attempt: the worker panics after checking an engine
 	// out of its pool, exercising the recovery path — the engine is
@@ -16,7 +16,7 @@ type Fault struct {
 	Panic bool
 	// Stall simulates a stuck engine: the attempt blocks until the request
 	// context is done and then reports a cancellation, never producing a
-	// result. Deadlines and hedging exist for exactly this shape.
+	// result. Deadlines exist for exactly this shape.
 	Stall bool
 
 	// The Corpus* fields below apply to GET /corpus exports instead of
@@ -43,10 +43,10 @@ type Fault struct {
 // FaultInjector decides, per worker attempt, what misbehavior to inject; nil
 // disables injection entirely (the production configuration). It is called
 // with the worker's ID, the attempt ordinal for the request (retries count
-// up from 0; hedged attempts start at Config.MaxAttempts so an injector can
-// target first attempts only), and the request's canonical key — enough to
-// build deterministic chaos schedules keyed on the request. Corpus exports
-// consult the injector too (worker -1, export ordinal, key "corpus") so the
-// peer warm-up path shares the same chaos machinery. Injectors run on worker
-// and handler goroutines and must be safe for concurrent use.
+// up from 0, so an injector can target first attempts only), and the
+// request's canonical key — enough to build deterministic chaos schedules
+// keyed on the request. Corpus exports consult the injector too (worker -1,
+// export ordinal, key "corpus") so the peer warm-up path shares the same
+// chaos machinery. Injectors run on worker and handler goroutines and must be
+// safe for concurrent use.
 type FaultInjector func(worker, attempt int, key string) Fault

@@ -255,7 +255,7 @@ type payload struct {
 
 	// warmSrc marks a payload loaded from outside this process's own
 	// computations: sourceJournal (batch journal warm-up at startup,
-	// Config.WarmCache) or sourcePeer (fleet corpus import, Config.PeerWarm).
+	// Config.WarmCache) or sourcePeer (fleet corpus import, Config.Peers).
 	// Empty for locally computed payloads. Unexported, so it never reaches
 	// the wire — it only feeds cache_hit / batch-row provenance.
 	warmSrc string
@@ -265,17 +265,6 @@ type payload struct {
 	// re-verify the key against a re-canonicalized request. Unexported:
 	// never serialized into responses.
 	req Request
-}
-
-// cacheHitDetail annotates a cache_hit timeline event with the entry's
-// provenance: entries warmed from the batch journal at startup report
-// source=journal, entries imported from a fleet sibling report source=peer,
-// and entries cached by this process's own computations report nothing.
-func cacheHitDetail(p *payload) string {
-	if p.warmSrc != "" {
-		return "source=" + p.warmSrc
-	}
-	return ""
 }
 
 // Response is the full success body: the shared payload plus per-request

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -339,5 +340,21 @@ func TestDrainZeroDropped(t *testing.T) {
 		st.DeadlineExpired + st.TooLarge + st.Internal; sum != st.Received {
 		t.Fatalf("outcome counters (%d) must account for every received request (%d): %+v",
 			sum, st.Received, st)
+	}
+}
+
+// TestStatsSnapshotCopiesEveryCounter sets every counter to a distinct value
+// and checks that Stats returns each one: no counter may silently read 0.
+func TestStatsSnapshotCopiesEveryCounter(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	live := reflect.ValueOf(&s.stats).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		live.Field(i).SetInt(int64(1000 + i))
+	}
+	got := reflect.ValueOf(s.Stats())
+	for i := 0; i < got.NumField(); i++ {
+		if v := got.Field(i).Int(); v != int64(1000+i) {
+			t.Errorf("Stats().%s = %d, want %d", got.Type().Field(i).Name, v, 1000+i)
+		}
 	}
 }

@@ -10,13 +10,13 @@
 //   - per-request deadlines propagated via context.Context into the sweep
 //     loop, landing at run boundaries (individual runs always complete, so
 //     the runs that did execute stay bit-for-bit deterministic);
-//   - single-flight dedup plus an LRU result cache keyed on the canonical
+//   - one key-resolution path (resolve) for /simulate and batch rows alike:
+//     single-flight dedup plus an LRU result cache keyed on the canonical
 //     Config hash — engine determinism (same Config+Seed ⇒ byte-equal
 //     Result) makes both trivially correct, and the cache tests assert the
 //     byte equality end to end;
 //   - panic recovery that quarantines a poisoned engine and replaces it from
-//     the pool, retry-with-backoff around panicking attempts, and optional
-//     hedged re-dispatch for straggler workers;
+//     the pool, and retry-with-backoff around panicking attempts;
 //   - graceful drain: Drain stops admission (typed 503s), in-flight requests
 //     finish, Close flushes the final stats.
 //
@@ -50,10 +50,10 @@
 // canonical NDJSON — a header with node identity, one row per entry carrying
 // the canonical key, the normalized request and the exact cacheable result
 // bytes, and an end trailer with a running checksum so truncation or
-// tampering is always detectable. With Peers + PeerWarm configured, a fresh
-// node pulls that stream from the first reachable sibling at startup (in the
-// background, never delaying its own serving), re-verifies every row against
-// the same gate as WarmCache, and serves the fleet's working set as cache
+// tampering is always detectable. With Peers configured, a fresh node pulls
+// that stream from the first reachable sibling at startup (in the background,
+// never delaying its own serving), re-verifies every row, inserts it through
+// the same sink as WarmCache, and serves the fleet's working set as cache
 // hits with source=peer provenance. The warm-up retries with capped
 // exponential backoff, fails over across peers, stops inserting once the
 // cache is full, and degrades to a cold start when the whole fleet is down.
@@ -69,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -99,11 +100,6 @@ type Config struct {
 	// RetryBackoff is the base backoff before retry k (doubled per retry,
 	// default 5ms).
 	RetryBackoff time.Duration
-	// HedgeAfter re-dispatches a request to a second worker when the first
-	// has not answered in this long; 0 disables hedging. Determinism makes
-	// hedging trivially correct: both attempts produce byte-equal results,
-	// whichever lands first wins.
-	HedgeAfter time.Duration
 	// DefaultDeadline bounds requests that carry no deadline_ms of their
 	// own; 0 means no default deadline.
 	DefaultDeadline time.Duration
@@ -161,17 +157,15 @@ type Config struct {
 	// operator can tell whose corpus a warm-up pulled; "" means a random id
 	// per process.
 	NodeID string
-	// Peers lists sibling rwsimd nodes ("host:port" or a full URL) whose
-	// corpus this node may pull at startup.
+	// Peers lists sibling rwsimd nodes ("host:port" or a full URL). When it
+	// is non-empty, the node pulls GET /corpus from the first reachable
+	// sibling at startup and loads every verified row into the result cache
+	// with source=peer provenance. The warm-up runs in the background — it
+	// never delays serving — and every imported row passes the full
+	// verification gate (the request must re-canonicalize to the advertised
+	// key, the result bytes must round-trip canonically), so a corrupt or
+	// adversarial peer can pollute nothing.
 	Peers []string
-	// PeerWarm, with Peers configured, pulls GET /corpus from the first
-	// reachable sibling at startup and loads every verified row into the
-	// result cache with source=peer provenance. The warm-up runs in the
-	// background — it never delays serving — and every imported row passes
-	// the same verification gate as WarmCache (key must match the
-	// re-canonicalized request, result bytes must round-trip canonically),
-	// so a corrupt or adversarial peer can pollute nothing.
-	PeerWarm bool
 	// PeerTimeout bounds one peer corpus transfer end to end, connect and
 	// read included (default 10s) — a stalled peer costs at most this long
 	// before the warm-up retries or fails over.
@@ -283,8 +277,6 @@ type Stats struct {
 	Simulations int64 `json:"simulations"`
 	Panics      int64 `json:"panics"`
 	Retries     int64 `json:"retries"`
-	Hedges      int64 `json:"hedges"`
-	HedgeWins   int64 `json:"hedge_wins"`
 	Quarantined int64 `json:"quarantined"`
 
 	BatchJobs       int64 `json:"batch_jobs"`
@@ -295,37 +287,23 @@ type Stats struct {
 	// from / rejected by the peer warm-up verification gate, warm-up rows
 	// skipped because the cache was full (journal and peer warm-up alike),
 	// and failed peer transfer attempts.
-	CorpusExported   int64 `json:"corpus_exported_rows"`
-	CorpusImported   int64 `json:"corpus_imported_rows"`
-	CorpusRejected   int64 `json:"corpus_rejected_rows"`
-	WarmSkipped      int64 `json:"warm_skipped_rows"`
-	PeerWarmFailures int64 `json:"peer_warm_failures"`
+	CorpusExported int64 `json:"corpus_exported_rows"`
+	CorpusImported int64 `json:"corpus_imported_rows"`
+	CorpusRejected int64 `json:"corpus_rejected_rows"`
+	WarmSkipped    int64 `json:"warm_skipped_rows"`
+	PeerFailures   int64 `json:"peer_warm_failures"`
 }
 
 // add bumps one counter; all counter access is atomic.
 func (st *Stats) add(f *int64, n int64) { atomic.AddInt64(f, n) }
 
-// snapshot copies the counters atomically.
+// snapshot copies the counters atomically. It walks the struct's fields, so
+// a new counter can never be left out; every field must be an int64.
 func (st *Stats) snapshot() Stats {
 	var out Stats
-	for _, c := range []struct{ dst, src *int64 }{
-		{&out.Received, &st.Received}, {&out.OK, &st.OK}, {&out.Invalid, &st.Invalid},
-		{&out.RateLimited, &st.RateLimited}, {&out.QueueFull, &st.QueueFull},
-		{&out.DrainRejected, &st.DrainRejected}, {&out.DeadlineExpired, &st.DeadlineExpired},
-		{&out.TooLarge, &st.TooLarge},
-		{&out.Internal, &st.Internal}, {&out.CacheHits, &st.CacheHits},
-		{&out.CacheWarmed, &st.CacheWarmed},
-		{&out.Dedups, &st.Dedups}, {&out.Simulations, &st.Simulations},
-		{&out.Panics, &st.Panics}, {&out.Retries, &st.Retries},
-		{&out.Hedges, &st.Hedges}, {&out.HedgeWins, &st.HedgeWins},
-		{&out.Quarantined, &st.Quarantined},
-		{&out.BatchJobs, &st.BatchJobs}, {&out.BatchRows, &st.BatchRows},
-		{&out.RowsQuarantined, &st.RowsQuarantined},
-		{&out.CorpusExported, &st.CorpusExported}, {&out.CorpusImported, &st.CorpusImported},
-		{&out.CorpusRejected, &st.CorpusRejected}, {&out.WarmSkipped, &st.WarmSkipped},
-		{&out.PeerWarmFailures, &st.PeerWarmFailures},
-	} {
-		*c.dst = atomic.LoadInt64(c.src)
+	src, dst := reflect.ValueOf(st).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
 	}
 	return out
 }
@@ -441,9 +419,9 @@ func New(cfg Config) *Server {
 	// already serving (a dead fleet must never prevent a node from coming
 	// up), and the goroutine rides workerWG so Close's baseCancel →
 	// workerWG.Wait sequence stops it deterministically.
-	if cfg.PeerWarm && len(cfg.Peers) > 0 {
+	if len(cfg.Peers) > 0 {
 		s.workerWG.Add(1)
-		go s.peerWarm()
+		go s.warmFromPeers()
 	} else {
 		close(s.warmDone)
 	}
@@ -598,50 +576,34 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	key := req.Key()
 	tr.setKey(key)
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	if deadline <= 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
+	// The shared computation runs under the server's lifetime context plus
+	// this request's deadline — NOT the HTTP request context, so a
+	// disconnecting leader cannot kill a result its followers await. A
+	// follower waits under its own client's context and deadline.
+	work, cancelWork := s.withDeadline(s.baseCtx, &req)
+	defer cancelWork()
+	wait, cancelWait := s.withDeadline(r.Context(), &req)
+	defer cancelWait()
+	s.respond(w, s.resolve(work, wait, &req, key, tr, admitShed), start, tr, req.Trace)
+}
 
-	c, leader := s.flight.join(key)
-	if leader {
-		// The shared computation runs under the server's lifetime context
-		// plus this request's deadline — NOT the HTTP request context, so a
-		// disconnecting leader cannot kill a result its followers await.
-		workCtx := s.baseCtx
-		if deadline > 0 {
-			var cancel context.CancelFunc
-			workCtx, cancel = context.WithTimeout(workCtx, deadline)
-			defer cancel()
-		}
-		p, reject := s.compute(workCtx, &req, key, tr)
-		s.flight.finish(key, c, p, reject)
-		s.respond(w, p, reject, false, start, tr, req.Trace)
-		return
+// withDeadline bounds ctx by the request's deadline_ms, or by DefaultDeadline
+// when the request carries none.
+func (s *Server) withDeadline(ctx context.Context, req *Request) (context.Context, context.CancelFunc) {
+	d := time.Duration(req.DeadlineMS) * time.Millisecond
+	if d <= 0 {
+		d = s.cfg.DefaultDeadline
 	}
-
-	// Follower: share the leader's outcome, bounded by our own deadline.
-	s.stats.add(&s.stats.Dedups, 1)
-	tr.event(evDedupFollower, "awaiting in-flight leader")
-	waitCtx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithTimeout(waitCtx, deadline)
-		defer cancel()
+	if d <= 0 {
+		return ctx, func() {}
 	}
-	select {
-	case <-c.done:
-		s.respond(w, c.p, c.reject, true, start, tr, req.Trace)
-	case <-waitCtx.Done():
-		s.rejectTraced(w, errDeadline(), tr, req.Trace)
-	}
+	return context.WithTimeout(ctx, d)
 }
 
 // errCtxExpired types a context-expiry rejection: a deadline that actually
 // fired is the client's 504, everything else that cancelled work while the
-// server is shutting down is the drain hard-stop and gets the typed 503 —
-// previously both surfaced as deadline_expired, blaming the client for the
-// server's own shutdown.
+// server is shutting down is the drain hard-stop and gets the typed 503, so
+// the client is never blamed for the server's own shutdown.
 func (s *Server) errCtxExpired(ctx context.Context) *apiError {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		return errDeadline()
@@ -652,88 +614,116 @@ func (s *Server) errCtxExpired(ctx context.Context) *apiError {
 	return errDeadline()
 }
 
-// compute is the leader's path: cache, then admission, then the worker
-// fleet. The cache is written before the flight record is released (in
-// handleSimulate), so a request arriving after completion finds either the
-// in-flight call or the cached payload — never a gap that would recompute.
-func (s *Server) compute(ctx context.Context, req *Request, key string, tr *trace) (*payload, *apiError) {
+// admission is how resolve admits a key that needs computing.
+type admission int
+
+const (
+	// admitShed is /simulate's: spend an admission token and shed with a
+	// typed 503 when the work queue is full.
+	admitShed admission = iota
+	// admitBlock is a batch row's: the batch was admitted as a whole, so the
+	// row spends no token, blocks on the queue behind live traffic, and
+	// retries the outcomes it inherits from another request's flight.
+	admitBlock
+)
+
+// resolved is the outcome of resolving one key: the payload or the typed
+// rejection, plus provenance — where the bytes came from (source*) and how
+// many worker attempts they took.
+type resolved struct {
+	p        *payload
+	reject   *apiError
+	source   string
+	attempts int
+}
+
+// resolve is the one path from a canonical key to its result, shared by
+// /simulate and batch rows. The first caller for a key leads a single
+// flight: it serves the key from the result cache or admits it to the worker
+// queue, and caches a fresh result before releasing the flight, so a later
+// caller finds either the flight or the cache and never recomputes. Callers
+// arriving while the flight is open follow it. work bounds the leader's
+// computation; wait bounds a follower.
+//
+// A follower shares the leader's outcome, with one exception in admitBlock
+// mode: rate_limited, queue_full, deadline and draining describe the
+// leader's request, never the key, so a batch row that inherits one retries
+// the flight under its own context. It gives up on its own deadline or when
+// the server stops; only then can such an outcome escape to the caller.
+func (s *Server) resolve(work, wait context.Context, req *Request, key string, tr *trace, mode admission) resolved {
+	backoff := time.Millisecond
+	for {
+		c, leader := s.flight.join(key)
+		if leader {
+			r := s.lead(work, req, key, tr, mode)
+			s.flight.finish(key, c, r.p, r.reject)
+			return r
+		}
+		s.stats.add(&s.stats.Dedups, 1)
+		tr.event(evDedupFollower, "awaiting in-flight leader")
+		select {
+		case <-c.done:
+		case <-wait.Done():
+			return resolved{reject: s.errCtxExpired(wait)}
+		}
+		if c.reject == nil {
+			return resolved{p: c.p, source: sourceDedup}
+		}
+		if mode == admitShed || !c.reject.inherited() || s.stopDispatch() {
+			return resolved{reject: c.reject}
+		}
+		if !sleepCtx(wait, backoff) {
+			return resolved{reject: s.errCtxExpired(wait)}
+		}
+		backoff = min(2*backoff, 64*time.Millisecond)
+	}
+}
+
+// lead is the flight leader's half of resolve: the result cache, then
+// admission, then the worker queue.
+func (s *Server) lead(ctx context.Context, req *Request, key string, tr *trace, mode admission) resolved {
 	if p, ok := s.cache.Get(key); ok {
 		s.stats.add(&s.stats.CacheHits, 1)
-		tr.event(evCacheHit, cacheHitDetail(p))
+		// Entries warmed from the journal or a peer name their source on the
+		// timeline; this process's own results name none.
+		source, detail := sourceCache, ""
+		if p.warmSrc != "" {
+			source, detail = p.warmSrc, "source="+p.warmSrc
+		}
+		tr.event(evCacheHit, detail)
 		hit := *p // shallow copy: Runs is shared and immutable
 		hit.Cached = true
-		return &hit, nil
+		return resolved{p: &hit, source: source}
 	}
-	if !s.bucket.Take() {
-		return nil, errRateLimited()
-	}
-	p, reject := s.execute(ctx, req, key, tr)
-	if reject != nil {
-		return nil, reject
-	}
-	s.cache.Add(key, p)
-	return p, nil
-}
-
-// execute dispatches the request to the worker fleet and waits, hedging a
-// straggler with one re-dispatch when configured. Result channels are
-// buffered for both attempts, so a losing attempt's late delivery is
-// dropped into the buffer, never blocking a worker.
-func (s *Server) execute(ctx context.Context, req *Request, key string, tr *trace) (*payload, *apiError) {
-	res := make(chan jobResult, 2)
-	if !s.enqueue(&job{ctx: ctx, req: req, key: key, res: res, tr: tr}) {
-		return nil, errQueueFull()
-	}
-	tr.event(evQueued, "")
-	outstanding := 1
-	var hedgeC <-chan time.Time
-	if s.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(s.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var firstReject *apiError
-	for {
+	j := &job{ctx: ctx, req: req, key: key, res: make(chan resolved, 1), tr: tr}
+	if mode == admitShed {
+		if !s.bucket.Take() {
+			return resolved{reject: errRateLimited()}
+		}
 		select {
-		case r := <-res:
-			outstanding--
-			if r.reject == nil {
-				if r.hedge {
-					s.stats.add(&s.stats.HedgeWins, 1)
-				}
-				return r.p, nil
-			}
-			if firstReject == nil {
-				firstReject = r.reject
-			}
-			if outstanding == 0 {
-				return nil, firstReject
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hj := &job{ctx: ctx, req: req, key: key, res: res,
-				attemptBase: s.cfg.MaxAttempts, hedge: true, tr: tr}
-			if s.enqueue(hj) {
-				outstanding++
-				s.stats.add(&s.stats.Hedges, 1)
-				tr.event(evHedged, "primary stalled; re-dispatched")
-			}
+		case s.queue <- j:
+		default:
+			return resolved{reject: errQueueFull()}
+		}
+	} else {
+		select {
+		case s.queue <- j:
 		case <-ctx.Done():
-			// The workers observe the same context and answer into the
-			// buffered channel on their own schedule.
-			return nil, s.errCtxExpired(ctx)
+			return resolved{reject: s.errCtxExpired(ctx)}
 		}
 	}
-}
-
-// enqueue offers a job to the bounded queue without blocking; false means
-// the queue is full (load shed).
-func (s *Server) enqueue(j *job) bool {
+	tr.event(evQueued, "")
 	select {
-	case s.queue <- j:
-		return true
-	default:
-		return false
+	case r := <-j.res:
+		if r.reject == nil {
+			r.source = sourceFresh
+			s.cache.Add(key, r.p)
+		}
+		return r
+	case <-ctx.Done():
+		// The worker observes the same context and answers into the
+		// buffered channel on its own schedule.
+		return resolved{reject: s.errCtxExpired(ctx)}
 	}
 }
 
@@ -741,17 +731,17 @@ func (s *Server) enqueue(j *job) bool {
 // timeline with the matching outcome. The timeline attaches to the response
 // envelope only — never the payload — so traced, untraced, cached and
 // deduped responses all carry byte-identical result bytes.
-func (s *Server) respond(w http.ResponseWriter, p *payload, reject *apiError, dedup bool, start time.Time, tr *trace, attach bool) {
-	if reject != nil {
-		s.rejectTraced(w, reject, tr, attach)
+func (s *Server) respond(w http.ResponseWriter, r resolved, start time.Time, tr *trace, attach bool) {
+	if r.reject != nil {
+		s.rejectTraced(w, r.reject, tr, attach)
 		return
 	}
 	s.stats.add(&s.stats.OK, 1)
 	tl := tr.finish("ok")
 	s.tracer.push(tl)
 	resp := Response{
-		payload:   *p,
-		Dedup:     dedup,
+		payload:   *r.p,
+		Dedup:     r.source == sourceDedup,
 		ElapsedMS: time.Since(start).Milliseconds(),
 	}
 	if attach {
@@ -760,15 +750,10 @@ func (s *Server) respond(w http.ResponseWriter, p *payload, reject *apiError, de
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeReject writes a typed rejection and bumps its outcome counter.
-func (s *Server) writeReject(w http.ResponseWriter, e *apiError) {
-	s.rejectTraced(w, e, nil, false)
-}
-
-// rejectTraced is writeReject plus timeline bookkeeping: the trace is sealed
-// with the rejection's code as its terminal outcome (keeping /tracez in
-// lock-step with the ledger) and attached to the error body when the request
-// opted in.
+// rejectTraced writes a typed rejection, bumps its outcome counter and seals
+// the trace with the rejection's code as its terminal outcome (keeping
+// /tracez in lock-step with the ledger), attaching the timeline to the error
+// body when the request opted in.
 func (s *Server) rejectTraced(w http.ResponseWriter, e *apiError, tr *trace, attach bool) {
 	s.bumpOutcome(e)
 	tl := tr.finish(e.Code)

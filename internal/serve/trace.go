@@ -15,9 +15,9 @@ const (
 // The timeline event vocabulary. A request's life reads top to bottom:
 // queued into the work channel, dispatched by a worker, attempts (each
 // possibly panicking into a backoff + retry, or tripping the per-key
-// quarantine breaker), an optional hedged re-dispatch, resolution without
-// computing (cache hit, single-flight follower, journal replay), and the
-// typed terminal outcome finish() seals the timeline with.
+// quarantine breaker), resolution without computing (cache hit,
+// single-flight follower, journal replay), and the typed terminal outcome
+// finish() seals the timeline with.
 const (
 	evQueued        = "queued"
 	evDispatched    = "dispatched"
@@ -26,7 +26,6 @@ const (
 	evQuarantined   = "quarantined"
 	evBackoff       = "backoff"
 	evRetried       = "retried"
-	evHedged        = "hedged"
 	evCacheHit      = "cache_hit"
 	evDedupFollower = "dedup_follower"
 	evJournalReplay = "journal_replay"
@@ -47,9 +46,8 @@ type TraceEvent struct {
 	// Worker is the worker that produced the event; -1 when the event is not
 	// worker-bound (queued, cache_hit, dedup_follower, outcome, ...).
 	Worker int `json:"worker"`
-	// Attempt is the attempt ordinal the event belongs to (hedged attempts
-	// are offset by Config.MaxAttempts, matching the fault injector's
-	// numbering); -1 when the event is not attempt-bound.
+	// Attempt is the attempt ordinal the event belongs to, matching the
+	// fault injector's numbering; -1 when the event is not attempt-bound.
 	Attempt int    `json:"attempt"`
 	Detail  string `json:"detail,omitempty"`
 }
@@ -71,10 +69,10 @@ type Timeline struct {
 
 // trace is the live, append side of one timeline. All methods are nil-safe
 // (a nil trace records nothing) so call sites never need enablement guards,
-// and mutex-guarded, because a hedged request has two workers appending
-// concurrently. After finish, late events (a hedge loser delivering after
-// the requester answered) are silently discarded — the published Timeline
-// is immutable.
+// and mutex-guarded, because the requester and its worker append
+// concurrently. After finish, late events (a worker still running after the
+// requester's deadline answered) are silently discarded — the published
+// Timeline is immutable.
 type trace struct {
 	mu       sync.Mutex
 	kind     string

@@ -10,32 +10,17 @@ import (
 	"rwsfs/internal/rws"
 )
 
-// job is one queued computation. Workers send exactly one jobResult on res;
-// res is buffered for the maximum number of concurrent attempts (primary +
-// hedge) so a worker finishing after the requester gave up never blocks.
+// job is one queued computation. The worker sends exactly one resolved on
+// res, which is buffered for it, so a worker finishing after the requester
+// gave up never blocks.
 type job struct {
 	ctx context.Context
 	req *Request
 	key string
-	res chan jobResult
-	// attemptBase offsets the attempt ordinals handed to the fault injector:
-	// 0 for the primary dispatch, Config.MaxAttempts for the hedge, so
-	// injectors can target primaries without also poisoning their hedges.
-	attemptBase int
-	hedge       bool
-	// tr, when non-nil, collects this job's attempt timeline. Both the
-	// primary and its hedge share the requester's trace; trace methods are
-	// locked and nil-safe.
+	res chan resolved
+	// tr, when non-nil, collects this job's attempt timeline; trace methods
+	// are locked and nil-safe.
 	tr *trace
-}
-
-type jobResult struct {
-	p      *payload
-	reject *apiError
-	hedge  bool
-	// attempts is how many attempts this dispatch actually made before
-	// resolving; batch rows surface the sum as row provenance.
-	attempts int
 }
 
 // errRunPanicked marks an attempt that died to a recovered panic (retryable:
@@ -61,24 +46,11 @@ func (w *worker) loop() {
 	for j := range w.s.queue {
 		if j.ctx.Err() != nil {
 			j.tr.add(evDispatched, w.id, -1, "expired while queued")
-			j.deliver(jobResult{reject: w.s.errCtxExpired(j.ctx), hedge: j.hedge})
+			j.res <- resolved{reject: w.s.errCtxExpired(j.ctx)}
 			continue
 		}
 		j.tr.add(evDispatched, w.id, -1, "")
 		w.process(j)
-	}
-}
-
-// deliver sends the result without ever blocking: res is buffered for every
-// possible attempt, so a second send (hedge loser) or a send after the
-// requester returned still lands in the buffer and is garbage collected
-// with it.
-func (j *job) deliver(r jobResult) {
-	select {
-	case j.res <- r:
-	default:
-		// Buffer full can only mean more deliveries than attempts — drop
-		// rather than block the worker.
 	}
 }
 
@@ -93,33 +65,33 @@ func (w *worker) process(j *job) {
 	tried := 0
 	for a := 0; a < max; a++ {
 		if w.s.breaker.Tripped(j.key) {
-			j.tr.add(evQuarantined, w.id, j.attemptBase+a, fmt.Sprintf("breaker tripped after %d panics", w.s.breaker.Panics(j.key)))
+			j.tr.add(evQuarantined, w.id, a, fmt.Sprintf("breaker tripped after %d panics", w.s.breaker.Panics(j.key)))
 			reject = errQuarantined(w.s.breaker.Panics(j.key))
 			break
 		}
 		if a > 0 {
 			w.s.stats.add(&w.s.stats.Retries, 1)
 			d := retryBackoff(w.s.cfg.RetryBackoff, a)
-			j.tr.add(evBackoff, w.id, j.attemptBase+a, d.String())
+			j.tr.add(evBackoff, w.id, a, d.String())
 			if !sleepCtx(j.ctx, d) {
 				reject = w.s.errCtxExpired(j.ctx)
 				break
 			}
-			j.tr.add(evRetried, w.id, j.attemptBase+a, "")
+			j.tr.add(evRetried, w.id, a, "")
 		}
 		tried++
-		j.tr.add(evAttempt, w.id, j.attemptBase+a, "")
-		p, err := w.attempt(j, j.attemptBase+a)
+		j.tr.add(evAttempt, w.id, a, "")
+		p, err := w.attempt(j, a)
 		if err == nil {
-			j.deliver(jobResult{p: p, hedge: j.hedge, attempts: tried})
+			j.res <- resolved{p: p, attempts: tried}
 			return
 		}
 		if errors.Is(err, errRunPanicked) {
 			// Every panicking attempt poisoned (and quarantined) one distinct
 			// engine; the breaker counts them across workers and retries.
-			j.tr.add(evPanicked, w.id, j.attemptBase+a, err.Error())
+			j.tr.add(evPanicked, w.id, a, err.Error())
 			if w.s.breaker.Record(j.key) {
-				j.tr.add(evQuarantined, w.id, j.attemptBase+a, fmt.Sprintf("breaker tripped after %d panics", w.s.breaker.Panics(j.key)))
+				j.tr.add(evQuarantined, w.id, a, fmt.Sprintf("breaker tripped after %d panics", w.s.breaker.Panics(j.key)))
 				reject = errQuarantined(w.s.breaker.Panics(j.key))
 				break
 			}
@@ -140,7 +112,7 @@ func (w *worker) process(j *job) {
 	if reject == nil {
 		reject = errInternal("retries exhausted")
 	}
-	j.deliver(jobResult{reject: reject, hedge: j.hedge, attempts: tried})
+	j.res <- resolved{reject: reject, attempts: tried}
 }
 
 // Retry backoff is exponential in the attempt ordinal but clamped twice: the
