@@ -136,6 +136,46 @@ func BenchmarkStealHeavyReuse(b *testing.B) {
 	}
 }
 
+// handoffCount reads the engine's strand-to-strand handoff counter.
+func (e *Engine) handoffCount() int64 { return e.handoffs }
+
+// BenchmarkHandoff times strand interleavings: four processors run leaves
+// that alternate one tick of work with a timed read, so their clocks cross
+// constantly and the running strand hands over to another every few
+// charges. It reports wall time per handoff (ns/handoff, from the engine's
+// handoff counter) and handoffs/op. The per-handoff figure includes the
+// simulated work between handoffs, so it bounds the switch cost from above.
+func BenchmarkHandoff(b *testing.B) {
+	cfg := DefaultConfig(4)
+	e := MustNewEngine(cfg)
+	defer e.Close()
+	iter := func(seed int64) int64 {
+		cfg.Seed = seed
+		if err := e.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		buf := e.Machine().Alloc.Alloc(64)
+		e.Run(func(c *Ctx) {
+			c.ForkN(64, func(j int, c *Ctx) {
+				for k := 0; k < 16; k++ {
+					c.Work(1)
+					c.Read(buf + mem.Addr((j+k)&63))
+				}
+			})
+		})
+		return e.handoffCount()
+	}
+	iter(999) // warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	var handoffs int64
+	for i := 0; i < b.N; i++ {
+		handoffs += iter(int64(i + 1))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(handoffs), "ns/handoff")
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+}
+
 // BenchmarkStealPriced is BenchmarkStealHeavy on a four-socket machine with
 // distance-priced steal attempts and the hierarchical probe ladder: every
 // attempt takes the StealPrice/consecFail path and every transfer the

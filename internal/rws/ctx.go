@@ -108,33 +108,25 @@ func (c *Ctx) afterCharge() {
 	c.yieldToScheduler()
 }
 
-// yieldToScheduler runs the engine loop in this strand's goroutine until its
-// own processor is due again (return directly — no goroutine switch), or
-// another strand must run (pass the baton to it and block until the baton
-// comes back).
+// yieldToScheduler runs the engine loop in this strand's coroutine until its
+// own processor is due again (return directly — no switch), or another
+// strand must run (record it as the driver's next strand and yield until the
+// driver resumes this one).
 func (c *Ctx) yieldToScheduler() {
 	e := c.e
 	self := c.s
-	for {
-		p := e.sched.min()
-		if st := e.running[p]; st != nil {
-			if st == self {
-				c.proc = p
-				self.proc = p
-				return
-			}
-			st.sendWake(p)
-			wp := self.recvWake()
-			c.proc = wp
-			self.proc = wp
-			return
+	if st := e.nextStrand(); st != self {
+		e.handoffs++
+		e.next = st
+		if !self.yield(struct{}{}) {
+			panic(errStrandStopped)
 		}
-		e.idleStep(p)
 	}
+	c.proc = self.proc
 }
 
 // park blocks this strand on jc until the child's finisher unparks it; the
-// strand gives up its processor and the baton.
+// strand gives up its processor and yields.
 func (c *Ctx) park(jc *joinCell) {
 	if jc.parked != nil {
 		panic("rws: double park on one join")
@@ -147,8 +139,8 @@ func (c *Ctx) park(jc *joinCell) {
 // finishStrand retires this strand after its job's body and join report
 // completed: it releases the strand (and, for a stolen task's last strand,
 // the task and its stack) back to the pools, unparks the forking strand if
-// it waited on jc, and passes the baton on — back to the engine goroutine
-// when the computation is done, to the next runnable strand otherwise.
+// it waited on jc, and records the strand the driver resumes next — none
+// when the computation is done, the next runnable strand otherwise.
 func (c *Ctx) finishStrand(jc *joinCell) {
 	// Lower-clocked processors must act before the finish becomes visible
 	// (root finish especially: done cuts their remaining actions off).
@@ -167,7 +159,6 @@ func (c *Ctx) finishStrand(jc *joinCell) {
 		}
 		e.done = true
 		e.finishTime = e.clock[p]
-		e.baton <- batonNote{}
 		return
 	}
 	if task.stolen && task.liveStrands == 0 {
@@ -190,11 +181,12 @@ func (c *Ctx) finishStrand(jc *joinCell) {
 		e.running[p] = parked
 	}
 	if e.done {
-		// Draining: the root already finished; hand the baton back.
-		e.baton <- batonNote{}
+		// Draining: the root already finished; return to the driver.
 		return
 	}
-	e.handoff()
+	if e.next = e.nextStrand(); e.next != st {
+		e.handoffs++
+	}
 }
 
 // Proc returns the processor currently executing this strand. It can change

@@ -3,6 +3,7 @@ package rws
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"rwsfs/internal/exec"
@@ -89,9 +90,9 @@ type Result struct {
 	StacksReused  int   // regions recycled from the pool
 	// StrandsLaunched is the peak number of strands simultaneously checked
 	// out of the strand pool. On a single-use engine that is exactly the
-	// goroutines created (a launch happens precisely when the free list is
-	// empty); a Reset engine re-parks its goroutines across runs, so the
-	// peak is reported instead of the cross-run launch total to keep reused
+	// coroutines created (one is created precisely when the free list is
+	// empty); a Reset engine keeps its coroutines across runs, so the peak
+	// is reported instead of the cross-run creation total to keep reused
 	// Results bit-identical to fresh ones.
 	StrandsLaunched int
 
@@ -104,15 +105,15 @@ type Result struct {
 // NewEngine, populate simulated memory through Machine(), then call Run
 // once. To run again — under the same or a completely different Config —
 // Reset the engine between runs: a reset engine reuses its slabs, free
-// lists, memory pages, and parked strand goroutines, producing Results
+// lists, memory pages, and suspended strand coroutines, producing Results
 // bit-for-bit identical to a fresh engine's while allocating near-zero in
 // steady state (see Reset and harness.Runner, which pools reset engines
 // across experiment sweeps).
 //
-// At runtime exactly one goroutine at a time — the baton holder — touches
-// Engine state: either the goroutine that called Run (start, drain, collect)
-// or one strand goroutine (see the package comment's run-ahead protocol).
-// No Engine state is locked; the baton's channel handoffs order everything.
+// At runtime exactly one goroutine at a time touches Engine state: the
+// goroutine that called Run (start, drain, collect) or the strand coroutine
+// its driver loop resumed (see the package comment's run-ahead protocol).
+// No Engine state is locked; coroutine switches order everything.
 type Engine struct {
 	cfg    Config
 	mach   *machine.Machine
@@ -138,25 +139,33 @@ type Engine struct {
 	// decide when to escalate a probe beyond the thief's socket. Pure
 	// scheduler bookkeeping: it never feeds costs or counters itself.
 	consecFail []int32
-	// heapDirty marks that the baton holder advanced its clock with pure
+	// heapDirty marks that the running strand advanced its clock with pure
 	// work charges without re-checking the heap; the next shared-state
 	// operation syncs (fix + possible yield) before touching anything
-	// another processor can observe. The baton never passes while dirty.
+	// another processor can observe. No strand switch happens while dirty.
 	heapDirty bool
-	// baton returns control to the engine goroutine on completion or panic.
-	baton chan batonNote
+	// next is the strand the driver loop resumes once the running strand
+	// yields; nil ends the loop (root finish, a drained strand, a panic).
+	next *strand
+	// fault is a kernel panic recovered by its strand's coroutine, with the
+	// processor it happened on; Run re-raises it.
+	fault     any
+	faultProc int
+	// handoffs counts passes from one strand to another, each a yield to
+	// the driver and a resume of the next strand. Not a Result field: it
+	// is read by the handoff benchmark.
+	handoffs int64
 
 	stealBudget int64
 	done        bool
 	finishTime  machine.Tick
 
-	taskSeq   int64
-	strandSeq int64
-	root      *Task
-	audit     *auditor
+	taskSeq int64
+	root    *Task
+	audit   *auditor
 
 	// Free lists for the recycled scheduling metadata (see the package
-	// comment's pooling lifecycle). Only the baton holder touches them.
+	// comment's pooling lifecycle). Only the running strand touches them.
 	// First use carves objects out of slabs so warming the pools costs a
 	// couple of allocations, not one per live object.
 	jcFree     []*joinCell
@@ -174,12 +183,12 @@ type Engine struct {
 	// len(allStrands) exactly (see Result.StrandsLaunched).
 	strandsOut int
 	strandPeak int
-	// persistent keeps the strand goroutines parked after Run instead of
-	// shutting them down, so the next Reset+Run reuses them. Set by Reset;
-	// a persistent engine must be released with Close.
+	// persistent keeps the strand coroutines suspended after Run instead of
+	// stopping them, so the next Reset+Run reuses them. Set by Reset; a
+	// persistent engine must be released with Close.
 	persistent bool
-	// strandsShut records that shutdown ended the pooled goroutines; Reset
-	// then discards the dead strand pool so the next run relaunches.
+	// strandsShut records that shutdown stopped the pooled coroutines; Reset
+	// then discards the dead strand pool so the next run creates new ones.
 	strandsShut bool
 	// closed marks an engine retired by Close: Run panics with a clear
 	// message and Reset returns ErrEngineClosed instead of reviving it.
@@ -220,7 +229,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		fastPath:    !cfg.DisableFastPath,
 		stealPriced: m.StealPriced(),
 		consecFail:  make([]int32, cfg.Machine.P),
-		baton:       make(chan batonNote, 1),
 		stealBudget: cfg.StealBudget,
 		policy:      cfg.Policy,
 	}
@@ -249,8 +257,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // ErrEngineClosed is returned by Reset on an engine that was released with
-// Close. A closed engine is retired for good: its pooled strand goroutines
-// are gone and it cannot be revived — construct a new engine instead.
+// Close. A closed engine is retired for good: its pooled strand coroutines
+// are stopped and it cannot be revived — construct a new engine instead.
 var ErrEngineClosed = errors.New("rws: engine is closed")
 
 // MustNewEngine is NewEngine but panics on error.
@@ -268,13 +276,13 @@ func MustNewEngine(cfg Config) *Engine {
 // structure alive: metadata slabs and free lists, deque ring buffers, the
 // clock heap, simulated memory pages (recycled through the mem free list),
 // cache and directory pages (invalidated by generation stamps, revalidated
-// lazily), exec stack structs, and the parked strand goroutines. A reset
+// lazily), exec stack structs, and the suspended strand coroutines. A reset
 // engine produces Results bit-for-bit identical to a fresh NewEngine(cfg) —
 // the reuse differential tests and FuzzEngineReuse hold it to that.
 //
 // Reset marks the engine persistent: subsequent Runs leave the strand
-// goroutines parked on their job channels instead of shutting them down, so
-// back-to-back runs launch no goroutines in steady state. A persistent
+// coroutines suspended in their job loops instead of stopping them, so
+// back-to-back runs create no coroutines in steady state. A persistent
 // engine must be released with Close once it is no longer needed.
 //
 // Reset is only valid before the first Run or after a Run that returned
@@ -334,7 +342,8 @@ func (e *Engine) Reset(cfg Config) error {
 	e.stealBudget = cfg.StealBudget
 	e.done = false
 	e.finishTime = 0
-	e.taskSeq, e.strandSeq = 0, 0
+	e.taskSeq = 0
+	e.handoffs = 0
 	if e.root != nil {
 		e.putTask(e.root)
 		e.root = nil
@@ -361,8 +370,8 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.strandsOut, e.strandPeak = 0, 0
 	if e.strandsShut {
-		// A previous non-persistent Run ended the pooled goroutines; drop
-		// the dead strands so newStrand relaunches fresh ones.
+		// A previous non-persistent Run stopped the pooled coroutines; drop
+		// the dead strands so newStrand creates fresh ones.
 		e.allStrands = e.allStrands[:0]
 		e.strandFree = e.strandFree[:0]
 		e.strandSlab = nil
@@ -372,11 +381,12 @@ func (e *Engine) Reset(cfg Config) error {
 	return nil
 }
 
-// Close shuts down a persistent engine's parked strand goroutines and
-// retires the engine: a closed engine cannot Run again, and Reset on it
-// returns ErrEngineClosed. Close is idempotent — second and later calls are
-// no-ops — and safe on an engine that never ran (there is nothing to shut
-// down yet) or whose goroutines already exited (a single-use Run).
+// Close stops a persistent engine's strand coroutines — including any a
+// panicked Run left suspended mid-kernel — and retires the engine: a closed
+// engine cannot Run again, and Reset on it returns ErrEngineClosed. Close is
+// idempotent — second and later calls are no-ops — and safe on an engine
+// that never ran (there is nothing to stop yet) or whose coroutines were
+// already stopped (a single-use Run).
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -420,10 +430,10 @@ func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
 	e.running[0] = st
 	st.proc = 0
 
-	// All clocks are zero, so processor 0 holds the minimum: hand the root
-	// strand the baton and wait for it to come back (completion or panic).
-	st.sendWake(0)
-	e.recvBaton()
+	// All clocks are zero, so processor 0 holds the minimum: the root strand
+	// runs first, and the driver returns once the root finished.
+	e.next = st
+	e.drive()
 	e.drain()
 	if !e.persistent {
 		e.shutdown()
@@ -432,18 +442,27 @@ func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
 	return e.collect(perProc)
 }
 
-// recvBaton blocks until a strand hands the baton back to the engine
-// goroutine, re-raising any algorithm panic.
-func (e *Engine) recvBaton() {
-	if note := <-e.baton; note.pv != nil {
-		panic(fmt.Sprintf("rws: algorithm panicked on processor %d: %v", note.proc, note.pv))
+// drive is the driver loop: it resumes the next strand until a yield leaves
+// none, then re-raises any algorithm panic. A single-use engine stops its
+// coroutines first, since no Close will.
+func (e *Engine) drive() {
+	for e.next != nil {
+		st := e.next
+		e.next = nil
+		st.resume()
+	}
+	if e.fault != nil {
+		if !e.persistent {
+			e.shutdown()
+		}
+		panic(fmt.Sprintf("rws: algorithm panicked on processor %d: %v", e.faultProc, e.fault))
 	}
 }
 
 // drain retires strands that already reported their join completion but had
 // not yet finished when the root completed. At that point every join in the
 // dag is complete, so each remaining strand's next action is its finish,
-// which hands the baton straight back (finishStrand sees done).
+// which returns straight to the driver (finishStrand sees done).
 func (e *Engine) drain() {
 	for spins := 0; ; spins++ {
 		if spins > len(e.running)+4 {
@@ -455,8 +474,9 @@ func (e *Engine) drain() {
 				continue
 			}
 			pending = true
-			st.sendWake(p)
-			e.recvBaton()
+			st.proc = p
+			e.next = st
+			e.drive()
 			if e.running[p] != nil {
 				panic("rws: drained strand did not finish")
 			}
@@ -467,20 +487,20 @@ func (e *Engine) drain() {
 	}
 }
 
-// shutdown ends every pooled strand goroutine. By the end of drain each one
-// is parked on (or heading for) its job channel, so closing it exits the
-// loop. Persistent engines skip this after Run and keep the goroutines
-// parked for the next Reset+Run; Close calls it when the engine retires.
+// shutdown stops every pooled strand coroutine: one suspended in its job
+// loop returns, and one a panic left suspended mid-kernel unwinds with
+// errStrandStopped. Persistent engines skip this after Run and keep the
+// coroutines for the next Reset+Run; Close calls it when the engine retires.
 func (e *Engine) shutdown() {
 	for _, st := range e.allStrands {
-		st.shut()
+		st.stop()
 	}
 	e.strandsShut = true
 }
 
 // idleStep advances idle processor p by one action: popping its own deque
 // bottom (the paper's "retrieves the task from the bottom of its queue") or
-// attempting one steal. Runs inline in whichever goroutine holds the baton.
+// attempting one steal. Runs inline in the running strand.
 func (e *Engine) idleStep(p int) {
 	if sp := e.popOwnBottom(p); sp != nil {
 		e.idlePops++
@@ -492,16 +512,15 @@ func (e *Engine) idleStep(p int) {
 	e.sched.fix(p)
 }
 
-// handoff runs the engine loop until a strand must execute, then passes the
-// baton to it without waiting. Called by a finishing strand (which may hand
-// the baton to itself for a freshly assigned job — resume is buffered for
-// exactly that).
-func (e *Engine) handoff() {
+// nextStrand runs the engine loop — idle processors' pops and steal
+// attempts, inline — until a processor with a strand holds the (clock,
+// proc) minimum, and returns that strand bound to the processor.
+func (e *Engine) nextStrand() *strand {
 	for {
 		p := e.sched.min()
 		if st := e.running[p]; st != nil {
-			st.sendWake(p)
-			return
+			st.proc = p
+			return st
 		}
 		e.idleStep(p)
 	}
@@ -641,9 +660,8 @@ func (e *Engine) putTask(t *Task) {
 	e.taskFree = append(e.taskFree, t)
 }
 
-// newStrand binds job to a pooled strand (launching a goroutine only when
-// the free list is empty) and queues the job; the strand then waits for the
-// baton.
+// newStrand binds job to a pooled strand (creating a coroutine only when the
+// free list is empty); the strand runs it when the driver resumes it.
 func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 	var st *strand
 	if n := len(e.strandFree); n > 0 {
@@ -655,57 +673,64 @@ func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 		}
 		st = &e.strandSlab[0]
 		e.strandSlab = e.strandSlab[1:]
-		st.resume = make(chan wake, 1)
-		st.cond.L = &st.mu
+		st.resume, st.stop = iter.Pull(e.runJobs(st))
 		e.allStrands = append(e.allStrands, st)
-		go e.strandLoop(st)
 	}
-	st.id = e.strandSeq
-	e.strandSeq++
 	st.task = t
 	t.liveStrands++
 	job.task = t
+	st.job = job
 	e.strandsOut++
 	if e.strandsOut > e.strandPeak {
 		e.strandPeak = e.strandsOut
 	}
-	st.sendJob(job)
 	return st
 }
 
-// putStrand parks a finished strand on the free list; its goroutine loops
-// back to the job channel.
+// putStrand parks a finished strand on the free list; its coroutine returns
+// to its job loop.
 func (e *Engine) putStrand(st *strand) {
 	st.task = nil
 	e.strandsOut--
 	e.strandFree = append(e.strandFree, st)
 }
 
-// strandLoop is the body of one pooled strand goroutine: run jobs until the
-// engine shuts the channel at the end of Run.
-func (e *Engine) strandLoop(st *strand) {
-	for {
-		job, ok := st.waitJob()
-		if !ok {
-			return
+// runJobs is the body of one pooled strand coroutine: run the strand's job,
+// then yield to the driver until it is resumed with the next one — or keep
+// going without a switch when finishing handed the strand its own next job
+// — until shutdown stops it. The top frame recovers a kernel panic into
+// e.fault for Run to re-raise, and the sentinel a stopped strand unwinds
+// with.
+func (e *Engine) runJobs(st *strand) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		defer func() {
+			if pv := recover(); pv != nil && pv != errStrandStopped {
+				e.fault, e.faultProc = pv, st.proc
+				e.next = nil
+			}
+		}()
+		st.yield = yield
+		for {
+			e.runJob(st)
+			if e.next == st {
+				e.next = nil
+				continue
+			}
+			if !yield(struct{}{}) {
+				return
+			}
 		}
-		e.runJob(st, job)
 	}
 }
 
-// runJob executes one kernel piece; it waits for the baton, runs the fork
-// closure or leaf range, reports on the join flag, and finishes (which
-// passes the baton on).
-func (e *Engine) runJob(st *strand, job strandJob) {
-	p := st.recvWake()
-	st.proc = p
-	st.ctx = Ctx{e: e, t: job.task, s: st, proc: p}
+// runJob executes the strand's job: the fork closure or leaf range, the
+// report on the join flag, and the finish, which records the strand the
+// driver resumes next.
+func (e *Engine) runJob(st *strand) {
+	job := st.job
+	st.job = strandJob{}
+	st.ctx = Ctx{e: e, t: job.task, s: st, proc: st.proc}
 	c := &st.ctx
-	defer func() {
-		if pv := recover(); pv != nil {
-			e.baton <- batonNote{proc: st.proc, pv: pv}
-		}
-	}()
 	if job.fn != nil {
 		job.fn(c)
 	} else {
@@ -774,9 +799,8 @@ func (e *Engine) putSpawn(sp *spawn) {
 	e.spFree = append(e.spFree, sp)
 }
 
-// Deque operations. These are called from whichever goroutine holds the
-// baton; the baton discipline means only one is ever active, so no locking
-// is needed.
+// Deque operations. These are called from the running strand or Run's
+// goroutine; only one of them is ever active, so no locking is needed.
 
 func (e *Engine) pushBottom(p int, sp *spawn) {
 	e.deques[p].pushBottom(sp)

@@ -2,9 +2,12 @@ package rws
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rwsfs/internal/machine"
 	"rwsfs/internal/mem"
@@ -231,6 +234,57 @@ func TestAlgorithmPanicSurfaces(t *testing.T) {
 		c.Node()
 		panic("boom")
 	})
+}
+
+// TestPanicOnStolenStrandCloseStopsCoroutines: a kernel panics on a stolen
+// strand at P=4 while other strands are suspended mid-kernel. Run re-raises
+// it with its processor, and every strand coroutine is stopped — by Close
+// on a persistent engine, by Run itself on a single-use one — so no
+// goroutine outlives the engine.
+func TestPanicOnStolenStrandCloseStopsCoroutines(t *testing.T) {
+	for _, persistent := range []bool{true, false} {
+		before := runtime.NumGoroutine()
+		cfg := DefaultConfig(4)
+		e := MustNewEngine(cfg)
+		if persistent {
+			if err := e.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := e.Machine().Alloc.Alloc(256)
+		panicProc, others := -1, 0
+		func() {
+			defer func() {
+				want := fmt.Sprintf("rws: algorithm panicked on processor %d: boom", panicProc)
+				if pv := recover(); pv != want {
+					t.Fatalf("persistent=%v: Run panicked with %v, want %q", persistent, pv, want)
+				}
+			}()
+			e.Run(func(c *Ctx) {
+				c.ForkN(256, func(j int, c *Ctx) {
+					c.Work(5)
+					if c.Task().Stolen() && e.strandsOut >= 3 {
+						panicProc, others = c.Proc(), e.strandsOut-1
+						panic("boom")
+					}
+					c.StoreInt(out+mem.Addr(j), int64(j))
+				})
+			})
+		}()
+		if others < 2 {
+			t.Fatalf("persistent=%v: only %d other strands were out at the panic", persistent, others)
+		}
+		if persistent && runtime.NumGoroutine() <= before {
+			t.Fatalf("persistent=%v: no suspended coroutines before Close", persistent)
+		}
+		e.Close()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("persistent=%v: %d goroutines after Close, %d before the run", persistent, n, before)
+		}
+	}
 }
 
 func TestCloseIsIdempotent(t *testing.T) {

@@ -29,20 +29,20 @@
 //
 // # Run-ahead execution
 //
-// Strands run as goroutines, but there is no scheduler goroutine mediating
-// them: exactly one goroutine at a time holds the engine "baton" and is
-// allowed to touch engine state. The baton holder applies its own timed
-// requests (work, memory accesses, join-flag writes) directly — the engine
-// always runs the processor holding the minimum (clock, proc) key, so while
-// the holder's processor keeps that minimum it simply keeps executing
-// (run-ahead). When its clock rises past another processor's, or it parks on
-// a join, or it finishes, the holder itself runs the engine loop: idle
-// processors' actions (deque pops, steal attempts) execute inline with no
-// goroutine switch, and when another strand must run the baton is handed
-// directly to it through its resume channel — one goroutine switch per
-// strand interleaving, and zero for everything else. The engine goroutine
-// that called Run only starts the root strand, reclaims the baton at the
-// end (or on a panic), and drains.
+// Each strand runs as a coroutine (iter.Pull), and one driver loop in
+// Engine.run resumes them one at a time: only the strand the driver resumed
+// touches engine state. That strand applies its own timed requests (work,
+// memory accesses, join-flag writes) directly — the engine always runs the
+// processor holding the minimum (clock, proc) key, so while the strand's
+// processor keeps that minimum it simply keeps executing (run-ahead). When
+// its clock rises past another processor's, or it parks on a join, or it
+// finishes, the strand itself runs the engine loop: idle processors' actions
+// (deque pops, steal attempts) execute inline with no switch, and when
+// another strand must run, the strand records it as the driver's next strand
+// and yields — two coroutine switches per strand interleaving (strand to
+// driver, driver to strand), and zero for everything else. A finishing strand
+// handed its own next job runs it without yielding. The root's finish leaves
+// no next strand, so the driver returns to Run, which drains.
 //
 // The sequence of simulated actions, and therefore every metric and the RNG
 // consumption order, is identical to a lockstep one-request-per-handoff
@@ -70,13 +70,14 @@
 //     processor finally runs it.
 //   - A joinCell has two releases: the forking strand (after it passed the
 //     join, parked-and-resumed or not) and the completing child strand (in
-//     the engine's reqFinish handling). Whichever release comes second
-//     recycles the cell; a fork whose spawn was popped inline releases both
-//     at once since no child strand ever existed.
-//   - A strand — struct, channels, and goroutine — is recycled when its
-//     reqFinish is handled. The parked goroutine blocks on its job channel
-//     and picks up the next (task, fn, jc) instead of a fresh `go func` per
-//     steal. All strand goroutines exit when Run completes.
+//     finishStrand). Whichever release comes second recycles the cell; a
+//     fork whose spawn was popped inline releases both at once since no
+//     child strand ever existed.
+//   - A strand — struct and coroutine — is recycled in finishStrand. Its
+//     coroutine returns to its job loop and runs the next (task, fn, jc) it
+//     is handed instead of a fresh coroutine per steal. A single-use engine
+//     stops every coroutine when Run completes; a Reset engine keeps them
+//     suspended in their job loops until Close.
 //   - A stolen Task (and, via exec.Pool, its stack region) is recycled when
 //     its last strand finishes, after its kernel-size and stack-audit
 //     metrics were recorded.
@@ -91,16 +92,16 @@
 // reinitializes every piece of per-run state (machine, clocks, deque
 // cursors, counters, RNG, free lists' contents) while keeping the backing
 // structures — slabs, ring buffers, memory pages, cache/directory pages
-// (generation-stamped, revalidated lazily), and the parked strand
-// goroutines — so back-to-back runs allocate almost nothing and launch no
-// goroutines in steady state. Reused runs are bit-for-bit identical to
+// (generation-stamped, revalidated lazily), and the suspended strand
+// coroutines — so back-to-back runs allocate almost nothing and start no
+// coroutines in steady state. Reused runs are bit-for-bit identical to
 // fresh-engine runs under arbitrary config changes between runs; the golden
 // replay, the randomized reuse differential and FuzzEngineReuse enforce
 // that. A Reset engine is persistent and must be released with Close.
 package rws
 
 import (
-	"sync"
+	"errors"
 
 	"rwsfs/internal/exec"
 	"rwsfs/internal/mem"
@@ -154,8 +155,8 @@ type spawn struct {
 	migrant bool
 }
 
-// strandJob is one unit of kernel execution handed to a pooled strand
-// goroutine: the fields of a consumed spawn plus the task to run under.
+// strandJob is one unit of kernel execution handed to a pooled strand: the
+// fields of a consumed spawn plus the task to run under.
 type strandJob struct {
 	task   *Task
 	fn     func(*Ctx)
@@ -165,92 +166,26 @@ type strandJob struct {
 	jc     *joinCell
 }
 
-// strand is one schedulable thread of control: a pooled goroutine executing
+// strand is one schedulable thread of control: a pooled coroutine executing
 // part of a task's kernel, one strandJob at a time. A task has one strand
 // when created; additional strands appear when the owner's processor pops a
 // pending spawn of a parked task.
-//
-// The baton discipline admits at most one wake in flight, and a pooled
-// strand is handed its next job only after consuming the previous one, so
-// single-slot handoffs suffice for both channels and flags.
 type strand struct {
-	id   int64
 	task *Task
+	job  strandJob // set by newStrand, taken by runJob
 
-	// resume passes the baton: the wake names the processor this strand
-	// resumes on. Buffered, so a finishing strand can queue a wake for
-	// itself (its own next job) before returning to its job loop. A channel
-	// rather than the cond: the Go runtime's direct send-to-waiter handoff
-	// is the cheapest goroutine switch available, and baton passes are the
-	// hot path.
-	resume chan wake
-
-	mu     sync.Mutex
-	cond   sync.Cond // L = &mu; signaled on job handoff and shutdown
-	job    strandJob
-	hasJob bool
-	closed bool
+	// resume and stop are the iter.Pull pair of the strand's coroutine: the
+	// driver loop resumes it and Close stops it. yield suspends it back to
+	// the driver and reports false once it was stopped.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 
 	// ctx is the per-job Ctx, embedded so starting a job allocates nothing.
 	ctx  Ctx
 	proc int // processor currently (or last) executing this strand
 }
 
-// wake passes the baton to a strand and tells it which processor it is now
-// executing on (it changes across park/resume).
-type wake struct {
-	proc int
-}
-
-// sendWake passes the baton: the strand resumes on processor p.
-func (st *strand) sendWake(p int) {
-	st.resume <- wake{proc: p}
-}
-
-// recvWake blocks until the baton arrives and returns the processor.
-func (st *strand) recvWake() int {
-	w := <-st.resume
-	return w.proc
-}
-
-// sendJob hands the pooled goroutine its next job.
-func (st *strand) sendJob(job strandJob) {
-	st.mu.Lock()
-	st.job = job
-	st.hasJob = true
-	st.mu.Unlock()
-	st.cond.Signal()
-}
-
-// waitJob blocks until a job arrives (job, true) or the engine shut the
-// strand down (_, false).
-func (st *strand) waitJob() (strandJob, bool) {
-	st.mu.Lock()
-	for !st.hasJob && !st.closed {
-		st.cond.Wait()
-	}
-	if !st.hasJob {
-		st.mu.Unlock()
-		return strandJob{}, false
-	}
-	job := st.job
-	st.hasJob = false
-	st.job = strandJob{}
-	st.mu.Unlock()
-	return job, true
-}
-
-// shut ends the goroutine's job loop at its next waitJob.
-func (st *strand) shut() {
-	st.mu.Lock()
-	st.closed = true
-	st.mu.Unlock()
-	st.cond.Signal()
-}
-
-// batonNote travels baton-holder -> engine goroutine when the run completes
-// or algorithm code panics; nil means clean completion.
-type batonNote struct {
-	proc int
-	pv   any // recovered panic value
-}
+// errStrandStopped unwinds a strand that Close stopped while it was
+// suspended mid-kernel; the strand's own top frame recovers it.
+var errStrandStopped = errors.New("rws: strand stopped")

@@ -200,9 +200,9 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 }
 
 // runOne performs a single simulated run on a pooled engine, recovering
-// panics. A panicking run quarantines its engine: the engine is closed
-// (best effort — its strand goroutines may be wedged) and never recycled,
-// so the pool replaces it with a fresh build on the next checkout.
+// panics. A panicking run quarantines its engine: the engine is closed and
+// never recycled, so the pool replaces it with a fresh build on the next
+// checkout.
 func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum RunSummary, err error) {
 	var e *rws.Engine
 	defer func() {
@@ -225,13 +225,10 @@ func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum
 	return sum, nil
 }
 
-// quarantine retires a poisoned engine instead of recycling it. Close is
-// best effort under its own recover: a panicked run can leave strand
-// goroutines parked mid-protocol, and a quarantine must never take the
-// worker down with it.
+// quarantine retires a poisoned engine instead of recycling it: Close stops
+// every strand coroutine, including those a panicked run left suspended.
 func (s *Server) quarantine(e *rws.Engine) {
 	s.stats.add(&s.stats.Quarantined, 1)
-	defer func() { recover() }()
 	e.Close()
 }
 
