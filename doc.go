@@ -95,10 +95,10 @@
 //     pops itself, and yields to one driver loop that resumes the next
 //     strand — two coroutine switches per strand interleaving, zero
 //     everywhere else. Fork metadata (join cells, spawns, strand
-//     coroutines, stolen tasks
-//     and their stacks) is recycled through per-engine free lists fed by
-//     slab allocations, and ForkN trees fork leaf *ranges* instead of
-//     per-node closures, so the steady state allocates nothing.
+//     coroutines, stolen tasks and their stacks) is recycled through
+//     per-engine free lists fed by slab allocations, and ForkN trees fork
+//     leaf *ranges* instead of per-node closures, so the steady state
+//     allocates nothing.
 //   - internal/harness fans each experiment's independent deterministic
 //     (p, budget, seed) runs out across host workers (experiments -par)
 //     with ordered results, so sweep output is byte-identical to serial.
@@ -112,9 +112,9 @@
 //
 //   - rws.Engine.Reset(cfg) readies a finished engine for another Run under
 //     an arbitrarily different Config (P, policy, topology, pricing,
-//     budget). Slabs, free lists, deque ring buffers, the clock heap and the
-//     suspended strand coroutines all survive; a reset engine is persistent and
-//     must be released with Close when retired.
+//     budget). Slabs, free lists, deque ring buffers, the clock heap and
+//     the suspended strand coroutines all survive; a reset engine is
+//     persistent and must be released with Close when retired.
 //   - machine.Machine.Reset(params) resets coherence state by *generation
 //     stamp*: cache-index and directory pages carry the generation they were
 //     last valid in, a reset bumps the counter in O(1), and a stale page is

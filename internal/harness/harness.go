@@ -183,11 +183,11 @@ func Lookup(id string) (Experiment, bool) {
 
 // Runner owns a pool of reusable engines for the experiment sweeps: instead
 // of constructing a fresh rws.Engine (machine, caches, coherence directory,
-// memory pages, strand goroutines) for every one of the thousands of runs an
+// memory pages, strand coroutines) for every one of the thousands of runs an
 // experiment sweep performs, builders draw engines from the pool — a pooled
 // engine is Reset in place to the run's Config, which is bit-for-bit
 // equivalent to fresh construction (the rws reuse differentials pin that)
-// but reuses all the backing structures and parked goroutines.
+// but reuses all the backing structures and suspended coroutines.
 //
 // The pool is safe for concurrent use; engines checked out by different
 // sweep workers are independent. The pool only ever holds as many engines as
@@ -240,7 +240,7 @@ func (r *Runner) Stats() (gets, built int) {
 	return r.gets, r.built
 }
 
-// Close shuts down every pooled engine's strand goroutines and empties the
+// Close stops every pooled engine's strand coroutines and empties the
 // pool. Engines currently checked out are unaffected (their Recycle after
 // Close re-pools them for later reuse).
 func (r *Runner) Close() {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"rwsfs/internal/machine"
 	"rwsfs/internal/mem"
@@ -277,10 +276,9 @@ func TestPanicOnStolenStrandCloseStopsCoroutines(t *testing.T) {
 		if persistent && runtime.NumGoroutine() <= before {
 			t.Fatalf("persistent=%v: no suspended coroutines before Close", persistent)
 		}
+		// A coroutine's stop returns only once it has finished, so Close
+		// leaves no goroutine still on its way out.
 		e.Close()
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
 		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("persistent=%v: %d goroutines after Close, %d before the run", persistent, n, before)
 		}
@@ -294,7 +292,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	e.Close()
 	e.Close()
 
-	// Close after a persistent (Reset) Run: parked goroutines shut once.
+	// Close after a persistent (Reset) Run: suspended coroutines stop once.
 	e = MustNewEngine(DefaultConfig(2))
 	if err := e.Reset(DefaultConfig(2)); err != nil {
 		t.Fatalf("Reset: %v", err)
@@ -303,7 +301,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	e.Close()
 	e.Close()
 
-	// Close after a single-use Run, whose goroutines already exited.
+	// Close after a single-use Run, whose coroutines were already stopped.
 	e = MustNewEngine(DefaultConfig(2))
 	e.Run(func(c *Ctx) { c.Node() })
 	e.Close()

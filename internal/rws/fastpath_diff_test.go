@@ -10,7 +10,7 @@ import (
 
 // TestFastPathDifferential runs identical (Config, workload) pairs with the
 // run-ahead fast path enabled and force-disabled and requires bit-for-bit
-// equal Results. The fast path claims to change only *which goroutine
+// equal Results. The fast path claims to change only *which strand
 // executes an engine action and when*, never the simulated action sequence;
 // this is the test that holds it to that claim across every observable
 // metric, including the per-proc counters, the stolen-kernel sizes (order-

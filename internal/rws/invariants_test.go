@@ -63,7 +63,7 @@ func randomInvariantConfig(rng *rand.Rand) invariantConfig {
 //     (Spawns == Steals + InlinePops + IdlePops, and Spawns == leaves-1),
 //     and every leaf body runs exactly once;
 //   - per-processor clock monotonicity, observed from inside the
-//     computation (each leaf reads its processor's clock under the baton);
+//     computation (each leaf reads its processor's clock while it runs);
 //   - steal count within the configured StealBudget;
 //   - migration bookkeeping: only multi-take policies migrate, and the
 //     final Result's totals match the per-processor counters;
@@ -88,8 +88,9 @@ func runInvariantCase(t *testing.T, ic invariantConfig, pol StealPolicy, disable
 	rec = func(lo, hi int, c *Ctx) {
 		if hi-lo <= 1 {
 			// Leaf: data-dependent work plus a false-sharing-prone write.
-			// The baton discipline makes e.clock safe to read here, and
-			// orders the host-side ran[] increments.
+			// Only the running strand touches engine state, which makes
+			// e.clock safe to read here and orders the host-side ran[]
+			// increments.
 			p := c.Proc()
 			if now := e.clock[p]; now < lastClock[p] {
 				monotone = false

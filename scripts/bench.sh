@@ -10,11 +10,19 @@
 # the distance-priced steal path on a four-socket topology, tracked so
 # steal pricing stays a branch, not a tax) and keeps, per benchmark,
 # the best ns/op of the three runs (min is the right summary for noise on a
-# shared host). The JSON also carries a frozen "seed_reference" section: the
-# same benchmarks measured against the pre-refactor seed implementation
+# shared host). The JSON also carries the frozen sections of
+# scripts/bench_reference.json, copied verbatim: "seed_reference", the same
+# benchmarks measured against the pre-refactor seed implementation
 # (container/list LRU, map-based coherence state, O(P) clock scan,
 # slice-copy deques), recorded once in PR 1 so later PRs can see the
-# trajectory start.
+# trajectory start, and "sweep_reference", the PR 4 binary's sweep time.
+#
+# Host: the JSON records the CPU model, `nproc`, and BENCH_HOST, a free-text
+# description of the machine (e.g. "shared 2-vCPU KVM guest, noisy"). On a
+# shared guest, other tenants can change every timing by up to 2x in spells
+# of seconds to minutes (bench/README.md, Noise), so compare recordings
+# taken on one host, interleaved, and treat a single recording as a rough
+# trajectory point.
 #
 # Regression guard: after writing the new file, every benchmark that was
 # also tracked in the previous BENCH_rws.json is compared; if any ns/op
@@ -33,6 +41,11 @@ cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-3}"
 OUT="BENCH_rws.json"
+REF="scripts/bench_reference.json"
+if [ ! -f "$REF" ]; then
+    echo "bench.sh: $REF is missing; it holds the frozen seed and sweep references" >&2
+    exit 1
+fi
 TMP="$(mktemp)"
 PREV="$(mktemp)"
 trap 'rm -f "$TMP" "$PREV"' EXIT
@@ -69,7 +82,8 @@ fi
 rm -f "$EXPBIN"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go version | awk '{print $3}')" \
-    -v sweepms="$SWEEP_MS" '
+    -v sweepms="$SWEEP_MS" -v ref="$REF" -v nproc="$(getconf _NPROCESSORS_ONLN)" \
+    -v host="${BENCH_HOST:-unspecified}" '
 /^pkg:/ { pkg = $2 }
 /^cpu:/ { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
@@ -94,18 +108,17 @@ END {
     printf "  \"generated\": \"%s\",\n", date
     printf "  \"go\": \"%s\",\n", goversion
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"nproc\": %s,\n", nproc
+    printf "  \"host\": \"%s\",\n", host
     printf "  \"count\": %s,\n", "'"$COUNT"'"
-    printf "  \"note\": \"best-of-count ns/op; seed_reference is the pre-refactor implementation, frozen in PR 1; sweep_full_ms is the serial cmd/experiments -scale full wall clock, sweep_reference the PR 4 binary frozen in PR 5\",\n"
+    printf "  \"note\": \"best-of-count ns/op; seed_reference is the pre-refactor implementation, frozen in PR 1; sweep_full_ms is the serial cmd/experiments -scale full wall clock, sweep_reference the PR 4 binary frozen in PR 5; both references come from scripts/bench_reference.json\",\n"
     printf "  \"sweep_full_ms\": %s,\n", (sweepms == "" ? "null" : sweepms)
-    printf "  \"sweep_reference\": {\"pr4_full_ms\": 3405},\n"
-    printf "  \"seed_reference\": {\n"
-    printf "    \"rwsfs/internal/machine.BenchmarkAccessBlock\":      {\"ns_per_op\": 299.8, \"bytes_per_op\": 52, \"allocs_per_op\": 1},\n"
-    printf "    \"rwsfs/internal/machine.BenchmarkAccessBlockHit\":   {\"ns_per_op\": 14.80, \"bytes_per_op\": 0, \"allocs_per_op\": 0},\n"
-    printf "    \"rwsfs/internal/machine.BenchmarkInvalidateOthers\": {\"ns_per_op\": 198.3, \"bytes_per_op\": 48, \"allocs_per_op\": 1},\n"
-    printf "    \"rwsfs/internal/rws.BenchmarkEngineStep\":           {\"ns_per_op\": 5380, \"bytes_per_op\": 103, \"allocs_per_op\": 3},\n"
-    printf "    \"rwsfs/internal/rws.BenchmarkForkJoinThroughput\":   {\"ns_per_op\": 4141244, \"bytes_per_op\": 339792, \"allocs_per_op\": 3336},\n"
-    printf "    \"rwsfs/internal/rws.BenchmarkStealHeavy\":           {\"ns_per_op\": 2353229, \"bytes_per_op\": 452819, \"allocs_per_op\": 2017}\n"
-    printf "  },\n"
+    # The reference file is one JSON object: copy its members, i.e. every
+    # line between its opening and closing brace.
+    m = 0
+    while ((getline line < ref) > 0) refl[++m] = line
+    close(ref)
+    for (i = 2; i < m; i++) printf "%s%s\n", refl[i], (i == m - 1 ? "," : "")
     printf "  \"benchmarks\": {\n"
     for (i = 1; i <= n; i++) {
         key = order[i]
