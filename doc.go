@@ -99,6 +99,13 @@
 //     per-engine free lists fed by slab allocations, and ForkN trees fork
 //     leaf *ranges* instead of per-node closures, so the steady state
 //     allocates nothing.
+//   - internal/harness replays the sweeps' race-free kernels: a kernel runs
+//     once at P = 1 under rws.Engine.Record, and every sweep run of it at
+//     that block size interprets the recorded op stream with
+//     rws.Engine.Replay — the same scheduler and machine, with no strand
+//     coroutines, no kernel code and no simulated values. The full sweep
+//     records 36 traces for 306 runs, at most two held at a time; conncomp,
+//     whose jump step is a determinacy race, stays on coroutines.
 //   - internal/harness fans each experiment's independent deterministic
 //     (p, budget, seed) runs out across host workers (experiments -par)
 //     with ordered results, so sweep output is byte-identical to serial.

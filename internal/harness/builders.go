@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"rwsfs/internal/alg/conncomp"
 	"rwsfs/internal/alg/convert"
 	"rwsfs/internal/alg/fft"
@@ -22,6 +24,49 @@ import (
 // the instance parameters (not the scheduling seed), so different seeds race
 // over identical data.
 type Maker func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx))
+
+// kernel is a sweep's Maker with a content key: the kernel name plus its
+// instance parameters, which fix the kernel's op stream at each block size
+// and root stack size. Sweeps replay kernels with a key from recorded
+// traces (see poolRun); an empty key keeps a kernel on the coroutine
+// engine.
+type kernel struct {
+	key string
+	mk  Maker
+}
+
+func mmKernel(v matmul.Variant, n, base int) kernel {
+	return kernel{fmt.Sprintf("mm/%v/n=%d/base=%d", v, n, base), MMMaker(v, n, base)}
+}
+
+func prefixKernel(n int, pcfg prefix.Config) kernel {
+	return kernel{fmt.Sprintf("prefix/n=%d/%+v", n, pcfg), PrefixMaker(n, pcfg)}
+}
+
+func transposeKernel(n int) kernel {
+	return kernel{fmt.Sprintf("transpose/n=%d", n), TransposeMaker(n)}
+}
+
+func rmToBIKernel(n int) kernel { return kernel{fmt.Sprintf("rm2bi/n=%d", n), RMToBIMaker(n)} }
+
+func biToRMKernel(n int, natural bool) kernel {
+	return kernel{fmt.Sprintf("bi2rm/n=%d/natural=%t", n, natural), BIToRMMaker(n, natural)}
+}
+
+func sortKernel(alg sorthbp.Algorithm, n int) kernel {
+	return kernel{fmt.Sprintf("sort/%v/n=%d", alg, n), SortMaker(alg, n)}
+}
+
+func fftKernel(n int) kernel { return kernel{fmt.Sprintf("fft/n=%d", n), FFTMaker(n)} }
+
+func listRankKernel(n int) kernel {
+	return kernel{fmt.Sprintf("listrank/n=%d", n), ListRankMaker(n)}
+}
+
+// connCompKernel has no key: its in-place jump, label[v] = label[label[v]]
+// across leaves, is a determinacy race, so which addresses a leaf reads
+// depends on the schedule and a recording of it would not replay.
+func connCompKernel(n, edges int) kernel { return kernel{"", ConnCompMaker(n, edges)} }
 
 // MMMaker multiplies two deterministic n x n matrices under the variant.
 func MMMaker(v matmul.Variant, n, base int) Maker {

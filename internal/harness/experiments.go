@@ -28,7 +28,7 @@ func mmMissExperiment(id string, v matmul.Variant, s Scale) Table {
 	if s == Quick {
 		n = 32
 	}
-	mk := MMMaker(v, n, 4)
+	mk := mmKernel(v, n, 4)
 	base := rws.DefaultConfig(8)
 	cs := costs(base.Machine)
 	seq := seqBaseline(mk, base)
@@ -108,7 +108,7 @@ func E03(s Scale) Table {
 			base := rws.DefaultConfig(8)
 			base.Machine.B = B
 			base.Machine.M = 256 * B
-			mk := PrefixMaker(n, prefix.Config{Chunk: 1})
+			mk := prefixKernel(n, prefix.Config{Chunk: 1})
 			return runAt(mk, base, 8, -1, 777)
 		}
 	}
@@ -139,7 +139,7 @@ func E04(s Scale) Table {
 	if s == Quick {
 		n = 32
 	}
-	mk := MMMaker(matmul.LimitedAccessDepthN, n, 4)
+	mk := mmKernel(matmul.LimitedAccessDepthN, n, 4)
 	base := rws.DefaultConfig(8)
 	t := Table{
 		ID:     "E04",
@@ -179,7 +179,7 @@ func E05(s Scale) Table {
 	if s == Quick {
 		n = 32
 	}
-	mk := RMToBIMaker(n)
+	mk := rmToBIKernel(n)
 	base := rws.DefaultConfig(8)
 	cs := costs(base.Machine)
 	t := Table{
@@ -229,7 +229,7 @@ func E06(s Scale) Table {
 	base.Machine.B = 32
 	base.Machine.M = 8192
 	cs := costs(base.Machine)
-	seq := seqBaseline(BIToRMMaker(n, false), base)
+	seq := seqBaseline(biToRMKernel(n, false), base)
 	t := Table{
 		ID:    "E06",
 		Title: fmt.Sprintf("BI→RM: buffered (paper) vs natural tree (rejected) (n=%d, p=8, B=32)", n),
@@ -239,8 +239,8 @@ func E06(s Scale) Table {
 			"should exceed the buffered version's (rows average 3 scheduling seeds).", seq.Totals.CacheMisses),
 		Header: []string{"budget", "S_buf", "bufExtra", "bufBound", "bufBlk", "S_nat", "natBlk"},
 	}
-	bufMk := BIToRMMaker(n, false)
-	natMk := BIToRMMaker(n, true)
+	bufMk := biToRMKernel(n, false)
+	natMk := biToRMKernel(n, true)
 	budgets := budgetSweep(s)
 	var jobs []func() rws.Result
 	for _, budget := range budgets {
@@ -288,7 +288,7 @@ func E06(s Scale) Table {
 // E07 checks Theorem 5.1: the number of successful steals is O(p·h(t)(1+a)).
 func E07(s Scale) Table {
 	n := 32
-	mk := MMMaker(matmul.LimitedAccessDepthN, n, 4)
+	mk := mmKernel(matmul.LimitedAccessDepthN, n, 4)
 	base := rws.DefaultConfig(2)
 	cs := costs(base.Machine)
 	tinf := float64(6 * n) // depth-n recursion with log-depth fork trees
@@ -354,24 +354,24 @@ func E08(s Scale) Table {
 
 	type caseRow struct {
 		name  string
-		mk    Maker
+		mk    kernel
 		hPred float64
 	}
 	lg := func(x int) float64 { return math.Log2(math.Max(float64(x), 2)) }
 	rows := []caseRow{
 		{
 			name:  "case(i) c=1: depth-log²n MM",
-			mk:    MMMaker(matmul.DepthLog2, nMM, 4),
+			mk:    mmKernel(matmul.DepthLog2, nMM, 4),
 			hPred: analysis.HRootTheorem63(analysis.CaseC1, nMM*nMM, lg(nMM)*lg(nMM), cs),
 		},
 		{
 			name:  "case(ii) c=2,s=√n: FFT",
-			mk:    FFTMaker(nFFT),
+			mk:    fftKernel(nFFT),
 			hPred: analysis.HRootTheorem63(analysis.CaseC2Sqrt, 2*nFFT, lg(nFFT)*lg(lgi(nFFT)), cs),
 		},
 		{
 			name:  "case(iii) c=2,s=n/4: depth-n MM",
-			mk:    MMMaker(matmul.LimitedAccessDepthN, nMM, 4),
+			mk:    mmKernel(matmul.LimitedAccessDepthN, nMM, 4),
 			hPred: analysis.HRootTheorem63(analysis.CaseC2Quarter, nMM*nMM, float64(nMM), cs),
 		},
 	}
@@ -427,8 +427,8 @@ func E09(s Scale) Table {
 	}
 	var jobs []func() rws.Result
 	for _, n := range ns {
-		mkN := MMMaker(matmul.LimitedAccessDepthN, n, 4)
-		mkL := MMMaker(matmul.DepthLog2, n, 4)
+		mkN := mmKernel(matmul.LimitedAccessDepthN, n, 4)
+		mkL := mmKernel(matmul.DepthLog2, n, 4)
 		for seed := int64(1); seed <= 3; seed++ {
 			seed := seed
 			jobs = append(jobs,
@@ -478,12 +478,12 @@ func E10(s Scale) Table {
 	}
 	type algRow struct {
 		name string
-		mk   Maker
+		mk   kernel
 		n    int
 	}
 	algs := []algRow{
-		{fmt.Sprintf("prefix-sums n=%d", nPrefix), PrefixMaker(nPrefix, prefix.Config{Chunk: 4}), nPrefix},
-		{fmt.Sprintf("transpose n=%d", nT), TransposeMaker(nT), nT * nT},
+		{fmt.Sprintf("prefix-sums n=%d", nPrefix), prefixKernel(nPrefix, prefix.Config{Chunk: 4}), nPrefix},
+		{fmt.Sprintf("transpose n=%d", nT), transposeKernel(nT), nT * nT},
 	}
 	var jobs []func() rws.Result
 	for _, a := range algs {
@@ -543,11 +543,11 @@ func E11(s Scale) Table {
 	}
 	algs := []struct {
 		name string
-		mk   Maker
+		mk   kernel
 	}{
-		{"mergesort", SortMaker(sorthbp.Mergesort, n)},
-		{"columnsort", SortMaker(sorthbp.Columnsort, n)},
-		{"fft", FFTMaker(n)},
+		{"mergesort", sortKernel(sorthbp.Mergesort, n)},
+		{"columnsort", sortKernel(sorthbp.Columnsort, n)},
+		{"fft", fftKernel(n)},
 	}
 	var jobs []func() rws.Result
 	for _, a := range algs {
@@ -601,10 +601,10 @@ func E12(s Scale) Table {
 	base := rws.DefaultConfig(8)
 	algs := []struct {
 		name string
-		mk   Maker
+		mk   kernel
 	}{
-		{"listrank", ListRankMaker(n)},
-		{"conncomp", ConnCompMaker(n, 2*n)},
+		{"listrank", listRankKernel(n)},
+		{"conncomp", connCompKernel(n, 2*n)},
 	}
 	var jobs []func() rws.Result
 	for _, a := range algs {
@@ -657,7 +657,7 @@ func E13(s Scale) Table {
 	for i, padded := range variants {
 		padded := padded
 		jobs[i] = func() rws.Result {
-			mk := PrefixMaker(n, prefix.Config{Chunk: 1, Padded: padded})
+			mk := prefixKernel(n, prefix.Config{Chunk: 1, Padded: padded})
 			return runAt(mk, base, 8, -1, 21)
 		}
 	}
@@ -736,7 +736,7 @@ func E15(s Scale) Table {
 	if s == Quick {
 		n = 32
 	}
-	mk := MMMaker(matmul.LimitedAccessDepthN, n, 8)
+	mk := mmKernel(matmul.LimitedAccessDepthN, n, 8)
 	base := rws.DefaultConfig(1)
 	seq := seqBaseline(mk, base)
 	q := float64(seq.Totals.CacheMisses)

@@ -8,6 +8,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -144,9 +145,10 @@ type Experiment struct {
 	Run   func(s Scale) Table
 }
 
-// All returns the experiment registry in index order.
+// All returns the experiment registry in index order. Each experiment drops
+// the traces its sweeps recorded when it returns.
 func All() []Experiment {
-	return []Experiment{
+	all := []Experiment{
 		{"E01", "Lemma 3.1 — depth-n MM cache misses vs steals", E01},
 		{"E02", "Corollary 3.2 — depth-log²n MM cache misses vs steals", E02},
 		{"E03", "Lemma 4.3 — per-block delay of tree tasks is O(min{B, ht})", E03},
@@ -169,6 +171,14 @@ func All() []Experiment {
 		{"E20", "Theorem 5.1 — steal bound shape under distance-priced stealing", E20},
 		{"E21", "Placement — Ctx.PlaceLocal vs inherited provenance", E21},
 	}
+	for i := range all {
+		run := all[i].Run
+		all[i].Run = func(s Scale) Table {
+			defer traces.drop()
+			return run(s)
+		}
+	}
+	return all
 }
 
 // Lookup returns the experiment with the given ID.
@@ -187,7 +197,8 @@ func Lookup(id string) (Experiment, bool) {
 // experiment sweep performs, builders draw engines from the pool — a pooled
 // engine is Reset in place to the run's Config, which is bit-for-bit
 // equivalent to fresh construction (the rws reuse differentials pin that)
-// but reuses all the backing structures and suspended coroutines.
+// but reuses all the backing structures and suspended coroutines. One
+// pooled engine serves both coroutine runs and trace replays.
 //
 // The pool is safe for concurrent use; engines checked out by different
 // sweep workers are independent. The pool only ever holds as many engines as
@@ -351,13 +362,13 @@ type runSpec struct {
 	seed   int64
 }
 
-// sweepRuns executes mk at every spec, fanning out across the configured
+// sweepRuns executes k at every spec, fanning out across the configured
 // workers, with results in spec order.
-func sweepRuns(mk Maker, base rws.Config, specs []runSpec) []rws.Result {
+func sweepRuns(k kernel, base rws.Config, specs []runSpec) []rws.Result {
 	jobs := make([]func() rws.Result, len(specs))
 	for i, sp := range specs {
 		sp := sp
-		jobs[i] = func() rws.Result { return runAt(mk, base, sp.p, sp.budget, sp.seed) }
+		jobs[i] = func() rws.Result { return runAt(k, base, sp.p, sp.budget, sp.seed) }
 	}
 	return runPar(jobs)
 }
@@ -383,29 +394,115 @@ func fmtI(v int64) string { return fmt.Sprintf("%d", v) }
 
 // seqBaseline runs the same computation at p=1 (no steals possible) to
 // obtain the sequential W and Q the theorems compare against.
-func seqBaseline(mk Maker, base rws.Config) rws.Result {
+func seqBaseline(k kernel, base rws.Config) rws.Result {
 	cfg := base
 	cfg.Machine.P = 1
-	return poolRun(mk, cfg)
+	return poolRun(k, cfg)
 }
 
 // runAt executes the computation at the given processor count and budget.
-func runAt(mk Maker, base rws.Config, p int, budget int64, seed int64) rws.Result {
+func runAt(k kernel, base rws.Config, p int, budget int64, seed int64) rws.Result {
 	cfg := base
 	cfg.Machine.P = p
 	cfg.StealBudget = budget
 	cfg.Seed = seed
-	return poolRun(mk, cfg)
+	return poolRun(k, cfg)
 }
 
-// poolRun performs one run on a pooled engine: build (or Reset) through the
-// maker, run lean — the sweeps aggregate totals, so the per-processor
-// counters snapshot is skipped rather than allocated per run — and return
-// the engine for the next run. The Result is fully materialized before the
-// engine goes back, so recycling cannot clobber it.
-func poolRun(mk Maker, cfg rws.Config) rws.Result {
-	e, root := mk(&enginePool, cfg)
+// poolRun performs one run on a pooled engine and returns the engine for
+// the next run. A kernel with a content key replays its recorded trace:
+// the kernel's op stream depends only on the key, the block size and the
+// root stack size, so one recording serves every processor count, seed,
+// policy, topology and budget a sweep visits. A kernel without a key, or
+// whose recording was rejected, runs on coroutines: build (or Reset)
+// through the maker and run lean — the sweeps aggregate totals, so the
+// per-processor counters snapshot is skipped rather than allocated per run.
+// Either way the Result is fully materialized before the engine goes back,
+// so recycling cannot clobber it.
+func poolRun(k kernel, cfg rws.Config) rws.Result {
+	if tr := traces.get(k, cfg); tr != nil {
+		e := enginePool.Engine(cfg)
+		res := e.Replay(tr)
+		enginePool.Recycle(e)
+		return res
+	}
+	e, root := k.mk(&enginePool, cfg)
 	res := e.RunLean(root)
 	enginePool.Recycle(e)
 	return res
+}
+
+// traceKey names one recording: a kernel's op stream is fixed by its
+// content key, the block size, and the root stack size its maker starts
+// from.
+type traceKey struct {
+	kernel         string
+	b              int
+	rootStackWords int
+}
+
+// traceCache holds the sweeps' recorded traces. It keeps at most
+// maxTraces, least recently used first out — an experiment alternates
+// between at most two kernels — and each experiment drops them when it
+// returns, so traces never accumulate across a sweep. Workers that ask for
+// a trace being recorded wait for that recording.
+type traceCache struct {
+	mu      sync.Mutex
+	entries []*traceEntry
+}
+
+const maxTraces = 2
+
+type traceEntry struct {
+	key  traceKey
+	once sync.Once
+	tr   *rws.Trace // nil when the recording was rejected
+}
+
+// traces is the process-wide cache poolRun replays from.
+var traces traceCache
+
+// get returns k's trace for cfg, recording it on first use, or nil when k
+// must run on coroutines.
+func (c *traceCache) get(k kernel, cfg rws.Config) *rws.Trace {
+	if k.key == "" {
+		return nil
+	}
+	key := traceKey{k.key, cfg.Machine.B, cfg.RootStackWords}
+	c.mu.Lock()
+	var ent *traceEntry
+	if i := slices.IndexFunc(c.entries, func(x *traceEntry) bool { return x.key == key }); i >= 0 {
+		ent = c.entries[i]
+		c.entries = slices.Delete(c.entries, i, i+1)
+	} else {
+		ent = &traceEntry{key: key}
+		if len(c.entries) == maxTraces {
+			c.entries = slices.Delete(c.entries, 0, 1)
+		}
+	}
+	c.entries = append(c.entries, ent)
+	c.mu.Unlock()
+	ent.once.Do(func() { ent.tr = record(k, cfg) })
+	return ent.tr
+}
+
+// drop empties the cache.
+func (c *traceCache) drop() {
+	c.mu.Lock()
+	c.entries = nil
+	c.mu.Unlock()
+}
+
+// record runs k once at P = 1 on a flat machine with cfg's block and stack
+// sizes, and returns its trace, or nil when the recorder rejected it.
+func record(k kernel, cfg rws.Config) *rws.Trace {
+	cfg.Machine.P = 1
+	cfg.Machine.Topology = machine.Topology{}
+	e, root := k.mk(&enginePool, cfg)
+	tr, err := e.Record(root)
+	enginePool.Recycle(e)
+	if err != nil {
+		return nil
+	}
+	return tr
 }

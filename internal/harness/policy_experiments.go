@@ -27,7 +27,7 @@ func E16(s Scale) Table {
 	if s == Quick {
 		n = 1024
 	}
-	mk := PrefixMaker(n, prefix.Config{Chunk: 1})
+	mk := prefixKernel(n, prefix.Config{Chunk: 1})
 	t := Table{
 		ID:    "E16",
 		Title: fmt.Sprintf("steal policies on prefix sums (n=%d, p=8, flat topology, avg of 3 seeds)", n),
@@ -87,7 +87,7 @@ func E17(s Scale) Table {
 	if s == Quick {
 		n = 1024
 	}
-	mk := PrefixMaker(n, prefix.Config{Chunk: 1})
+	mk := prefixKernel(n, prefix.Config{Chunk: 1})
 	t := Table{
 		ID:    "E17",
 		Title: fmt.Sprintf("uniform vs localized stealing across socket topologies (prefix n=%d, p=8, remote=4b, avg of 3 seeds)", n),
@@ -168,7 +168,7 @@ func E18(s Scale) Table {
 			base.Machine.B = pt.B
 			base.Machine.M = 256 * pt.B
 			base.Policy = pol
-			mk := MMMaker(matmul.LimitedAccessDepthN, n, 4)
+			mk := mmKernel(matmul.LimitedAccessDepthN, n, 4)
 			for seed := int64(1); seed <= 2; seed++ {
 				mk, base, pt, seed := mk, base, pt, seed
 				jobs = append(jobs, func() rws.Result { return runAt(mk, base, pt.p, -1, seed) })
@@ -215,7 +215,7 @@ func E19(s Scale) Table {
 		n = 1024
 	}
 	budget := int64(48)
-	mk := PrefixMaker(n, prefix.Config{Chunk: 1})
+	mk := prefixKernel(n, prefix.Config{Chunk: 1})
 	t := Table{
 		ID: "E19",
 		Title: fmt.Sprintf("distance-priced stealing on a 4-socket machine (prefix n=%d, p=8, steal price 5 local / 25 remote, budget S=%d, avg of 3 seeds)",
@@ -279,7 +279,7 @@ func E19(s Scale) Table {
 // S = O(p·h(t)) must survive unchanged.
 func E20(s Scale) Table {
 	n := 32
-	mk := MMMaker(matmul.LimitedAccessDepthN, n, 4)
+	mk := mmKernel(matmul.LimitedAccessDepthN, n, 4)
 	base := rws.DefaultConfig(2)
 	base.Machine.Topology = machine.Topology{
 		Sockets: 2, CostMissRemote: 4 * base.Machine.CostMiss,

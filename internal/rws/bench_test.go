@@ -142,6 +142,50 @@ func BenchmarkStealHeavyReuse(b *testing.B) {
 	}
 }
 
+// recordBench records a benchmark's kernel over words of input at P = 1.
+func recordBench(b *testing.B, words int, kernel func(mem.Addr) func(*Ctx)) *Trace {
+	e := MustNewEngine(DefaultConfig(1))
+	tr, err := e.Record(kernel(e.Machine().Alloc.Alloc(words)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+// BenchmarkStealHeavyReplayReuse is BenchmarkStealHeavyReuse replaying the
+// workload's recording: the same runs, scheduler, pools and coherence
+// model, without strand coroutines or kernel code. It reports the trace's
+// size in trace_B; the allocs/op gates on Reuse$ cover it.
+func BenchmarkStealHeavyReplayReuse(b *testing.B) {
+	tr := recordBench(b, 512, func(out mem.Addr) func(*Ctx) {
+		return func(c *Ctx) {
+			c.ForkN(512, func(j int, c *Ctx) {
+				c.Work(5)
+				c.StoreInt(out+mem.Addr(j), int64(j))
+			})
+		}
+	})
+	cfg := DefaultConfig(8)
+	e := MustNewEngine(cfg)
+	defer e.Close()
+	iter := func(seed int64) float64 {
+		cfg.Seed = seed
+		if err := e.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		return float64(e.Replay(tr).Steals)
+	}
+	for s := int64(1); s <= 32; s++ {
+		iter(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.ReportMetric(iter(int64(i+1)), "steals/op")
+	}
+	b.ReportMetric(float64(tr.Bytes()), "trace_B")
+}
+
 // handoffCount reads the engine's strand-to-strand handoff counter.
 func (e *Engine) handoffCount() int64 { return e.handoffs }
 
@@ -180,6 +224,43 @@ func BenchmarkHandoff(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(handoffs), "ns/handoff")
 	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+}
+
+// BenchmarkHandoffReplay is BenchmarkHandoff replaying the workload's
+// recording: the same handoffs, each a switch of op cursors instead of two
+// coroutine switches. It reports the trace's size in trace_B.
+func BenchmarkHandoffReplay(b *testing.B) {
+	tr := recordBench(b, 64, func(buf mem.Addr) func(*Ctx) {
+		return func(c *Ctx) {
+			c.ForkN(64, func(j int, c *Ctx) {
+				for k := 0; k < 16; k++ {
+					c.Work(1)
+					c.Read(buf + mem.Addr((j+k)&63))
+				}
+			})
+		}
+	})
+	cfg := DefaultConfig(4)
+	e := MustNewEngine(cfg)
+	defer e.Close()
+	iter := func(seed int64) int64 {
+		cfg.Seed = seed
+		if err := e.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		e.Replay(tr)
+		return e.handoffCount()
+	}
+	iter(999) // warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	var handoffs int64
+	for i := 0; i < b.N; i++ {
+		handoffs += iter(int64(i + 1))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(handoffs), "ns/handoff")
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+	b.ReportMetric(float64(tr.Bytes()), "trace_B")
 }
 
 // BenchmarkStealPriced is BenchmarkStealHeavy on a four-socket machine with

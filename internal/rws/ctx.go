@@ -21,21 +21,33 @@ type Ctx struct {
 	t    *Task
 	s    *strand
 	proc int
+	// rec is the recorder of an Engine.Record run, nil otherwise. Kernel
+	// calls append to it; the fork protocol's own charges do not.
+	rec *recorder
 }
 
-// chargeWork advances this processor's clock by t work ticks. A pure work
-// charge touches only this processor's clock and counters — no deque, no
-// coherence state, no RNG — so its effect commutes with every other
-// processor's action in the window it spans. On the fast path the min-check
-// is therefore deferred: sync runs it at the next shared-state operation,
-// where the skipped interleavings replay in one coalesced yield with the
-// identical global order of all shared actions (and identical metrics).
-// Raw Mem() manipulation relies on the timing discipline: covered ranges
-// are only read or written by strands ordered around them by joins, so
-// deferral cannot change what race-free algorithms observe.
-func (c *Ctx) chargeWork(t machine.Tick) {
+// chargeWork advances this processor's clock by nodes DAG nodes, CostNode
+// ticks each and counted, plus t work ticks. A kernel's charge is recorded
+// when a recorder is attached; the fork protocol's own nodes are not. A
+// pure work charge touches only this processor's clock and counters — no
+// deque, no coherence state, no RNG — so its effect commutes with every
+// other processor's action in the window it spans. On the fast path the
+// min-check is therefore deferred: sync runs it at the next shared-state
+// operation, where the skipped interleavings replay in one coalesced yield
+// with the identical global order of all shared actions (and identical
+// metrics). Raw Mem() manipulation relies on the timing discipline:
+// covered ranges are only read or written by strands ordered around them
+// by joins, so deferral cannot change what race-free algorithms observe.
+func (c *Ctx) chargeWork(nodes int64, t machine.Tick, kernel bool) {
 	e := c.e
 	p := c.proc
+	if kernel && c.rec != nil {
+		c.rec.work(uint32(nodes), t)
+	}
+	if nodes != 0 {
+		e.mach.Proc[p].NodesExecuted += nodes
+		t += machine.Tick(nodes) * e.mach.CostNode
+	}
 	e.clock[p] += t
 	e.mach.Proc[p].WorkTicks += t
 	if e.fastPath {
@@ -56,20 +68,25 @@ func (c *Ctx) sync() {
 	}
 }
 
-// chargeAccess performs a timed access of n contiguous words at a, charging
-// the coherence delay plus work extra ticks. The entry sync orders the
-// access correctly against every other processor (heap clean ⟹ this
-// processor is the minimum). A write's post-charge min-check is deferred
-// like a work charge's — nothing observes its clock advance until the next
-// shared operation — while a read re-checks immediately so the values the
-// caller goes on to consume reflect every lower-clocked write.
+// chargeAccess performs a kernel's timed access of n contiguous words at a,
+// charging the coherence delay plus work extra ticks; an attached recorder
+// records it first. The entry sync orders the access correctly against
+// every other processor (heap clean ⟹ this processor is the minimum). A
+// write's post-charge min-check is deferred like a work charge's — nothing
+// observes its clock advance until the next shared operation — while a
+// read re-checks immediately so the values the caller goes on to consume
+// reflect every lower-clocked write.
 func (c *Ctx) chargeAccess(a mem.Addr, n int, write bool, work machine.Tick) {
+	if c.rec != nil {
+		c.rec.access(a, n, write, work)
+	}
 	c.sync()
 	e := c.e
 	p := c.proc
+	// Engine.charge's body, spelled out: it does not inline, and this is
+	// every kernel access's path.
 	c.t.accesses += int64(n)
-	delay := e.mach.AccessRange(p, a, n, write, e.clock[p])
-	e.clock[p] += delay + work
+	e.clock[p] += e.mach.AccessRange(p, a, n, write, e.clock[p]) + work
 	e.mach.Proc[p].WorkTicks += work
 	if write && e.fastPath {
 		e.heapDirty = true
@@ -78,17 +95,19 @@ func (c *Ctx) chargeAccess(a mem.Addr, n int, write bool, work machine.Tick) {
 	c.afterCharge()
 }
 
-// reportChildDone performs the completion report of a spawned child: a timed
-// write to the join flag on the parent task's stack, then the engine-visible
-// mark. Doing both in one action keeps flag value and childDone consistent.
-func (c *Ctx) reportChildDone(jc *joinCell) {
+// chargeFlag is chargeAccess for the fork protocol's timed access to a join
+// flag: the forker's creation write and check read, and a finished child's
+// report, which sets childDone in the same action so flag value and
+// childDone stay consistent. The protocol is not kernel code, so it is
+// never recorded.
+func (c *Ctx) chargeFlag(jc *joinCell, write, report bool) {
 	c.sync()
 	e := c.e
-	p := c.proc
-	c.t.accesses++
-	e.clock[p] += e.mach.AccessRange(p, jc.addr, 1, true, e.clock[p])
-	jc.childDone = true
-	if e.fastPath {
+	e.charge(c.t, c.proc, jc.addr, 1, write, 0)
+	if report {
+		jc.childDone = true
+	}
+	if write && e.fastPath {
 		e.heapDirty = true
 		return
 	}
@@ -136,67 +155,28 @@ func (c *Ctx) park(jc *joinCell) {
 	c.yieldToScheduler()
 }
 
-// finishStrand retires this strand after its job's body and join report
-// completed: it releases the strand (and, for a stolen task's last strand,
-// the task and its stack) back to the pools, unparks the forking strand if
-// it waited on jc, and records the strand the driver resumes next — none
-// when the computation is done, the next runnable strand otherwise.
-func (c *Ctx) finishStrand(jc *joinCell) {
-	// Lower-clocked processors must act before the finish becomes visible
-	// (root finish especially: done cuts their remaining actions off).
-	c.sync()
-	e := c.e
-	st := c.s
-	p := c.proc
-	e.running[p] = nil
-	task := st.task
-	task.liveStrands--
-	e.putStrand(st)
-	if jc == nil {
-		// Root strand finished: computation complete.
-		if task != e.root {
-			panic("rws: non-root strand finished without a join")
-		}
-		e.done = true
-		e.finishTime = e.clock[p]
-		return
-	}
-	if task.stolen && task.liveStrands == 0 {
-		e.stolenSizes = append(e.stolenSizes, task.accesses)
-		if e.audit != nil {
-			e.audit.finish(task)
-		}
-		e.pool.Put(task.stack)
-		e.putTask(task)
-	}
-	parked := jc.parked
-	jc.parked = nil
-	e.releaseJoin(jc)
-	if parked != nil {
-		if parked.proc != p {
-			e.usurpations++
-			e.mach.Proc[p].Usurpations++
-		}
-		parked.proc = p
-		e.running[p] = parked
-	}
-	if e.done {
-		// Draining: the root already finished; return to the driver.
-		return
-	}
-	if e.next = e.nextStrand(); e.next != st {
-		e.handoffs++
+// unreplayable rejects a recording: the kernel read state that depends on
+// the schedule, so its op stream may too.
+func (c *Ctx) unreplayable(call string) {
+	if c.rec != nil {
+		c.rec.reject("the kernel calls " + call)
 	}
 }
 
 // Proc returns the processor currently executing this strand. It can change
 // across Fork and joins (usurpations).
-func (c *Ctx) Proc() int { return c.proc }
+func (c *Ctx) Proc() int {
+	c.unreplayable("Ctx.Proc")
+	return c.proc
+}
 
 // Socket returns the socket of the processor currently executing this
 // strand (0 on the default flat topology). Topology-aware algorithms can
 // use it to place data near their execution.
-func (c *Ctx) Socket() int { return c.e.mach.SocketOf(c.proc) }
+func (c *Ctx) Socket() int {
+	c.unreplayable("Ctx.Socket")
+	return c.e.mach.SocketOf(c.proc)
+}
 
 // SocketOf returns the socket the block containing a currently resides on —
 // the socket of its last owner (fetcher or writer) — or -1 when the
@@ -204,6 +184,7 @@ func (c *Ctx) Socket() int { return c.e.mach.SocketOf(c.proc) }
 // Topology-aware algorithms compare it against Socket() to decide whether
 // consuming a result would cross the interconnect.
 func (c *Ctx) SocketOf(a mem.Addr) int {
+	c.unreplayable("Ctx.SocketOf")
 	// Provenance is shared state: order the read like any shared operation
 	// so lower-clocked owners' moves are visible first, identically on the
 	// fast and lockstep paths.
@@ -223,6 +204,9 @@ func (c *Ctx) SocketOf(a mem.Addr) int {
 // Alloc itself) and a no-op on the flat machine, so paper-configuration
 // runs are unaffected; the range's contents still require timed accesses.
 func (c *Ctx) PlaceLocal(a mem.Addr, n int) {
+	if c.rec != nil {
+		c.rec.place(a, n)
+	}
 	// Ownership is read by every other processor's fetch pricing; order the
 	// placement like any shared operation.
 	c.sync()
@@ -230,7 +214,10 @@ func (c *Ctx) PlaceLocal(a mem.Addr, n int) {
 }
 
 // Task returns the task (stolen unit) whose kernel this strand belongs to.
-func (c *Ctx) Task() *Task { return c.t }
+func (c *Ctx) Task() *Task {
+	c.unreplayable("Ctx.Task")
+	return c.t
+}
 
 // Mem returns the simulated memory for raw (untimed) value manipulation of
 // already-timed ranges.
@@ -244,14 +231,15 @@ func (c *Ctx) Work(t machine.Tick) {
 	if t <= 0 {
 		return
 	}
-	c.chargeWork(t)
+	c.chargeWork(0, t, true)
 }
 
 // Node charges the O(1) cost of executing one DAG node and counts it.
-func (c *Ctx) Node() {
-	c.e.mach.Proc[c.proc].NodesExecuted++
-	c.chargeWork(c.e.mach.CostNode)
-}
+func (c *Ctx) Node() { c.chargeWork(1, 0, true) }
+
+// node charges a fork or join node, which the fork's recorded structural
+// ops already imply.
+func (c *Ctx) node() { c.chargeWork(1, 0, false) }
 
 // Read performs a timed read of the word at a.
 func (c *Ctx) Read(a mem.Addr) {
@@ -314,6 +302,15 @@ func (c *Ctx) StoreFloat(a mem.Addr, v float64) {
 // like any other accesses. The addresses become fresh variables for the
 // limited-access write tracker.
 func (c *Ctx) Alloc(words int) exec.Seg {
+	seg := c.alloc(words)
+	if c.rec != nil {
+		c.rec.alloc(seg)
+	}
+	return seg
+}
+
+// alloc is Alloc unrecorded; the fork prologue's join-flag segment uses it.
+func (c *Ctx) alloc(words int) exec.Seg {
 	// The stack is shared among this task's strands and first-fit addresses
 	// depend on allocation order, so order it like any shared operation.
 	c.sync()
@@ -324,6 +321,14 @@ func (c *Ctx) Alloc(words int) exec.Seg {
 
 // Free returns a segment allocated with Alloc.
 func (c *Ctx) Free(seg exec.Seg) {
+	if c.rec != nil {
+		c.rec.free(seg)
+	}
+	c.free(seg)
+}
+
+// free is Free unrecorded.
+func (c *Ctx) free(seg exec.Seg) {
 	c.sync()
 	c.t.stack.Free(seg)
 }
@@ -355,10 +360,13 @@ func (c *Ctx) ForkHint(hint int, left, right func(*Ctx)) {
 // write, and a pooled spawn bound to this task's kernel. The caller fills in
 // the spawn's payload and pushes it.
 func (c *Ctx) forkPrologue(hint int) (*spawn, *joinCell, exec.Seg) {
-	c.Node() // the fork node's O(1) work
-	seg := c.Alloc(1)
+	if c.rec != nil {
+		c.rec.fork(hint)
+	}
+	c.node() // the fork node's O(1) work
+	seg := c.alloc(1)
 	jc := c.e.getJoin(seg.Base)
-	c.Write(jc.addr)
+	c.chargeFlag(jc, true, false)
 	sp := c.e.getSpawn()
 	sp.task = c.t
 	sp.jc = jc
@@ -380,6 +388,9 @@ func (c *Ctx) forkEpilogue(sp *spawn, jc *joinCell, seg exec.Seg) {
 	if c.e.popBottomIf(c.proc, sp) {
 		// Not stolen: execute right inline as part of this kernel, then
 		// report its completion on the join flag.
+		if c.rec != nil {
+			c.rec.popIf()
+		}
 		fn, body, lo, hi, hintFn := sp.fn, sp.body, sp.lo, sp.hi, sp.hintFn
 		c.e.putSpawn(sp)
 		if fn != nil {
@@ -387,7 +398,10 @@ func (c *Ctx) forkEpilogue(sp *spawn, jc *joinCell, seg exec.Seg) {
 		} else {
 			c.forkRange(lo, hi, hintFn, body)
 		}
-		c.reportChildDone(jc)
+		if c.rec != nil {
+			c.rec.join()
+		}
+		c.chargeFlag(jc, true, true)
 		// No child strand ever existed, so both join-cell holds drop here.
 		c.e.putJoin(jc)
 	} else {
@@ -395,14 +409,14 @@ func (c *Ctx) forkEpilogue(sp *spawn, jc *joinCell, seg exec.Seg) {
 		c.e.putSpawn(sp)
 		// Check the join flag; if the child has not finished, park: the
 		// child's finisher will continue this kernel, possibly usurping.
-		c.Read(jc.addr)
+		c.chargeFlag(jc, false, false)
 		if !jc.childDone {
 			c.park(jc)
 		}
 		c.e.releaseJoin(jc)
 	}
-	c.Node()    // the join node's O(1) work
-	c.Free(seg) // via Ctx.Free: the first-fit free list is shared task state
+	c.node()    // the join node's O(1) work
+	c.free(seg) // synced: the first-fit free list is shared task state
 }
 
 // pushSpawn makes sp stealable. The deque is shared state: thieves with

@@ -113,7 +113,8 @@ type Result struct {
 // At runtime exactly one goroutine at a time touches Engine state: the
 // goroutine that called Run (start, drain, collect) or the strand coroutine
 // its driver loop resumed (see the package comment's run-ahead protocol).
-// No Engine state is locked; coroutine switches order everything.
+// No Engine state is locked; coroutine switches order everything. Replay
+// never leaves the calling goroutine.
 type Engine struct {
 	cfg    Config
 	mach   *machine.Machine
@@ -155,6 +156,13 @@ type Engine struct {
 	// the driver and a resume of the next strand. Not a Result field: it
 	// is read by the handoff benchmark.
 	handoffs int64
+
+	// rec is attached for the run of Record; trace is the stream a Replay
+	// interprets, with segs its table of kernel segment bases, indexed by
+	// Alloc op. Both are nil on an ordinary coroutine run.
+	rec   *recorder
+	trace *Trace
+	segs  []mem.Addr
 
 	stealBudget int64
 	done        bool
@@ -344,6 +352,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.finishTime = 0
 	e.taskSeq = 0
 	e.handoffs = 0
+	e.rec, e.trace = nil, nil
 	if e.root != nil {
 		e.putTask(e.root)
 		e.root = nil
@@ -419,14 +428,30 @@ func (e *Engine) RunLean(rootFn func(*Ctx)) Result {
 }
 
 func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
+	e.checkFresh("Run")
+	e.execute(e.cfg.RootStackWords, strandJob{fn: rootFn})
+	if !e.persistent {
+		e.shutdown()
+	}
+	return e.collect(perProc)
+}
+
+// checkFresh panics unless the engine may start a computation: it is not
+// closed, and it was not run since it was built or Reset.
+func (e *Engine) checkFresh(call string) {
 	if e.closed {
-		panic("rws: Engine.Run on a closed engine (Close retires an engine for good)")
+		panic("rws: Engine." + call + " on a closed engine (Close retires an engine for good)")
 	}
 	if e.root != nil {
-		panic("rws: Engine.Run called twice (Reset the engine between runs)")
+		panic("rws: Engine." + call + " after a run (Reset the engine between runs)")
 	}
-	e.root = e.newTask(e.cfg.RootStackWords, false)
-	st := e.newStrand(e.root, strandJob{fn: rootFn})
+}
+
+// execute runs one computation to completion from its root job: the root
+// kernel of Run, or the whole op range of a Replay.
+func (e *Engine) execute(rootStackWords int, job strandJob) {
+	e.root = e.newTask(rootStackWords, false)
+	st := e.newStrand(e.root, job)
 	e.running[0] = st
 	st.proc = 0
 
@@ -435,21 +460,21 @@ func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
 	e.next = st
 	e.drive()
 	e.drain()
-	if !e.persistent {
-		e.shutdown()
-	}
-
-	return e.collect(perProc)
 }
 
-// drive is the driver loop: it resumes the next strand until a yield leaves
-// none, then re-raises any algorithm panic. A single-use engine stops its
-// coroutines first, since no Close will.
+// drive is the driver loop: it resumes the next strand — its coroutine, or
+// in a replay its op cursor — until a yield leaves none, then re-raises any
+// algorithm panic. A single-use engine stops its coroutines first, since no
+// Close will.
 func (e *Engine) drive() {
 	for e.next != nil {
 		st := e.next
 		e.next = nil
-		st.resume()
+		if e.trace != nil {
+			e.replayStrand(st)
+		} else {
+			st.resume()
+		}
 	}
 	if e.fault != nil {
 		if !e.persistent {
@@ -493,7 +518,9 @@ func (e *Engine) drain() {
 // coroutines for the next Reset+Run; Close calls it when the engine retires.
 func (e *Engine) shutdown() {
 	for _, st := range e.allStrands {
-		st.stop()
+		if st.stop != nil { // a strand only a replay used has no coroutine
+			st.stop()
+		}
 	}
 	e.strandsShut = true
 }
@@ -559,6 +586,9 @@ func (e *Engine) stealAttempt(p int) {
 	if e.stealBudget != 0 {
 		if n := e.deques[v].size(); n > 0 {
 			sp := e.popTop(v)
+			if e.rec != nil {
+				e.rec.reject("a steal happened during recording")
+			}
 			if e.stealBudget > 0 {
 				e.stealBudget--
 			}
@@ -660,8 +690,9 @@ func (e *Engine) putTask(t *Task) {
 	e.taskFree = append(e.taskFree, t)
 }
 
-// newStrand binds job to a pooled strand (creating a coroutine only when the
-// free list is empty); the strand runs it when the driver resumes it.
+// newStrand binds job to a pooled strand; the strand runs it when the driver
+// resumes it. A coroutine run gives the strand a coroutine the first time it
+// needs one, a replay points the strand's op cursor at the job's range.
 func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 	var st *strand
 	if n := len(e.strandFree); n > 0 {
@@ -673,8 +704,13 @@ func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 		}
 		st = &e.strandSlab[0]
 		e.strandSlab = e.strandSlab[1:]
-		st.resume, st.stop = iter.Pull(e.runJobs(st))
 		e.allStrands = append(e.allStrands, st)
+	}
+	if e.trace != nil {
+		st.pc, st.end, st.phase, st.sub = job.lo, job.hi, 0, 0
+		st.frames = st.frames[:0]
+	} else if st.resume == nil {
+		st.resume, st.stop = iter.Pull(e.runJobs(st))
 	}
 	st.task = t
 	t.liveStrands++
@@ -729,7 +765,7 @@ func (e *Engine) runJobs(st *strand) iter.Seq[struct{}] {
 func (e *Engine) runJob(st *strand) {
 	job := st.job
 	st.job = strandJob{}
-	st.ctx = Ctx{e: e, t: job.task, s: st, proc: st.proc}
+	st.ctx = Ctx{e: e, t: job.task, s: st, proc: st.proc, rec: e.rec}
 	c := &st.ctx
 	if job.fn != nil {
 		job.fn(c)
@@ -740,9 +776,70 @@ func (e *Engine) runJob(st *strand) {
 	// joined. Report completion on the parent's join flag (a timed write to
 	// the parent task's stack — the false-sharing channel), then finish.
 	if job.jc != nil {
-		c.reportChildDone(job.jc)
+		c.chargeFlag(job.jc, true, true)
 	}
-	c.finishStrand(job.jc)
+	// Lower-clocked processors must act before the finish becomes visible
+	// (root finish especially: done cuts their remaining actions off).
+	c.sync()
+	e.finishStrand(st, job.jc)
+}
+
+// finishStrand retires st after its job's body and join report completed:
+// it releases the strand (and, for a stolen task's last strand, the task
+// and its stack) back to the pools, unparks the forking strand if it waited
+// on jc, and records the strand the driver resumes next — none when the
+// computation is done, the next runnable strand otherwise. Coroutine and
+// replayed strands both finish here, after their own sync.
+func (e *Engine) finishStrand(st *strand, jc *joinCell) {
+	p := st.proc
+	e.running[p] = nil
+	task := st.task
+	task.liveStrands--
+	e.putStrand(st)
+	if jc == nil {
+		// Root strand finished: computation complete.
+		if task != e.root {
+			panic("rws: non-root strand finished without a join")
+		}
+		e.done = true
+		e.finishTime = e.clock[p]
+		return
+	}
+	if task.stolen && task.liveStrands == 0 {
+		e.stolenSizes = append(e.stolenSizes, task.accesses)
+		if e.audit != nil {
+			e.audit.finish(task)
+		}
+		e.pool.Put(task.stack)
+		e.putTask(task)
+	}
+	parked := jc.parked
+	jc.parked = nil
+	e.releaseJoin(jc)
+	if parked != nil {
+		if parked.proc != p {
+			e.usurpations++
+			e.mach.Proc[p].Usurpations++
+		}
+		parked.proc = p
+		e.running[p] = parked
+	}
+	if e.done {
+		// Draining: the root already finished; return to the driver.
+		return
+	}
+	if e.next = e.nextStrand(); e.next != st {
+		e.handoffs++
+	}
+}
+
+// charge applies one timed access of n words at a by processor p for a
+// strand of task t: the coherence delay plus work extra ticks. The caller
+// synced first and settles the heap after.
+func (e *Engine) charge(t *Task, p int, a mem.Addr, n int, write bool, work machine.Tick) {
+	t.accesses += int64(n)
+	e.clock[p] += e.mach.AccessRange(p, a, n, write, e.clock[p]) + work
+	e.mach.Proc[p].WorkTicks += work
 }
 
 // Join-cell and spawn free lists.

@@ -12,11 +12,13 @@ import (
 // *sequence* of run configurations — each chunk selects a policy, processor
 // count, socket partition, steal pricing, budget, workload size, seed and
 // fast-path mode — and the whole sequence is run twice, once through fresh
-// engines and once through a single engine Reset between runs. Every run's
-// Result and simulated output must be bit-for-bit equal across the two, so
-// any state that leaks across Reset (directory or cache pages from a stale
-// generation, RNG position, allocator high-water, pooled metadata) is caught
-// on arbitrary config transitions, including P growing and shrinking and
+// engines and once through a single engine Reset between runs, which
+// alternates Run with Replay of the workload's recording. Every run's
+// Result, and every Run's simulated output, must be bit-for-bit equal
+// across the two, so any state that leaks across Reset or between the two
+// modes (directory or cache pages from a stale generation, RNG position,
+// allocator high-water, pooled metadata and strands) is caught on
+// arbitrary config transitions, including P growing and shrinking and
 // pricing toggling between consecutive runs. Seed corpus lives in
 // testdata/fuzz/FuzzEngineReuse; CI runs a short -fuzz pass on top of it.
 func FuzzEngineReuse(f *testing.F) {
@@ -85,14 +87,15 @@ func FuzzEngineReuse(f *testing.F) {
 			cfg.Policy = pol
 			cfg.DisableFastPath = at(7)%2 == 1
 
-			fresh := MustNewEngine(cfg)
-			fOut := fresh.Machine().Alloc.Alloc(leaves)
-			fRes := fresh.Run(func(c *Ctx) {
+			workload := func(c *Ctx, out mem.Addr) {
 				c.ForkN(leaves, func(j int, c *Ctx) {
 					c.Work(machine.Tick(1 + j%13))
-					c.StoreInt(fOut+mem.Addr(j), int64(j))
+					c.StoreInt(out+mem.Addr(j), int64(j))
 				})
-			})
+			}
+			fresh := MustNewEngine(cfg)
+			fOut := fresh.Machine().Alloc.Alloc(leaves)
+			fRes := fresh.Run(func(c *Ctx) { workload(c, fOut) })
 
 			if reused == nil {
 				reused = MustNewEngine(cfg)
@@ -100,13 +103,20 @@ func FuzzEngineReuse(f *testing.F) {
 			if err := reused.Reset(cfg); err != nil {
 				t.Fatalf("run %d: Reset: %v", r, err)
 			}
+			if r%2 == 1 {
+				// Odd runs replay the workload's recording instead, so the
+				// one engine's strands, pools and machine pass back and
+				// forth between coroutine runs and replays.
+				rRes := reused.Replay(recordAt(t, cfg, leaves, workload))
+				fRes.PerProc = nil
+				if !reflect.DeepEqual(fRes, rRes) {
+					t.Fatalf("run %d (%s, p=%d): replay on the reused engine diverged from fresh:\nfresh:  %+v\nreplay: %+v",
+						r, pol.Name(), p, fRes, rRes)
+				}
+				continue
+			}
 			rOut := reused.Machine().Alloc.Alloc(leaves)
-			rRes := reused.Run(func(c *Ctx) {
-				c.ForkN(leaves, func(j int, c *Ctx) {
-					c.Work(machine.Tick(1 + j%13))
-					c.StoreInt(rOut+mem.Addr(j), int64(j))
-				})
-			})
+			rRes := reused.Run(func(c *Ctx) { workload(c, rOut) })
 
 			if fOut != rOut {
 				t.Fatalf("run %d: allocator diverged: fresh base %d, reused base %d", r, fOut, rOut)

@@ -47,8 +47,9 @@ func fuzzByte(ops []byte, i int) byte {
 // topologies and steal pricing: the input bytes select a policy (every
 // registered one is reachable), a processor count, a socket partition,
 // distance-dependent miss and steal costs, a steal budget and the workload
-// shape. Each decoded configuration runs twice — run-ahead fast path and
-// DisableFastPath lockstep — and must produce bit-for-bit equal Results,
+// shape. Each decoded configuration runs three ways — run-ahead fast path,
+// DisableFastPath lockstep, and a replay of the workload's P = 1
+// recording — and must produce bit-for-bit equal Results,
 // legal victims only (never the thief), steals within the budget, and exact
 // steal-cost conservation. Seed corpus lives in
 // testdata/fuzz/FuzzStealPolicy; CI runs a short -fuzz pass on top of it.
@@ -97,20 +98,22 @@ func FuzzStealPolicy(f *testing.F) {
 		badVictims := 0
 		cfg.Policy = checkedPolicy{inner: pol, bad: &badVictims}
 
+		workload := func(c *Ctx, out mem.Addr) {
+			c.ForkN(leaves, func(j int, c *Ctx) {
+				c.Work(machine.Tick(1 + j%13))
+				c.StoreInt(out+mem.Addr(j), int64(j))
+			})
+		}
 		run := func(disable bool) Result {
 			c := cfg
 			c.DisableFastPath = disable
 			e := MustNewEngine(c)
 			out := e.Machine().Alloc.Alloc(leaves)
-			return e.Run(func(c *Ctx) {
-				c.ForkN(leaves, func(j int, c *Ctx) {
-					c.Work(machine.Tick(1 + j%13))
-					c.StoreInt(out+mem.Addr(j), int64(j))
-				})
-			})
+			return e.Run(func(c *Ctx) { workload(c, out) })
 		}
 		fast := run(false)
 		slow := run(true)
+		replayed := MustNewEngine(cfg).Replay(recordAt(t, cfg, leaves, workload))
 
 		if badVictims != 0 {
 			t.Fatalf("%s: %d illegal victims (thief or out of range) on p=%d %+v",
@@ -118,6 +121,11 @@ func FuzzStealPolicy(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("%s: fast path diverged from lockstep:\nfast: %+v\nslow: %+v", pol.Name(), fast, slow)
+		}
+		lean := fast
+		lean.PerProc = nil
+		if !reflect.DeepEqual(lean, replayed) {
+			t.Fatalf("%s: replay diverged from the fast path:\nfast:   %+v\nreplay: %+v", pol.Name(), lean, replayed)
 		}
 		if budget >= 0 && fast.Steals > budget {
 			t.Fatalf("%s: %d steals exceed budget %d", pol.Name(), fast.Steals, budget)

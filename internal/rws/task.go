@@ -50,6 +50,36 @@
 // (re-entering the scheduler after every request), and the differential
 // tests assert the two modes produce bit-for-bit equal Results.
 //
+// # Record and replay
+//
+// Everything the engine takes from a kernel is its op stream: Work and
+// Node charges, timed accesses, Alloc and Free, PlaceLocal, and the shape
+// of its forks and joins. Engine.Record runs a kernel once and keeps that
+// stream in a Trace: twelve-byte ops in fixed-size chunks, with runs of
+// Work and Node merged and runs of same-shaped single-word accesses at a
+// constant stride stored as one op. Engine.Replay interprets a trace under
+// any Config and returns the Result Run would, bit for bit. It shares the
+// driver loop, clock heap, deques, pools, idle steps, steal attempts and
+// machine with coroutine runs. Its strands are cursors — an op index, the
+// step of the op a handoff interrupted, and the forks opened and not yet
+// joined — so it needs no coroutine switches, no kernel code and no
+// simulated values. Stack addresses are recorded as (segment, offset)
+// pairs, because a stolen task's stack lands wherever the schedule puts
+// it; replay resolves them through a per-run table of segment bases.
+//
+// A kernel is replayable when its op stream does not depend on the
+// schedule. A fork-join kernel with no determinacy race reads the same
+// values under every schedule, so it qualifies. Value races that steer no
+// address and no branch are fine too: several goldens store and load
+// neighbouring words from parallel leaves, and only the values race.
+// conncomp's in-place jump, label[v] = label[label[v]] across leaves, is
+// not: a leaf may read a label another leaf is rewriting, and the labels
+// steer later addresses and the number of rounds. Record cannot see value
+// races, so callers keep such kernels on coroutines. It rejects what it can
+// see: calls of Ctx.Proc, Socket, SocketOf and Task, stack accesses outside
+// the kernel's live segments, accesses to memory allocated after the run
+// began, and steals during the recording.
+//
 // # Pooling lifecycle
 //
 // Fork metadata is recycled through per-engine free lists, so the steady
@@ -77,7 +107,9 @@
 //     coroutine returns to its job loop and runs the next (task, fn, jc) it
 //     is handed instead of a fresh coroutine per steal. A single-use engine
 //     stops every coroutine when Run completes; a Reset engine keeps them
-//     suspended in their job loops until Close.
+//     suspended in their job loops until Close. A strand gets its
+//     coroutine the first time a coroutine run needs one: a strand only
+//     replays have used has none, and shutdown skips it.
 //   - A stolen Task (and, via exec.Pool, its stack region) is recycled when
 //     its last strand finishes, after its kernel-size and stack-audit
 //     metrics were recorded.
@@ -141,7 +173,8 @@ type joinCell struct {
 
 // spawn is a deque entry: the stealable right child of a fork. Exactly one
 // of fn (a Fork/ForkHint closure) or body (a ForkN leaf-range walker over
-// [lo, hi)) is set.
+// [lo, hi)) is set; in a replay neither is, and [lo, hi) is the right side's
+// op range.
 type spawn struct {
 	fn        func(*Ctx)
 	body      func(i int, c *Ctx)
@@ -158,9 +191,10 @@ type spawn struct {
 // strandJob is one unit of kernel execution handed to a pooled strand: the
 // fields of a consumed spawn plus the task to run under.
 type strandJob struct {
-	task   *Task
-	fn     func(*Ctx)
-	body   func(i int, c *Ctx)
+	task *Task
+	fn   func(*Ctx)
+	body func(i int, c *Ctx)
+	// lo, hi is a ForkN leaf range; in a replay, the job's op range.
 	lo, hi int
 	hintFn func(lo, hi int) int
 	jc     *joinCell
@@ -176,7 +210,8 @@ type strand struct {
 
 	// resume and stop are the iter.Pull pair of the strand's coroutine: the
 	// driver loop resumes it and Close stops it. yield suspends it back to
-	// the driver and reports false once it was stopped.
+	// the driver and reports false once it was stopped. All three stay nil
+	// until a coroutine run first needs the strand; a replay never does.
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
@@ -184,6 +219,14 @@ type strand struct {
 	// ctx is the per-job Ctx, embedded so starting a job allocates nothing.
 	ctx  Ctx
 	proc int // processor currently (or last) executing this strand
+
+	// The replay cursor (see replay.go): the next op and the end of the
+	// job's op range; the step of the op a handoff interrupted; the element
+	// of a strided run; and the forks opened and not yet joined.
+	pc, end int
+	phase   uint8
+	sub     uint32
+	frames  []replayFrame
 }
 
 // errStrandStopped unwinds a strand that Close stopped while it was

@@ -59,24 +59,27 @@ fi
 go test ./internal/machine/ ./internal/rws/ -run '^$' -bench . -benchmem \
     -count="$COUNT" "$@" | tee "$TMP"
 
-# Wall-clock of the full experiment sweep (serial), best of COUNT runs: the
-# end-to-end number the engine-reuse lifecycle targets. Recorded alongside
-# the microbenchmarks; sweep_reference freezes the PR 4 binary's wall clock
-# on the same class of host for trajectory.
+# Wall-clock of the full experiment sweep, best of COUNT runs: the
+# end-to-end number the engine-reuse lifecycle and trace replay target.
+# Timed as the benchmark's sweep workload runs it, GOMAXPROCS=1 with -par 1:
+# at the default GOMAXPROCS a multi-core host would add E14's native timing
+# (about 90 ms) and a second P, which bench/run.sh's sweep runs neither.
+# Recorded alongside the microbenchmarks; sweep_reference freezes an
+# earlier binary's wall clock on the same class of host for trajectory.
 EXPBIN="$(mktemp)"
 go build -o "$EXPBIN" ./cmd/experiments
 SWEEP_MS=""
 if [ "$(date +%s%N)" != "$(date +%s)N" ]; then # BSD date lacks %N; record null there
     for _ in $(seq "$COUNT"); do
         t0=$(date +%s%N)
-        "$EXPBIN" -scale full > /dev/null
+        GOMAXPROCS=1 "$EXPBIN" -scale full -par 1 > /dev/null
         t1=$(date +%s%N)
         ms=$(( (t1 - t0) / 1000000 ))
         if [ -z "$SWEEP_MS" ] || [ "$ms" -lt "$SWEEP_MS" ]; then SWEEP_MS=$ms; fi
     done
     echo "full sweep wall clock: ${SWEEP_MS}ms (best of $COUNT)"
 else
-    "$EXPBIN" -scale full > /dev/null # still smoke the sweep
+    GOMAXPROCS=1 "$EXPBIN" -scale full -par 1 > /dev/null # still smoke the sweep
     echo "bench.sh: date lacks nanoseconds; sweep_full_ms recorded as null" >&2
 fi
 rm -f "$EXPBIN"
@@ -111,7 +114,7 @@ END {
     printf "  \"nproc\": %s,\n", nproc
     printf "  \"host\": \"%s\",\n", host
     printf "  \"count\": %s,\n", "'"$COUNT"'"
-    printf "  \"note\": \"best-of-count ns/op; seed_reference is the pre-refactor implementation, frozen in PR 1; sweep_full_ms is the serial cmd/experiments -scale full wall clock, sweep_reference the PR 4 binary frozen in PR 5; both references come from scripts/bench_reference.json\",\n"
+    printf "  \"note\": \"best-of-count ns/op; seed_reference is the pre-refactor implementation; sweep_full_ms is the GOMAXPROCS=1 cmd/experiments -scale full -par 1 wall clock, as the benchmark sweep runs it, sweep_reference an earlier binary frozen for trajectory; both references come from scripts/bench_reference.json\",\n"
     printf "  \"sweep_full_ms\": %s,\n", (sweepms == "" ? "null" : sweepms)
     # The reference file is one JSON object: copy its members, i.e. every
     # line between its opening and closing brace.
