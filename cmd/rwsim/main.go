@@ -79,11 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mk, ok := makers(*alg, *n)
-	if !ok {
-		fmt.Fprintf(stderr, "rwsim: unknown algorithm %q\n", *alg)
+	if err := harness.CheckSize(*alg, *n); err != nil {
+		fmt.Fprintf(stderr, "rwsim: %v\n", err)
 		return 2
 	}
+	mk, _ := harness.WorkloadMaker(*alg, *n)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -169,10 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-24s %.2fx\n", "speedup:", float64(r1.Makespan)/float64(res.Makespan))
 	}
 	return 0
-}
-
-func makers(alg string, n int) (harness.Maker, bool) {
-	return harness.WorkloadMaker(alg, n)
 }
 
 func report(w io.Writer, alg string, n int, r rws.Result, policy string) {

@@ -66,6 +66,8 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"unknown policy", []string{"-policy", "bogus"}, `unknown policy "bogus"`},
 		{"unknown algorithm", []string{"-alg", "bogus"}, `unknown algorithm "bogus"`},
+		{"size the algorithm cannot run", []string{"-alg", "fft", "-n", "100"}, "fft needs n a power of two, got 100"},
+		{"size zero", []string{"-n", "0"}, "prefix needs n >= 1, got 0"},
 		{"remote without sockets", []string{"-remote", "40"}, "-remote requires -sockets"},
 		{"steal-cost-remote without sockets", []string{"-steal-cost-remote", "9"}, "-steal-cost-remote requires -sockets"},
 		{"negative steal-cost", []string{"-steal-cost", "-3"}, "Topology.CostSteal=-3"},

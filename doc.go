@@ -46,12 +46,13 @@
 //     pay too), counted in ProcCounters.RemoteSteals and StealLatency.
 //     The flat, unpriced default keeps provenance untracked and every
 //     metric unchanged.
-//   - Ctx.PlaceLocal/Ctx.SocketOf are the placement helpers: PlaceLocal
-//     re-binds a range's blocks to the executing processor (NUMA
-//     first-touch) so join/result blocks live on their consumer's socket
-//     instead of inheriting the initializer's provenance; SocketOf reports
-//     where a block currently resides. E21 and examples/falsesharing
-//     measure the cross-socket traffic they remove.
+//   - Ctx.PlaceLocal is the placement helper: it re-binds a range's blocks
+//     to the executing processor (NUMA first-touch) so join/result blocks
+//     live on their consumer's socket instead of inheriting the
+//     initializer's provenance. E21 and examples/falsesharing measure the
+//     cross-socket traffic it removes. Ctx exposes nothing of the schedule
+//     (no processor, socket or task accessors), so a race-free kernel's op
+//     stream is the same under every schedule.
 //
 // To add a seventh policy: implement StealPolicy (Name/Victim/Take) in
 // internal/rws/policy.go obeying the RNG ownership rule, register it in
@@ -88,13 +89,16 @@
 //     (sharer and lost bitsets, busy-until tick, transfer count) so a
 //     write's invalidation broadcast walks only actual sharers instead of
 //     scanning all P caches.
-//   - internal/rws runs strands as coroutines under an inline run-ahead
-//     engine: the running strand applies its own timed requests directly
-//     while its processor keeps the (clock, proc) minimum in the indexed
-//     clock min-heap, executes idle processors' steal attempts and deque
-//     pops itself, and yields to one driver loop that resumes the next
-//     strand — two coroutine switches per strand interleaving, zero
-//     everywhere else. Fork metadata (join cells, spawns, strand
+//   - internal/rws implements the scheduling protocol once, as resumable
+//     steps (work, timed access, fork, join decision, join, finish) under
+//     an inline run-ahead engine: the running strand applies its own timed
+//     requests directly while its processor keeps the (clock, proc)
+//     minimum in the indexed clock min-heap, executes idle processors'
+//     steal attempts and deque pops itself, and stops for one driver loop
+//     that resumes the next strand. Two op sources drive the steps: Ctx
+//     calls from kernel code on strand coroutines (two coroutine switches
+//     per strand interleaving, zero everywhere else), and op cursors over
+//     a recorded trace. Fork metadata (join cells, spawns, strand
 //     coroutines, stolen tasks and their stacks) is recycled through
 //     per-engine free lists fed by slab allocations, and ForkN trees fork
 //     leaf *ranges* instead of per-node closures, so the steady state
@@ -102,10 +106,11 @@
 //   - internal/harness replays the sweeps' race-free kernels: a kernel runs
 //     once at P = 1 under rws.Engine.Record, and every sweep run of it at
 //     that block size interprets the recorded op stream with
-//     rws.Engine.Replay — the same scheduler and machine, with no strand
-//     coroutines, no kernel code and no simulated values. The full sweep
-//     records 36 traces for 306 runs, at most two held at a time; conncomp,
-//     whose jump step is a determinacy race, stays on coroutines.
+//     rws.Engine.Replay — the same protocol steps, scheduler and machine,
+//     with no strand coroutines, no kernel code and no simulated values.
+//     The full sweep records 36 traces for 306 runs, at most two held at a
+//     time; conncomp, whose jump step is a determinacy race, stays on
+//     coroutines.
 //   - internal/harness fans each experiment's independent deterministic
 //     (p, budget, seed) runs out across host workers (experiments -par)
 //     with ordered results, so sweep output is byte-identical to serial.
@@ -190,9 +195,10 @@
 // results bit-identical to fault-free runs.
 //
 // Semantics are pinned by differential tests against the straightforward
-// reference implementations (container/list LRU, map-based coherence, the
-// lockstep scheduling path via Config.DisableFastPath) and by golden
-// determinism tests: same Config.Seed, same Result, before and after the
+// reference implementations (container/list LRU, map-based coherence), by
+// comparing runs with the run-ahead deferral on and off
+// (Config.DisableFastPath: the same protocol steps, re-entering the
+// scheduler after every request), and by golden determinism tests: same Config.Seed, same Result, before and after the
 // rewrites. scripts/bench.sh records the trajectory in BENCH_rws.json and
 // fails when a tracked benchmark regresses more than 25%.
 //

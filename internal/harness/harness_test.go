@@ -220,3 +220,34 @@ func TestSetContextNilClearsAbort(t *testing.T) {
 		t.Fatal("cleared context still suppressed the sweep")
 	}
 }
+
+// TestCheckSizeMatchesMakers runs every registered workload at every n in
+// [1, 70] and requires CheckSize to accept exactly the sizes whose run
+// does not panic, so the registry's size rules are the kernels' own.
+func TestCheckSizeMatchesMakers(t *testing.T) {
+	var pool Runner
+	defer pool.Close()
+	for _, alg := range Workloads() {
+		for n := 1; n <= 70; n++ {
+			panicked := func() (panicked bool) {
+				var e *rws.Engine
+				defer func() {
+					if panicked = recover() != nil; panicked && e != nil {
+						e.Close() // a panicked engine is discarded
+					}
+				}()
+				mk, _ := WorkloadMaker(alg, n)
+				e, root := mk(&pool, rws.DefaultConfig(2))
+				e.RunLean(root)
+				pool.Recycle(e)
+				return false
+			}()
+			if err := CheckSize(alg, n); (err != nil) != panicked {
+				t.Errorf("%s n=%d: CheckSize = %v, run panicked %v", alg, n, err, panicked)
+			}
+		}
+	}
+	if err := CheckSize("nope", 64); err == nil {
+		t.Error("CheckSize accepted an unknown workload")
+	}
+}

@@ -159,19 +159,21 @@ func TestSweepRecordsOncePerKernel(t *testing.T) {
 func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
 	traces.drop()
 	defer traces.drop()
-	k := kernel{key: "test/reads-proc", mk: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+	k := kernel{key: "test/allocates-in-run", mk: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
 		e := pool.Engine(cfg)
 		out := e.Machine().Alloc.Alloc(64)
 		return e, func(c *rws.Ctx) {
+			tmp := e.Machine().Alloc.Alloc(64) // past the recording's mark
 			c.ForkN(64, func(j int, c *rws.Ctx) {
-				c.Work(machine.Tick(1 + c.Proc())) // steered by the schedule
+				c.Work(machine.Tick(1 + j%5))
+				c.Write(tmp + mem.Addr(j))
 				c.Write(out + mem.Addr(j))
 			})
 		}
 	}}
 	cfg := rws.DefaultConfig(4)
 	if traces.get(k, cfg) != nil {
-		t.Fatal("recorded a kernel that calls Ctx.Proc")
+		t.Fatal("recorded a kernel that accesses memory allocated during the run")
 	}
 	got := poolRun(k, cfg)
 	e, root := k.mk(&enginePool, cfg)

@@ -55,10 +55,10 @@ func TestFloatValueHelpers(t *testing.T) {
 func TestCtxAccessors(t *testing.T) {
 	e := MustNewEngine(DefaultConfig(2))
 	e.Run(func(c *Ctx) {
-		if c.Proc() != 0 {
-			t.Errorf("root starts on proc %d", c.Proc())
+		if c.s.proc != 0 {
+			t.Errorf("root starts on proc %d", c.s.proc)
 		}
-		if c.Task() == nil || c.Task().ID() != 0 || c.Task().Stolen() {
+		if c.s.task == nil || c.s.task.id != 0 || c.s.task.stolen {
 			t.Error("root task metadata wrong")
 		}
 		if c.B() != 16 {

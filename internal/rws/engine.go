@@ -112,7 +112,7 @@ type Result struct {
 //
 // At runtime exactly one goroutine at a time touches Engine state: the
 // goroutine that called Run (start, drain, collect) or the strand coroutine
-// its driver loop resumed (see the package comment's run-ahead protocol).
+// its driver loop resumed (see the package comment on the protocol).
 // No Engine state is locked; coroutine switches order everything. Replay
 // never leaves the calling goroutine.
 type Engine struct {
@@ -130,7 +130,7 @@ type Engine struct {
 	running []*strand
 	deques  []deque
 
-	// fastPath enables run-ahead in Ctx's charge methods.
+	// fastPath enables run-ahead in the protocol steps (settle).
 	fastPath bool
 	// stealPriced caches mach.StealPriced() so the unpriced attempt path
 	// pays one branch, not a method call.
@@ -152,9 +152,10 @@ type Engine struct {
 	// processor it happened on; Run re-raises it.
 	fault     any
 	faultProc int
-	// handoffs counts passes from one strand to another, each a yield to
-	// the driver and a resume of the next strand. Not a Result field: it
-	// is read by the handoff benchmark.
+	// handoffs counts passes from one strand to another, each a stop for
+	// the driver to resume the next strand. Not a Result field: the handoff
+	// benchmarks read it, and the golden replay test compares run and
+	// replay on it.
 	handoffs int64
 
 	// rec is attached for the run of Record; trace is the stream a Replay
@@ -529,7 +530,7 @@ func (e *Engine) shutdown() {
 // bottom (the paper's "retrieves the task from the bottom of its queue") or
 // attempting one steal. Runs inline in the running strand.
 func (e *Engine) idleStep(p int) {
-	if sp := e.popOwnBottom(p); sp != nil {
+	if sp := e.deques[p].popBottom(); sp != nil {
 		e.idlePops++
 		e.clock[p] += e.mach.CostNode
 		e.startSpawn(p, sp, false)
@@ -585,7 +586,7 @@ func (e *Engine) stealAttempt(p int) {
 	}
 	if e.stealBudget != 0 {
 		if n := e.deques[v].size(); n > 0 {
-			sp := e.popTop(v)
+			sp := e.deques[v].popTop()
 			if e.rec != nil {
 				e.rec.reject("a steal happened during recording")
 			}
@@ -599,8 +600,8 @@ func (e *Engine) stealAttempt(p int) {
 			e.consecFail[p] = 0
 			if k := e.policy.Take(n); k > 1 {
 				// Multi-take: the tasks beyond the first migrate to the
-				// thief's own (empty — it just failed popOwnBottom) deque,
-				// oldest nearest the top, preserving their steal order.
+				// thief's own deque (empty, or the idle step would have
+				// popped it), oldest nearest the top, keeping steal order.
 				// Each pop consumes the original spawn (the forker's
 				// join-decision recycling assumes a popped spawn's fields
 				// were copied out) and re-queues a migrant copy; direct
@@ -609,7 +610,7 @@ func (e *Engine) stealAttempt(p int) {
 					k = n
 				}
 				for i := 1; i < k; i++ {
-					sp := e.popTop(v)
+					sp := e.deques[v].popTop()
 					if !sp.migrant {
 						cp := e.getSpawn()
 						*cp = *sp
@@ -644,9 +645,7 @@ func (e *Engine) startSpawn(p int, sp *spawn, stolen bool) {
 		}
 		task = e.newTask(hint, true)
 	}
-	st := e.newStrand(task, strandJob{
-		fn: sp.fn, body: sp.body, lo: sp.lo, hi: sp.hi, hintFn: sp.hintFn, jc: sp.jc,
-	})
+	st := e.newStrand(task, sp.strandJob)
 	if sp.migrant {
 		// No forking strand holds a migrant copy; recycle it here, its
 		// fields now copied into the job.
@@ -759,37 +758,29 @@ func (e *Engine) runJobs(st *strand) iter.Seq[struct{}] {
 	}
 }
 
-// runJob executes the strand's job: the fork closure or leaf range, the
-// report on the join flag, and the finish, which records the strand the
-// driver resumes next.
+// runJob executes the strand's job, the fork closure or leaf range, and
+// then the finish step, which records the strand the driver resumes next.
 func (e *Engine) runJob(st *strand) {
 	job := st.job
 	st.job = strandJob{}
-	st.ctx = Ctx{e: e, t: job.task, s: st, proc: st.proc, rec: e.rec}
+	st.ctx = Ctx{e: e, s: st, rec: e.rec}
 	c := &st.ctx
 	if job.fn != nil {
 		job.fn(c)
 	} else {
 		c.forkRange(job.lo, job.hi, job.hintFn, job.body)
 	}
-	// After the body returns the whole subtree rooted at this strand has
-	// joined. Report completion on the parent's join flag (a timed write to
-	// the parent task's stack — the false-sharing channel), then finish.
-	if job.jc != nil {
-		c.chargeFlag(job.jc, true, true)
+	for e.finish(st, job.jc) {
+		c.wait()
 	}
-	// Lower-clocked processors must act before the finish becomes visible
-	// (root finish especially: done cuts their remaining actions off).
-	c.sync()
-	e.finishStrand(st, job.jc)
 }
 
 // finishStrand retires st after its job's body and join report completed:
 // it releases the strand (and, for a stolen task's last strand, the task
 // and its stack) back to the pools, unparks the forking strand if it waited
 // on jc, and records the strand the driver resumes next — none when the
-// computation is done, the next runnable strand otherwise. Coroutine and
-// replayed strands both finish here, after their own sync.
+// computation is done, the next runnable strand otherwise. The finish step
+// calls it for coroutine and replayed strands alike.
 func (e *Engine) finishStrand(st *strand, jc *joinCell) {
 	p := st.proc
 	e.running[p] = nil
@@ -834,8 +825,8 @@ func (e *Engine) finishStrand(st *strand, jc *joinCell) {
 }
 
 // charge applies one timed access of n words at a by processor p for a
-// strand of task t: the coherence delay plus work extra ticks. The caller
-// synced first and settles the heap after.
+// strand of task t: the coherence delay plus work extra ticks. The calling
+// step synced first and settles the heap after.
 func (e *Engine) charge(t *Task, p int, a mem.Addr, n int, write bool, work machine.Tick) {
 	t.accesses += int64(n)
 	e.clock[p] += e.mach.AccessRange(p, a, n, write, e.clock[p]) + work
@@ -913,14 +904,6 @@ func (e *Engine) popBottomIf(p int, sp *spawn) bool {
 		return true
 	}
 	return false
-}
-
-func (e *Engine) popOwnBottom(p int) *spawn {
-	return e.deques[p].popBottom()
-}
-
-func (e *Engine) popTop(p int) *spawn {
-	return e.deques[p].popTop()
 }
 
 // CopyCounters appends a snapshot of the per-processor counters to buf

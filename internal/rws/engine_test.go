@@ -262,8 +262,8 @@ func TestPanicOnStolenStrandCloseStopsCoroutines(t *testing.T) {
 			e.Run(func(c *Ctx) {
 				c.ForkN(256, func(j int, c *Ctx) {
 					c.Work(5)
-					if c.Task().Stolen() && e.strandsOut >= 3 {
-						panicProc, others = c.Proc(), e.strandsOut-1
+					if c.s.task.stolen && e.strandsOut >= 3 {
+						panicProc, others = c.s.proc, e.strandsOut-1
 						panic("boom")
 					}
 					c.StoreInt(out+mem.Addr(j), int64(j))

@@ -91,7 +91,7 @@ func runInvariantCase(t *testing.T, ic invariantConfig, pol StealPolicy, disable
 			// Only the running strand touches engine state, which makes
 			// e.clock safe to read here and orders the host-side ran[]
 			// increments.
-			p := c.Proc()
+			p := c.s.proc
 			if now := e.clock[p]; now < lastClock[p] {
 				monotone = false
 			} else {

@@ -26,14 +26,17 @@ func recordAt(t *testing.T, cfg Config, words int, workload func(*Ctx, mem.Addr)
 }
 
 // TestGoldenReplay records every golden and policy golden at P = 1,
-// replays it under the golden's Config, and requires the pinned values and
-// a Result equal to RunLean's.
+// replays it under the golden's Config, and requires the pinned values, a
+// Result equal to RunLean's, and the same number of strand handoffs: the
+// coroutine run and the replay drive the same protocol steps, so they must
+// stop at the same points, which Result equality cannot see.
 func TestGoldenReplay(t *testing.T) {
 	for _, g := range append(goldenCases(), policyGoldenCases()...) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			tr := recordAt(t, g.cfg(), g.words, g.workload)
-			res := MustNewEngine(g.cfg()).Replay(tr)
+			rep := MustNewEngine(g.cfg())
+			res := rep.Replay(tr)
 			if res.Makespan != g.makespan || res.Totals != g.totals ||
 				res.Steals != g.steals || res.FailedSteals != g.failedSteals ||
 				res.Spawns != g.spawns || res.InlinePops != g.inlinePops || res.IdlePops != g.idlePops ||
@@ -50,14 +53,32 @@ func TestGoldenReplay(t *testing.T) {
 			if run := e.RunLean(func(c *Ctx) { g.workload(c, base) }); !reflect.DeepEqual(run, res) {
 				t.Errorf("replay diverged from RunLean:\nrun:    %+v\nreplay: %+v", run, res)
 			}
+			if e.handoffCount() != rep.handoffCount() {
+				t.Errorf("run made %d handoffs, replay %d", e.handoffCount(), rep.handoffCount())
+			}
 		})
 	}
 }
 
-// TestRecordRejects covers each way a recording can fail: a kernel that
-// reads the schedule, one whose stack addresses cannot be expressed as
-// segment offsets, one that touches memory allocated after the run began,
-// and a steal that splits the stream. Each must fail with
+// TestReplayLockstep replays every golden with Config.DisableFastPath set:
+// the strands then re-enter the scheduler after every timed request, as
+// coroutine strands do, and the Result must not change.
+func TestReplayLockstep(t *testing.T) {
+	for _, g := range append(goldenCases(), policyGoldenCases()...) {
+		tr := recordAt(t, g.cfg(), g.words, g.workload)
+		want := MustNewEngine(g.cfg()).Replay(tr)
+		cfg := g.cfg()
+		cfg.DisableFastPath = true
+		if got := MustNewEngine(cfg).Replay(tr); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: lockstep replay diverged:\nfast:     %+v\nlockstep: %+v", g.name, want, got)
+		}
+	}
+}
+
+// TestRecordRejects covers each way a recording can fail: a kernel whose
+// stack addresses cannot be expressed as segment offsets, one that touches
+// memory allocated after the run began, and a steal that splits the
+// stream. Each must fail with
 // ErrNotReplayable and no trace.
 func TestRecordRejects(t *testing.T) {
 	cases := []struct {
@@ -65,10 +86,6 @@ func TestRecordRejects(t *testing.T) {
 		p      int
 		kernel func(e *Engine) func(*Ctx)
 	}{
-		{"calls Proc", 1, func(*Engine) func(*Ctx) { return func(c *Ctx) { c.Proc() } }},
-		{"calls Socket", 1, func(*Engine) func(*Ctx) { return func(c *Ctx) { c.Socket() } }},
-		{"calls SocketOf", 1, func(*Engine) func(*Ctx) { return func(c *Ctx) { c.SocketOf(0) } }},
-		{"calls Task", 1, func(*Engine) func(*Ctx) { return func(c *Ctx) { c.Task() } }},
 		{"stack word past its segment", 1, func(*Engine) func(*Ctx) {
 			return func(c *Ctx) {
 				seg := c.Alloc(4)

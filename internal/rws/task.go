@@ -27,22 +27,29 @@
 // invalidate the parent's cached block — the false-sharing channel the paper
 // analyzes.
 //
-// # Run-ahead execution
+// # One protocol, two op sources
 //
-// Each strand runs as a coroutine (iter.Pull), and one driver loop in
-// Engine.run resumes them one at a time: only the strand the driver resumed
-// touches engine state. That strand applies its own timed requests (work,
-// memory accesses, join-flag writes) directly — the engine always runs the
-// processor holding the minimum (clock, proc) key, so while the strand's
-// processor keeps that minimum it simply keeps executing (run-ahead). When
-// its clock rises past another processor's, or it parks on a join, or it
-// finishes, the strand itself runs the engine loop: idle processors' actions
-// (deque pops, steal attempts) execute inline with no switch, and when
-// another strand must run, the strand records it as the driver's next strand
-// and yields — two coroutine switches per strand interleaving (strand to
-// driver, driver to strand), and zero for everything else. A finishing strand
-// handed its own next job runs it without yielding. The root's finish leaves
-// no next strand, so the driver returns to Run, which drains.
+// The scheduling protocol is implemented once, as the steps in
+// protocol.go: work, timed access, the ordering of Alloc, Free and
+// PlaceLocal, fork, the join decision with its park, join, and finish. One
+// driver loop resumes strands one at a time, and only the resumed strand
+// touches engine state. It applies its own requests directly: the engine
+// always runs the processor holding the minimum (clock, proc) key, so
+// while the strand's processor keeps that minimum it keeps executing
+// (run-ahead). When its clock rises past another processor's, or it parks
+// on a join, or it finishes, the strand itself runs the engine loop: idle
+// processors' pops and steal attempts execute inline, and when another
+// strand must run, the step records it as the driver's next strand and
+// stops, keeping in the strand's phase where it resumes.
+//
+// Two op sources feed the steps. A coroutine strand (iter.Pull) runs
+// kernel code: each Ctx method records its op when Engine.Record attached
+// a recorder, then calls its step, yielding to the driver whenever the
+// step stops — two coroutine switches per strand interleaving, none for
+// anything else. A replayed strand is a cursor over a recorded Trace: an
+// op index and the forks opened and not yet joined. It needs no
+// coroutine, no kernel code and no simulated values. The root's finish
+// leaves no next strand, so the driver returns, and the engine drains.
 //
 // The sequence of simulated actions, and therefore every metric and the RNG
 // consumption order, is identical to a lockstep one-request-per-handoff
@@ -58,14 +65,10 @@
 // stream in a Trace: twelve-byte ops in fixed-size chunks, with runs of
 // Work and Node merged and runs of same-shaped single-word accesses at a
 // constant stride stored as one op. Engine.Replay interprets a trace under
-// any Config and returns the Result Run would, bit for bit. It shares the
-// driver loop, clock heap, deques, pools, idle steps, steal attempts and
-// machine with coroutine runs. Its strands are cursors — an op index, the
-// step of the op a handoff interrupted, and the forks opened and not yet
-// joined — so it needs no coroutine switches, no kernel code and no
-// simulated values. Stack addresses are recorded as (segment, offset)
-// pairs, because a stolen task's stack lands wherever the schedule puts
-// it; replay resolves them through a per-run table of segment bases.
+// any Config and returns the Result Run would, bit for bit, with the same
+// handoffs. Stack addresses are recorded as (segment, offset) pairs,
+// because a stolen task's stack lands wherever the schedule puts it;
+// replay resolves them through a per-run table of segment bases.
 //
 // A kernel is replayable when its op stream does not depend on the
 // schedule. A fork-join kernel with no determinacy race reads the same
@@ -76,9 +79,8 @@
 // not: a leaf may read a label another leaf is rewriting, and the labels
 // steer later addresses and the number of rounds. Record cannot see value
 // races, so callers keep such kernels on coroutines. It rejects what it can
-// see: calls of Ctx.Proc, Socket, SocketOf and Task, stack accesses outside
-// the kernel's live segments, accesses to memory allocated after the run
-// began, and steals during the recording.
+// see: stack accesses outside the kernel's live segments, accesses to
+// memory allocated after the run began, and steals during the recording.
 //
 // # Pooling lifecycle
 //
@@ -153,12 +155,6 @@ type Task struct {
 	liveStrands int
 }
 
-// ID returns the task's unique id (0 is the root task).
-func (t *Task) ID() int64 { return t.id }
-
-// Stolen reports whether the task was created by a steal.
-func (t *Task) Stolen() bool { return t.stolen }
-
 // joinCell is the engine-side state of one fork's join, paired with a
 // one-word flag on the parent's execution stack at addr.
 type joinCell struct {
@@ -171,17 +167,10 @@ type joinCell struct {
 	refs int8
 }
 
-// spawn is a deque entry: the stealable right child of a fork. Exactly one
-// of fn (a Fork/ForkHint closure) or body (a ForkN leaf-range walker over
-// [lo, hi)) is set; in a replay neither is, and [lo, hi) is the right side's
-// op range.
+// spawn is a deque entry: the stealable right child of a fork, as the job
+// its consumer runs under the forking task, with that fork's join cell.
 type spawn struct {
-	fn        func(*Ctx)
-	body      func(i int, c *Ctx)
-	lo, hi    int
-	hintFn    func(lo, hi int) int
-	task      *Task // task whose kernel forked it
-	jc        *joinCell
+	strandJob
 	stackHint int // words of stack a thief should give the stolen task
 	// migrant marks a copy re-queued by a multi-take steal: no forking
 	// strand holds it, so startSpawn recycles it at consumption.
@@ -189,12 +178,14 @@ type spawn struct {
 }
 
 // strandJob is one unit of kernel execution handed to a pooled strand: the
-// fields of a consumed spawn plus the task to run under.
+// task to run under, the kernel code, and the join cell to report on (nil
+// for the root). Exactly one of fn (a Fork/ForkHint closure) or body (a
+// ForkN leaf-range walker over [lo, hi)) is set; in a replay neither is,
+// and [lo, hi) is the job's op range.
 type strandJob struct {
-	task *Task
-	fn   func(*Ctx)
-	body func(i int, c *Ctx)
-	// lo, hi is a ForkN leaf range; in a replay, the job's op range.
+	task   *Task
+	fn     func(*Ctx)
+	body   func(i int, c *Ctx)
 	lo, hi int
 	hintFn func(lo, hi int) int
 	jc     *joinCell
@@ -206,7 +197,7 @@ type strandJob struct {
 // pending spawn of a parked task.
 type strand struct {
 	task *Task
-	job  strandJob // set by newStrand, taken by runJob
+	job  strandJob // set by newStrand; runJob takes it, a replay keeps it
 
 	// resume and stop are the iter.Pull pair of the strand's coroutine: the
 	// driver loop resumes it and Close stops it. yield suspends it back to
@@ -220,13 +211,16 @@ type strand struct {
 	ctx  Ctx
 	proc int // processor currently (or last) executing this strand
 
+	// phase is where the protocol step that stopped the strand resumes
+	// (protocol.go).
+	phase uint8
+
 	// The replay cursor (see replay.go): the next op and the end of the
-	// job's op range; the step of the op a handoff interrupted; the element
-	// of a strided run; and the forks opened and not yet joined.
+	// job's op range, the element of a strided run, and the forks opened
+	// and not yet joined.
 	pc, end int
-	phase   uint8
 	sub     uint32
-	frames  []replayFrame
+	frames  []frame
 }
 
 // errStrandStopped unwinds a strand that Close stopped while it was

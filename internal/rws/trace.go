@@ -92,7 +92,6 @@ var ErrNotReplayable = errors.New("rws: kernel is not replayable")
 // stream. Record returns an error wrapping ErrNotReplayable, and no trace,
 // when the kernel
 //
-//   - calls Ctx.Proc, Socket, SocketOf or Task;
 //   - touches a root-stack word outside every live segment it allocated;
 //   - accesses memory at or past the pre-run allocation mark outside the
 //     root stack;

@@ -151,18 +151,6 @@ func (j *Job) Interrupt() {
 	j.quiesceLocked()
 }
 
-// ClearInterrupt re-arms a previously interrupted job for another runner
-// pass (unused today — resume builds a fresh Job — but keeps the state
-// machine honest for tests).
-func (j *Job) ClearInterrupt() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.interrupted {
-		j.interrupted = false
-		j.quiesced = make(chan struct{})
-	}
-}
-
 // Done reports whether every row is terminal.
 func (j *Job) Done() bool {
 	j.mu.Lock()

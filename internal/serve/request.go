@@ -132,6 +132,9 @@ func (r *Request) validate(lim Limits) error {
 	if r.N <= 0 || r.N > lim.MaxN {
 		return fmt.Errorf("n=%d out of range (0, %d]", r.N, lim.MaxN)
 	}
+	if err := harness.CheckSize(r.Alg, r.N); err != nil {
+		return err
+	}
 	if r.P <= 0 || r.P > lim.MaxP {
 		return fmt.Errorf("p=%d out of range (0, %d]", r.P, lim.MaxP)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rwsfs/internal/harness"
 	"rwsfs/internal/rws"
 )
 
@@ -96,6 +97,45 @@ func TestValidationRejectsWithTypedBody(t *testing.T) {
 	st := s.Stats()
 	if st.Invalid != int64(len(cases)) || st.Received != int64(len(cases)) {
 		t.Fatalf("stats should count every rejection: %+v", st)
+	}
+}
+
+// TestSizeRulesRejectWithTypedBody sends every registered workload at
+// n=100, which is not a power of two, to /simulate and /batch. fft and the
+// kernels over bit-interleaved matrices cannot run it: they must get a
+// typed 400 on both surfaces before any engine work, so no attempt panics
+// and no row is quarantined. The other workloads run.
+func TestSizeRulesRejectWithTypedBody(t *testing.T) {
+	needsPow2 := map[string]bool{
+		"matmul-ip": true, "matmul-la": true, "matmul-log": true,
+		"transpose": true, "rm2bi": true,
+		"bi2rm": true, "bi2rm-natural": true, "bi2rm-rowgather": true,
+		"fft": true,
+	}
+	s := newTestServer(t, Config{})
+	for _, alg := range harness.Workloads() {
+		want := http.StatusOK
+		if needsPow2[alg] {
+			want = http.StatusBadRequest
+		}
+		surfaces := map[string]*httptest.ResponseRecorder{
+			"/simulate": post(s, fmt.Sprintf(`{"alg":%q,"n":100,"p":4,"seed":1}`, alg)),
+			"/batch":    postBatch(s, fmt.Sprintf(`{"algs":[%q],"ns":[100],"ps":[4],"seeds":[1]}`, alg)),
+		}
+		for path, rr := range surfaces {
+			if rr.Code != want {
+				t.Errorf("%s %s n=100: want %d, got %d: %s", path, alg, want, rr.Code, rr.Body.String())
+				continue
+			}
+			if want == http.StatusBadRequest {
+				if w := decode(t, rr); w.Error == nil || w.Error.Code != codeInvalid {
+					t.Errorf("%s %s n=100: want typed %q, got %s", path, alg, codeInvalid, rr.Body.String())
+				}
+			}
+		}
+	}
+	if st := s.Stats(); st.Panics != 0 || st.RowsQuarantined != 0 || st.Quarantined != 0 {
+		t.Fatalf("an unrunnable size reached an engine: %+v", st)
 	}
 }
 
@@ -284,6 +324,27 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 	if el := time.Since(start); el > 3*time.Second {
 		t.Fatalf("deadline took %s to fire", el)
+	}
+	if st := s.Stats(); st.DeadlineExpired != 1 {
+		t.Fatalf("want DeadlineExpired=1, got %+v", st)
+	}
+}
+
+// TestDefaultDeadlineBoundsRequests is TestDeadlineExpiry for a request
+// with no deadline_ms: Config.DefaultDeadline must end the stalled
+// attempt with a typed 504. Without it the request would wait forever.
+func TestDefaultDeadlineBoundsRequests(t *testing.T) {
+	s := newTestServer(t, Config{
+		Workers:         1,
+		DefaultDeadline: 100 * time.Millisecond,
+		Injector:        func(int, int, string) Fault { return Fault{Stall: true} },
+	})
+	rr := post(s, `{"alg":"prefix","n":64,"p":4,"seed":1}`)
+	if rr.Code != http.StatusGatewayTimeout {
+		t.Fatalf("want 504, got %d: %s", rr.Code, rr.Body.String())
+	}
+	if w := decode(t, rr); w.Error == nil || w.Error.Code != codeDeadline {
+		t.Fatalf("want typed %q, got %s", codeDeadline, rr.Body.String())
 	}
 	if st := s.Stats(); st.DeadlineExpired != 1 {
 		t.Fatalf("want DeadlineExpired=1, got %+v", st)
