@@ -98,11 +98,16 @@
 //     that resumes the next strand. Two op sources drive the steps: Ctx
 //     calls from kernel code on strand coroutines (two coroutine switches
 //     per strand interleaving, zero everywhere else), and op cursors over
-//     a recorded trace. Fork metadata (join cells, spawns, strand
-//     coroutines, stolen tasks and their stacks) is recycled through
-//     per-engine free lists fed by slab allocations, and ForkN trees fork
-//     leaf *ranges* instead of per-node closures, so the steady state
-//     allocates nothing.
+//     a recorded trace. Once the steal budget is spent on a machine
+//     without steal pricing, an idle processor with an empty deque parks:
+//     it leaves the clock heap instead of spinning doomed attempts to the
+//     end of the run, and the engine charges those attempts in closed form
+//     after the run, bit for bit as if they had run. That settles 6.26M of
+//     the serial full sweep's 6.62M idle steps, nearly all in E01, E02,
+//     E04 and E06. Fork metadata (join cells, spawns, strand coroutines,
+//     stolen tasks and their stacks) is recycled through per-engine free
+//     lists fed by slab allocations, and ForkN trees fork leaf *ranges*
+//     instead of per-node closures, so the steady state allocates nothing.
 //   - internal/harness replays the sweeps' race-free kernels: a kernel runs
 //     once at P = 1 under rws.Engine.Record, and every sweep run of it at
 //     that block size interprets the recorded op stream with

@@ -186,6 +186,60 @@ func BenchmarkStealHeavyReplayReuse(b *testing.B) {
 	b.ReportMetric(float64(tr.Bytes()), "trace_B")
 }
 
+// BenchmarkBudgetSpentReplayReuse is the shape of the sweep's budgeted
+// experiments (E04's matrix multiply at p = 8 under a small steal budget):
+// a recursion with long leaves, recorded at P = 1 and replayed at P = 8
+// with a budget of 3 through one Reset engine. The budget is spent early,
+// so most idle processors park instead of spinning failed attempts. It
+// reports the idle steps spun and settled per op.
+func BenchmarkBudgetSpentReplayReuse(b *testing.B) {
+	tr := recordBench(b, 1024, func(buf mem.Addr) func(*Ctx) {
+		return func(c *Ctx) {
+			var rec func(c *Ctx, lo, hi int)
+			rec = func(c *Ctx, lo, hi int) {
+				if hi-lo <= 16 {
+					for i := lo; i < hi; i++ {
+						c.Work(40)
+						c.StoreInt(buf+mem.Addr(i), int64(i))
+						c.LoadInt(buf + mem.Addr((i*5)&1023))
+					}
+					return
+				}
+				mid := lo + (hi-lo)/2
+				c.Fork(
+					func(c *Ctx) { rec(c, lo, mid) },
+					func(c *Ctx) { rec(c, mid, hi) })
+			}
+			rec(c, 0, 1024)
+		}
+	})
+	cfg := DefaultConfig(8)
+	cfg.StealBudget = 3
+	e := MustNewEngine(cfg)
+	defer e.Close()
+	var spun, settled int64
+	iter := func(seed int64) {
+		cfg.Seed = seed
+		if err := e.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		e.Replay(tr)
+		spun += e.idleSpun
+		settled += e.idleSettled
+	}
+	for s := int64(1); s <= 32; s++ {
+		iter(s)
+	}
+	spun, settled = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iter(int64(i + 1))
+	}
+	b.ReportMetric(float64(spun)/float64(b.N), "idle_spun/op")
+	b.ReportMetric(float64(settled)/float64(b.N), "idle_settled/op")
+}
+
 // handoffCount reads the engine's strand-to-strand handoff counter.
 func (e *Engine) handoffCount() int64 { return e.handoffs }
 

@@ -24,7 +24,8 @@ type Config struct {
 	Policy StealPolicy
 	// StealBudget caps the number of successful steals; < 0 means unlimited.
 	// Several lemmas (3.1, 4.6, 4.7) bound costs as a function of the steal
-	// count S, so experiments sweep S directly via this knob.
+	// count S, so experiments sweep S directly via this knob. Once it is
+	// spent, idle processors park (see Parking in the package comment).
 	StealBudget int64
 	// RootStackWords sizes the root task's execution stack (default 1<<16).
 	RootStackWords int
@@ -63,7 +64,7 @@ type Result struct {
 	PerProc  []machine.ProcCounters
 
 	Steals       int64 // successful steals S
-	FailedSteals int64
+	FailedSteals int64 // failed attempts, parked processors' settled ones too
 	Spawns       int64 // stealable tasks created
 	TasksStolen  int64 // == Steals
 	Usurpations  int64
@@ -157,6 +158,10 @@ type Engine struct {
 	// benchmarks read it, and the golden replay test compares run and
 	// replay on it.
 	handoffs int64
+	// idleSpun counts idle steps executed, pops and steal attempts, and
+	// idleSettled the attempts settleParked charged instead; their sum is
+	// what an engine that never parks spins. Not Result fields either.
+	idleSpun, idleSettled int64
 
 	// rec is attached for the run of Record; trace is the stream a Replay
 	// interprets, with segs its table of kernel segment bases, indexed by
@@ -168,6 +173,7 @@ type Engine struct {
 	stealBudget int64
 	done        bool
 	finishTime  machine.Tick
+	finishProc  int
 
 	taskSeq int64
 	root    *Task
@@ -352,7 +358,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.done = false
 	e.finishTime = 0
 	e.taskSeq = 0
-	e.handoffs = 0
+	e.handoffs, e.idleSpun, e.idleSettled = 0, 0, 0
 	e.rec, e.trace = nil, nil
 	if e.root != nil {
 		e.putTask(e.root)
@@ -461,6 +467,7 @@ func (e *Engine) execute(rootStackWords int, job strandJob) {
 	e.next = st
 	e.drive()
 	e.drain()
+	e.settleParked()
 }
 
 // drive is the driver loop: it resumes the next strand — its coroutine, or
@@ -528,15 +535,21 @@ func (e *Engine) shutdown() {
 
 // idleStep advances idle processor p by one action: popping its own deque
 // bottom (the paper's "retrieves the task from the bottom of its queue") or
-// attempting one steal. Runs inline in the running strand.
+// attempting one steal. Runs inline in the running strand. Once the budget
+// is spent on a machine without steal pricing, p parks instead: it leaves
+// the clock heap for good (see Parking in the package comment).
 func (e *Engine) idleStep(p int) {
 	if sp := e.deques[p].popBottom(); sp != nil {
 		e.idlePops++
 		e.clock[p] += e.mach.CostNode
 		e.startSpawn(p, sp, false)
+	} else if e.stealBudget == 0 && !e.stealPriced && e.mach.P > 1 {
+		e.sched.remove(p)
+		return
 	} else {
 		e.stealAttempt(p)
 	}
+	e.idleSpun++
 	e.sched.fix(p)
 }
 
@@ -552,6 +565,34 @@ func (e *Engine) nextStrand() *strand {
 		}
 		e.idleStep(p)
 	}
+}
+
+// settleParked charges each parked processor the failed attempts it would
+// have made: one per key (c0 + k·CostFailSteal, p), k ≥ 0, below the key of
+// the run's last min-check winner, c0 being p's clock when it parked. That
+// winner is the root strand at its finish, since every charge on its way
+// there is followed by a check: its key is (finishTime, finishProc).
+func (e *Engine) settleParked() {
+	f := e.mach.CostFailSteal
+	for _, p := range e.sched.removed() {
+		n := parkedAttempts(e.clock[p], int(p), e.finishTime, e.finishProc, f)
+		e.clock[p] += machine.Tick(n) * f
+		e.mach.Proc[p].StealsFail += n
+		e.mach.Proc[p].StealTicks += machine.Tick(n) * f
+		e.failed += n
+		e.idleSettled += n
+	}
+}
+
+// parkedAttempts counts the keys (c0 + k·f, p), k ≥ 0, below (c, q):
+// ⌈(c−c0)/f⌉ below clock c, and one more at c when f divides c−c0 and p < q.
+func parkedAttempts(c0 machine.Tick, p int, c machine.Tick, q int, f machine.Tick) int64 {
+	d := c - c0
+	n := (d + f - 1) / f
+	if d%f == 0 && p < q {
+		n++
+	}
+	return int64(n)
 }
 
 // stealAttempt performs one steal attempt by idle processor p. Victim
@@ -793,7 +834,7 @@ func (e *Engine) finishStrand(st *strand, jc *joinCell) {
 			panic("rws: non-root strand finished without a join")
 		}
 		e.done = true
-		e.finishTime = e.clock[p]
+		e.finishTime, e.finishProc = e.clock[p], p
 		return
 	}
 	if task.stolen && task.liveStrands == 0 {

@@ -22,7 +22,9 @@ import (
 // sweeps reuse a base Config across host workers) without coupling their
 // RNG streams: runs stay bit-for-bit reproducible from (Config, root
 // function) alone, serial or parallel. harness.TestParallelSweepMatchesSerial
-// holds the policy sweeps (E16–E18) to this.
+// holds the policy sweeps (E16–E18) to this. Once the steal budget is spent
+// on a machine without steal pricing, the engine consults the policy no
+// more: idle processors park instead of drawing victims.
 //
 // Policies may read engine state through the PolicyView (deque sizes, the
 // machine's topology and coherence directory), never write it.

@@ -27,9 +27,10 @@ func recordAt(t *testing.T, cfg Config, words int, workload func(*Ctx, mem.Addr)
 
 // TestGoldenReplay records every golden and policy golden at P = 1,
 // replays it under the golden's Config, and requires the pinned values, a
-// Result equal to RunLean's, and the same number of strand handoffs: the
-// coroutine run and the replay drive the same protocol steps, so they must
-// stop at the same points, which Result equality cannot see.
+// Result equal to RunLean's, and the same number of strand handoffs and of
+// idle steps spun and settled: the coroutine run and the replay drive the
+// same protocol steps, so they must stop at the same points and park the
+// same processors, which Result equality cannot see.
 func TestGoldenReplay(t *testing.T) {
 	for _, g := range append(goldenCases(), policyGoldenCases()...) {
 		g := g
@@ -55,6 +56,10 @@ func TestGoldenReplay(t *testing.T) {
 			}
 			if e.handoffCount() != rep.handoffCount() {
 				t.Errorf("run made %d handoffs, replay %d", e.handoffCount(), rep.handoffCount())
+			}
+			if e.idleSpun != rep.idleSpun || e.idleSettled != rep.idleSettled {
+				t.Errorf("run spun %d idle steps and settled %d, replay %d and %d",
+					e.idleSpun, e.idleSettled, rep.idleSpun, rep.idleSettled)
 			}
 		})
 	}

@@ -8,7 +8,7 @@ import "rwsfs/internal/machine"
 // processor with the minimum clock"), which matters for bit-for-bit
 // determinism: the scheduling order drives RNG consumption. Clocks only move
 // forward, so after stepping processor p a single siftDown of p restores the
-// heap in O(log P).
+// heap in O(log P). A parked processor (Engine.idleStep) leaves the heap.
 type clockHeap struct {
 	clock []machine.Tick
 	heap  []int32 // heap[i] = processor at heap slot i
@@ -49,6 +49,20 @@ func (h *clockHeap) less(a, b int32) bool {
 
 // min returns the processor with the smallest (clock, ID) key.
 func (h *clockHeap) min() int { return int(h.heap[0]) }
+
+// remove takes processor p out of the heap for the rest of the run. Removed
+// processors wait past the heap's end, where removed lists them.
+func (h *clockHeap) remove(p int) {
+	i, last := h.pos[p], int32(len(h.heap)-1)
+	h.swap(i, last)
+	h.heap = h.heap[:last]
+	if i < last {
+		h.fix(int(h.heap[i]))
+	}
+}
+
+// removed returns the processors taken out since the last reset.
+func (h *clockHeap) removed() []int32 { return h.heap[len(h.heap):len(h.pos)] }
 
 // fix restores the heap after processor p's clock changed. Clocks are
 // monotone non-decreasing, so only a siftDown can be needed, but fix also

@@ -47,9 +47,10 @@ func fuzzByte(ops []byte, i int) byte {
 // topologies and steal pricing: the input bytes select a policy (every
 // registered one is reachable), a processor count, a socket partition,
 // distance-dependent miss and steal costs, a steal budget and the workload
-// shape. Each decoded configuration runs three ways — run-ahead fast path,
-// DisableFastPath lockstep, and a replay of the workload's P = 1
-// recording — and must produce bit-for-bit equal Results,
+// shape. Each decoded configuration runs four ways — run-ahead fast path,
+// DisableFastPath lockstep, an engine that never parks idle processors
+// (spinningEngine), and a replay of the workload's P = 1 recording — and
+// must produce bit-for-bit equal Results,
 // legal victims only (never the thief), steals within the budget, and exact
 // steal-cost conservation. Seed corpus lives in
 // testdata/fuzz/FuzzStealPolicy; CI runs a short -fuzz pass on top of it.
@@ -104,15 +105,15 @@ func FuzzStealPolicy(f *testing.F) {
 				c.StoreInt(out+mem.Addr(j), int64(j))
 			})
 		}
-		run := func(disable bool) Result {
-			c := cfg
-			c.DisableFastPath = disable
-			e := MustNewEngine(c)
+		run := func(e *Engine) Result {
 			out := e.Machine().Alloc.Alloc(leaves)
 			return e.Run(func(c *Ctx) { workload(c, out) })
 		}
-		fast := run(false)
-		slow := run(true)
+		fast := run(MustNewEngine(cfg))
+		lockstep := cfg
+		lockstep.DisableFastPath = true
+		slow := run(MustNewEngine(lockstep))
+		spun := run(spinningEngine(cfg))
 		replayed := MustNewEngine(cfg).Replay(recordAt(t, cfg, leaves, workload))
 
 		if badVictims != 0 {
@@ -121,6 +122,9 @@ func FuzzStealPolicy(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("%s: fast path diverged from lockstep:\nfast: %+v\nslow: %+v", pol.Name(), fast, slow)
+		}
+		if !reflect.DeepEqual(fast, spun) {
+			t.Fatalf("%s: parking diverged from spinning:\nparked:   %+v\nspinning: %+v", pol.Name(), fast, spun)
 		}
 		lean := fast
 		lean.PerProc = nil

@@ -4,12 +4,12 @@
 // Computations are written in Cilk-like fork-join style against Ctx. The
 // scheduling rules are exactly the paper's: each processor keeps a work
 // queue; a newly forked (stealable) task is pushed at the bottom; the owner
-// retrieves tasks from the bottom; an idle processor picks a victim uniformly
-// at random among the other processors and steals from the *top* of its
-// queue; failed steals cost O(s) and are retried. Joins follow the protocol
-// of Section 4.2: the last of the two sides to finish continues the parent
-// computation, which may move the parent task's execution to a different
-// processor (a "usurpation").
+// retrieves tasks from the bottom; an idle processor picks a victim
+// uniformly at random among the other processors and steals from the *top*
+// of its queue; failed steals cost O(s) and are retried (see Parking).
+// Joins follow the protocol of Section 4.2: the last of the two sides to
+// finish continues the parent computation, which may move the parent
+// task's execution to a different processor (a "usurpation").
 //
 // Victim selection and the per-steal take size are pluggable through
 // Config.Policy (see StealPolicy in policy.go): Uniform is the paper's
@@ -56,6 +56,18 @@
 // protocol: Config.DisableFastPath turns off only the run-ahead shortcut
 // (re-entering the scheduler after every request), and the differential
 // tests assert the two modes produce bit-for-bit equal Results.
+//
+// # Parking
+//
+// Once Config.StealBudget is spent on a machine without steal pricing, an
+// idle processor whose deque is empty parks: it leaves the clock heap, and
+// after the run it is charged the failed attempts it would have made up to
+// the root's finish. That is exact. No steal can succeed, only a
+// processor's own strand pushes to its deque, and a usurpation resumes a
+// strand on the finisher's busy processor, so it never works again. An
+// unpriced attempt changes only the thief's clock and counters: its victim
+// and the RNG draws that chose it steer nothing later. Priced attempts
+// keep running, since their cost depends on the victim.
 //
 // # Record and replay
 //

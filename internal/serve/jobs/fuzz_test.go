@@ -30,7 +30,7 @@ const fuzzSeedJournal = `{"type":"spec","job":"fz","spec":{"algs":["prefix"],"ns
 //     Rewrite) and Reopen, an appended record is visible to the next Replay.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(fuzzSeedJournal))
-	f.Add([]byte(fuzzSeedJournal + `{"type":"row","index":2,"key":"k2","st`)) // torn tail
+	f.Add([]byte(fuzzSeedJournal + `{"type":"row","index":2,"key":"k2","st`))                                        // torn tail
 	f.Add([]byte(fuzzSeedJournal + "NOT JSON\n{\"type\":\"row\",\"index\":3,\"key\":\"dead\",\"status\":\"ok\"}\n")) // corrupt line + dead zone
 	f.Add([]byte(`{"type":"spec","job":"fz","spec":{"algs":["prefix"],"ns":[64],"ps":[2],"seeds":[1]}}` + "\n" +
 		`{"type":"row","index":0,"key":"dup","status":"ok"}` + "\n" +
