@@ -16,6 +16,18 @@
 //	GET  /statz            stable JSON snapshot: uptime, in-flight gauge, counters
 //	GET  /workloads        registered workload names
 //
+// Workers replay recorded op streams: a request's op stream depends only on
+// its workload, size and block size, so the first request for one records
+// the kernel at P = 1 and every later run, at any p, seed, policy, topology
+// or budget, replays it without building inputs. The daemon holds the
+// traces in one cache shared by its workers, bounded by a constant 2 MiB
+// (harness.TraceBudget; no flag sets it), evicting the least recently used;
+// a recording past the budget is rejected and its key remembered. conncomp
+// and rejected keys run the kernel on coroutines, with bit-identical
+// results. /statz counts recordings, recordings_rejected, replays and
+// trace_evictions, with a trace_bytes gauge; these are op traces, not the
+// attempt timelines below.
+//
 // Any /simulate request may set "trace": true to get its attempt timeline —
 // queued, dispatched, per-attempt panics and backoffs, cache/dedup
 // resolution, typed outcome — attached to the response envelope (the result

@@ -108,14 +108,17 @@
 //     stolen tasks and their stacks) is recycled through per-engine free
 //     lists fed by slab allocations, and ForkN trees fork leaf *ranges*
 //     instead of per-node closures, so the steady state allocates nothing.
-//   - internal/harness replays the sweeps' race-free kernels: a kernel runs
-//     once at P = 1 under rws.Engine.Record, and every sweep run of it at
-//     that block size interprets the recorded op stream with
-//     rws.Engine.Replay — the same protocol steps, scheduler and machine,
-//     with no strand coroutines, no kernel code and no simulated values.
-//     The full sweep records 36 traces for 306 runs, at most two held at a
-//     time; conncomp, whose jump step is a determinacy race, stays on
-//     coroutines.
+//   - internal/harness replays race-free kernels: a kernel runs once at
+//     P = 1 under rws.Engine.Record, and every later run of it at that
+//     block size interprets the recorded op stream with rws.Engine.Replay —
+//     the same protocol steps, scheduler and machine, with no strand
+//     coroutines, no kernel code and no simulated values. Traces live in a
+//     harness.TraceCache: least recently used out, within the constant
+//     2 MiB harness.TraceBudget, which also limits each recording. The
+//     sweep's cache lives for the process, and the full sweep records 29
+//     traces for its 306 replayed runs; each rwsimd server owns one,
+//     shared by its workers. conncomp, whose jump step is a determinacy
+//     race, stays on coroutines.
 //   - internal/harness fans each experiment's independent deterministic
 //     (p, budget, seed) runs out across host workers (experiments -par)
 //     with ordered results, so sweep output is byte-identical to serial.
@@ -169,6 +172,10 @@
 //   - admission is a token bucket (-rate/-burst → typed 429s) in front of a
 //     bounded work queue (-queue → typed 503s), so overload degrades into
 //     fast, typed rejections;
+//   - workers replay each request's recorded op stream from the server's
+//     trace cache, recording it on the first request for its (workload,
+//     size, block size); conncomp and recordings past the budget run on
+//     coroutines, with bit-identical results;
 //   - per-request deadlines (deadline_ms, -deadline) cancel at simulator run
 //     boundaries via context; a panicking run quarantines its engine and is
 //     retried with backoff on a replacement (-attempts/-backoff);

@@ -66,7 +66,7 @@ func budgetGoldenLines(t *testing.T) []string {
 		if k.replay {
 			e, root := mk(&pool, rws.DefaultConfig(1))
 			var err error
-			if tr, err = e.Record(root); err != nil {
+			if tr, err = e.Record(root, 0); err != nil {
 				t.Fatalf("%s: Record: %v", k.name, err)
 			}
 			pool.Recycle(e)

@@ -8,7 +8,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -145,10 +144,9 @@ type Experiment struct {
 	Run   func(s Scale) Table
 }
 
-// All returns the experiment registry in index order. Each experiment drops
-// the traces its sweeps recorded when it returns.
+// All returns the experiment registry in index order.
 func All() []Experiment {
-	all := []Experiment{
+	return []Experiment{
 		{"E01", "Lemma 3.1 — depth-n MM cache misses vs steals", E01},
 		{"E02", "Corollary 3.2 — depth-log²n MM cache misses vs steals", E02},
 		{"E03", "Lemma 4.3 — per-block delay of tree tasks is O(min{B, ht})", E03},
@@ -171,14 +169,6 @@ func All() []Experiment {
 		{"E20", "Theorem 5.1 — steal bound shape under distance-priced stealing", E20},
 		{"E21", "Placement — Ctx.PlaceLocal vs inherited provenance", E21},
 	}
-	for i := range all {
-		run := all[i].Run
-		all[i].Run = func(s Scale) Table {
-			defer traces.drop()
-			return run(s)
-		}
-	}
-	return all
 }
 
 // Lookup returns the experiment with the given ID.
@@ -410,21 +400,22 @@ func runAt(k kernel, base rws.Config, p int, budget int64, seed int64) rws.Resul
 }
 
 // poolRun performs one run on a pooled engine and returns the engine for
-// the next run. A kernel with a content key replays its recorded trace:
-// the kernel's op stream depends only on the key, the block size and the
-// root stack size, so one recording serves every processor count, seed,
-// policy, topology and budget a sweep visits. A kernel without a key, or
-// whose recording was rejected, runs on coroutines: build (or Reset)
-// through the maker and run lean — the sweeps aggregate totals, so the
-// per-processor counters snapshot is skipped rather than allocated per run.
-// Either way the Result is fully materialized before the engine goes back,
-// so recycling cannot clobber it.
+// the next run. A kernel with a content key replays its trace from the
+// sweep's TraceCache, recorded on first use: one recording serves every
+// processor count, seed, policy, topology and budget a sweep visits at one
+// block size. A kernel without a key, or whose recording was rejected, runs
+// on coroutines: build (or Reset) through the maker and run lean — the
+// sweeps aggregate totals, so the per-processor counters snapshot is
+// skipped rather than allocated per run. Either way the Result is fully
+// materialized before the engine goes back, so recycling cannot clobber it.
 func poolRun(k kernel, cfg rws.Config) rws.Result {
-	if tr := traces.get(k, cfg); tr != nil {
-		e := enginePool.Engine(cfg)
-		res := e.Replay(tr)
-		enginePool.Recycle(e)
-		return res
+	if k.key != "" {
+		if tr, _ := traces.Trace(k.key, cfg, k.recorder(&enginePool)); tr != nil {
+			e := enginePool.Engine(cfg)
+			res := e.Replay(tr)
+			enginePool.Recycle(e)
+			return res
+		}
 	}
 	e, root := k.mk(&enginePool, cfg)
 	res := e.RunLean(root)
@@ -432,77 +423,16 @@ func poolRun(k kernel, cfg rws.Config) rws.Result {
 	return res
 }
 
-// traceKey names one recording: a kernel's op stream is fixed by its
-// content key, the block size, and the root stack size its maker starts
-// from.
-type traceKey struct {
-	kernel         string
-	b              int
-	rootStackWords int
-}
+// traces is the sweeps' trace cache. It lives for the process, so a trace
+// recorded by one experiment serves the next while the budget holds it.
+var traces TraceCache
 
-// traceCache holds the sweeps' recorded traces. It keeps at most
-// maxTraces, least recently used first out — an experiment alternates
-// between at most two kernels — and each experiment drops them when it
-// returns, so traces never accumulate across a sweep. Workers that ask for
-// a trace being recorded wait for that recording.
-type traceCache struct {
-	mu      sync.Mutex
-	entries []*traceEntry
-}
-
-const maxTraces = 2
-
-type traceEntry struct {
-	key  traceKey
-	once sync.Once
-	tr   *rws.Trace // nil when the recording was rejected
-}
-
-// traces is the process-wide cache poolRun replays from.
-var traces traceCache
-
-// get returns k's trace for cfg, recording it on first use, or nil when k
-// must run on coroutines.
-func (c *traceCache) get(k kernel, cfg rws.Config) *rws.Trace {
-	if k.key == "" {
-		return nil
+// recorder records k through pool: the Recorder of a TraceCache miss.
+func (k kernel) recorder(pool *Runner) Recorder {
+	return func(cfg rws.Config, limit int64) (*rws.Trace, error) {
+		e, root := k.mk(pool, cfg)
+		tr, err := e.Record(root, limit)
+		pool.Recycle(e)
+		return tr, err
 	}
-	key := traceKey{k.key, cfg.Machine.B, cfg.RootStackWords}
-	c.mu.Lock()
-	var ent *traceEntry
-	if i := slices.IndexFunc(c.entries, func(x *traceEntry) bool { return x.key == key }); i >= 0 {
-		ent = c.entries[i]
-		c.entries = slices.Delete(c.entries, i, i+1)
-	} else {
-		ent = &traceEntry{key: key}
-		if len(c.entries) == maxTraces {
-			c.entries = slices.Delete(c.entries, 0, 1)
-		}
-	}
-	c.entries = append(c.entries, ent)
-	c.mu.Unlock()
-	ent.once.Do(func() { ent.tr = record(k, cfg) })
-	return ent.tr
-}
-
-// drop empties the cache.
-func (c *traceCache) drop() {
-	c.mu.Lock()
-	c.entries = nil
-	c.mu.Unlock()
-}
-
-// record runs k once at P = 1 on a flat machine with cfg's block and stack
-// sizes, and returns its trace, or nil when the recorder rejected it.
-func record(k kernel, cfg rws.Config) *rws.Trace {
-	cfg.Machine.P = 1
-	cfg.Machine.Topology = machine.Topology{}
-	e, root := k.mk(&enginePool, cfg)
-	tr, err := e.Record(root)
-	enginePool.Recycle(e)
-	if err != nil {
-		return nil
-	}
-	return tr
 }

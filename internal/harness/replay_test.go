@@ -66,9 +66,9 @@ func TestReplayMatchesRun(t *testing.T) {
 		for _, b := range []int{8, 16, 32} {
 			base := rws.DefaultConfig(1)
 			base.Machine.B = b
-			tr := record(k, base)
-			if tr == nil {
-				t.Fatalf("%s B=%d: recording rejected", name, b)
+			tr, err := k.recorder(&pool)(base, 0)
+			if err != nil {
+				t.Fatalf("%s B=%d: recording rejected: %v", name, b, err)
 			}
 			if b == 16 {
 				t.Logf("%s n=%d: %d ops, %d trace bytes", name, replaySizes[name], tr.Len(), tr.Bytes())
@@ -104,7 +104,7 @@ func TestConnCompReplayDiverges(t *testing.T) {
 	var pool Runner
 	defer pool.Close()
 	e, root := mk(&pool, rws.DefaultConfig(1))
-	tr, err := e.Record(root)
+	tr, err := e.Record(root, 0)
 	pool.Recycle(e)
 	if err != nil {
 		t.Fatalf("Record: %v", err)
@@ -124,32 +124,36 @@ func TestConnCompReplayDiverges(t *testing.T) {
 	}
 }
 
-// TestSweepRecordsOncePerKernel checks the trace cache: runs of one kernel
-// at one block size share one recording, a block size change records
-// again, and a kernel without a key never records.
+// TestSweepRecordsOncePerKernel checks the sweep's use of the trace cache:
+// runs of one kernel at one block size share one recording, a block size
+// change records again, and a kernel without a key never records.
 func TestSweepRecordsOncePerKernel(t *testing.T) {
-	traces.drop()
-	defer traces.drop()
+	var c TraceCache
+	rec := func(k kernel, cfg rws.Config) (*rws.Trace, TraceChange) {
+		return c.Trace(k.key, cfg, k.recorder(&enginePool))
+	}
 	base := rws.DefaultConfig(4)
 	k := prefixKernel(256, prefix.Config{Chunk: 4})
-	first := traces.get(k, base)
-	if first == nil {
-		t.Fatal("prefix recording rejected")
+	first, ch := rec(k, base)
+	if first == nil || !ch.Recorded {
+		t.Fatalf("prefix recording rejected: %+v", ch)
 	}
 	for p := 1; p <= 8; p++ {
 		cfg := base
 		cfg.Machine.P = p
-		if tr := traces.get(k, cfg); tr != first {
+		if tr, ch := rec(k, cfg); tr != first || ch.Recorded {
 			t.Fatalf("P=%d recorded again", p)
 		}
 	}
 	wide := base
 	wide.Machine.B = 32
-	if tr := traces.get(k, wide); tr == first || tr == nil {
+	if tr, ch := rec(k, wide); tr == first || tr == nil || !ch.Recorded {
 		t.Fatal("B=32 did not get its own recording")
 	}
-	if tr := traces.get(connCompKernel(64, 128), base); tr != nil {
-		t.Fatal("conncomp was recorded")
+	before := traces.held()
+	poolRun(connCompKernel(64, 128), base)
+	if after := traces.held(); len(after) != len(before) {
+		t.Fatalf("conncomp was recorded: %v", after)
 	}
 }
 
@@ -157,8 +161,6 @@ func TestSweepRecordsOncePerKernel(t *testing.T) {
 // whose recording is rejected caches no trace, and poolRun gives it the
 // coroutine engine's Result.
 func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
-	traces.drop()
-	defer traces.drop()
 	k := kernel{key: "test/allocates-in-run", mk: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
 		e := pool.Engine(cfg)
 		out := e.Machine().Alloc.Alloc(64)
@@ -172,8 +174,9 @@ func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
 		}
 	}}
 	cfg := rws.DefaultConfig(4)
-	if traces.get(k, cfg) != nil {
-		t.Fatal("recorded a kernel that accesses memory allocated during the run")
+	var c TraceCache
+	if tr, ch := c.Trace(k.key, cfg, k.recorder(&enginePool)); tr != nil || !ch.Rejected {
+		t.Fatalf("recorded a kernel that accesses memory allocated during the run: %+v", ch)
 	}
 	got := poolRun(k, cfg)
 	e, root := k.mk(&enginePool, cfg)

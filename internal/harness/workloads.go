@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
 	"rwsfs/internal/alg/matmul"
 	"rwsfs/internal/alg/prefix"
@@ -9,33 +10,41 @@ import (
 )
 
 // workload is one registered workload: its Maker at problem size n, and
-// whether n must be a power of two, as for fft and every kernel over a
-// bit-interleaved matrix.
+// its flags.
 type workload struct {
-	name string
-	mk   func(n int) Maker
-	pow2 bool
+	name  string
+	mk    func(n int) Maker
+	flags uint8
 }
+
+const (
+	// pow2: n must be a power of two, as for fft and every kernel over a
+	// bit-interleaved matrix.
+	pow2 = 1 << iota
+	// raced: the op stream depends on the schedule, so the workload has no
+	// content key (see connCompKernel).
+	raced
+)
 
 // workloads lists every registered workload in a fixed order; it is the
 // single source of truth for the CLI's -alg flag and rwsimd's request
 // validation.
 var workloads = []workload{
-	{"matmul-ip", func(n int) Maker { return MMMaker(matmul.InPlaceDepthN, n, 8) }, true},
-	{"matmul-la", func(n int) Maker { return MMMaker(matmul.LimitedAccessDepthN, n, 8) }, true},
-	{"matmul-log", func(n int) Maker { return MMMaker(matmul.DepthLog2, n, 8) }, true},
-	{"prefix", func(n int) Maker { return PrefixMaker(n, prefix.Config{Chunk: 4}) }, false},
-	{"prefix-padded", func(n int) Maker { return PrefixMaker(n, prefix.Config{Chunk: 4, Padded: true}) }, false},
-	{"transpose", TransposeMaker, true},
-	{"rm2bi", RMToBIMaker, true},
-	{"bi2rm", func(n int) Maker { return BIToRMMaker(n, false) }, true},
-	{"bi2rm-natural", func(n int) Maker { return BIToRMMaker(n, true) }, true},
-	{"bi2rm-rowgather", BIToRMRowGatherMaker, true},
-	{"sort-merge", func(n int) Maker { return SortMaker(sorthbp.Mergesort, n) }, false},
-	{"sort-col", func(n int) Maker { return SortMaker(sorthbp.Columnsort, n) }, false},
-	{"fft", FFTMaker, true},
-	{"listrank", ListRankMaker, false},
-	{"conncomp", func(n int) Maker { return ConnCompMaker(n, 2*n) }, false},
+	{"matmul-ip", func(n int) Maker { return MMMaker(matmul.InPlaceDepthN, n, 8) }, pow2},
+	{"matmul-la", func(n int) Maker { return MMMaker(matmul.LimitedAccessDepthN, n, 8) }, pow2},
+	{"matmul-log", func(n int) Maker { return MMMaker(matmul.DepthLog2, n, 8) }, pow2},
+	{"prefix", func(n int) Maker { return PrefixMaker(n, prefix.Config{Chunk: 4}) }, 0},
+	{"prefix-padded", func(n int) Maker { return PrefixMaker(n, prefix.Config{Chunk: 4, Padded: true}) }, 0},
+	{"transpose", TransposeMaker, pow2},
+	{"rm2bi", RMToBIMaker, pow2},
+	{"bi2rm", func(n int) Maker { return BIToRMMaker(n, false) }, pow2},
+	{"bi2rm-natural", func(n int) Maker { return BIToRMMaker(n, true) }, pow2},
+	{"bi2rm-rowgather", BIToRMRowGatherMaker, pow2},
+	{"sort-merge", func(n int) Maker { return SortMaker(sorthbp.Mergesort, n) }, 0},
+	{"sort-col", func(n int) Maker { return SortMaker(sorthbp.Columnsort, n) }, 0},
+	{"fft", FFTMaker, pow2},
+	{"listrank", ListRankMaker, 0},
+	{"conncomp", func(n int) Maker { return ConnCompMaker(n, 2*n) }, raced},
 }
 
 // Workloads returns the registered workload names in a fixed order.
@@ -70,6 +79,19 @@ func WorkloadMaker(alg string, n int) (Maker, bool) {
 	return w.mk(n), true
 }
 
+// WorkloadKey returns the content key of the registered workload alg at
+// problem size n, or "" for an unknown name and for conncomp, whose op
+// stream depends on the schedule. The name and size fix the Maker's
+// inputs, so the key, the block size and the root stack size fix the op
+// stream a TraceCache records. It builds no inputs.
+func WorkloadKey(alg string, n int) string {
+	w, ok := lookup(alg)
+	if !ok || w.flags&raced != 0 {
+		return ""
+	}
+	return w.name + "/n=" + strconv.Itoa(n)
+}
+
 // CheckSize reports why the registered workload alg cannot run at problem
 // size n, or nil when it can. It builds no inputs.
 func CheckSize(alg string, n int) error {
@@ -79,7 +101,7 @@ func CheckSize(alg string, n int) error {
 		return fmt.Errorf("unknown algorithm %q", alg)
 	case n < 1:
 		return fmt.Errorf("%s needs n >= 1, got %d", alg, n)
-	case w.pow2 && n&(n-1) != 0:
+	case w.flags&pow2 != 0 && n&(n-1) != 0:
 		return fmt.Errorf("%s needs n a power of two, got %d", alg, n)
 	}
 	return nil

@@ -145,7 +145,7 @@ func BenchmarkStealHeavyReuse(b *testing.B) {
 // recordBench records a benchmark's kernel over words of input at P = 1.
 func recordBench(b *testing.B, words int, kernel func(mem.Addr) func(*Ctx)) *Trace {
 	e := MustNewEngine(DefaultConfig(1))
-	tr, err := e.Record(kernel(e.Machine().Alloc.Alloc(words)))
+	tr, err := e.Record(kernel(e.Machine().Alloc.Alloc(words)), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

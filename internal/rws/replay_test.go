@@ -18,7 +18,7 @@ func recordAt(t *testing.T, cfg Config, words int, workload func(*Ctx, mem.Addr)
 	rc.Machine.Topology = machine.Topology{}
 	e := MustNewEngine(rc)
 	base := e.Machine().Alloc.Alloc(words)
-	tr, err := e.Record(func(c *Ctx) { workload(c, base) })
+	tr, err := e.Record(func(c *Ctx) { workload(c, base) }, 0)
 	if err != nil {
 		t.Fatalf("Record: %v", err)
 	}
@@ -116,13 +116,52 @@ func TestRecordRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := MustNewEngine(DefaultConfig(tc.p))
 			e.Machine().Alloc.Alloc(64) // inputs below the mark are fine
-			tr, err := e.Record(tc.kernel(e))
+			tr, err := e.Record(tc.kernel(e), 0)
 			if !errors.Is(err, ErrNotReplayable) || tr != nil {
 				t.Fatalf("Record = %v, %v; want no trace and ErrNotReplayable", tr, err)
 			}
 			t.Log(err)
 		})
 	}
+}
+
+// TestRecordLimit holds a recording to its byte limit: a limit the trace
+// fits accepts it, one a chunk short rejects it with ErrTraceLimit and no
+// trace, and a rejected recording still leaves the engine ready for Reset.
+func TestRecordLimit(t *testing.T) {
+	const words = 1 << 10
+	kernel := func(base mem.Addr) func(*Ctx) {
+		return func(c *Ctx) {
+			for i := 0; i < 3*chunkLen; i++ { // a work op and an access op each
+				c.Work(1)
+				c.Read(base + mem.Addr(i*37%words))
+			}
+		}
+	}
+	record := func(limit int64) (*Trace, error) {
+		e := MustNewEngine(DefaultConfig(1))
+		defer e.Close()
+		tr, err := e.Record(kernel(e.Machine().Alloc.Alloc(words)), limit)
+		if rerr := e.Reset(DefaultConfig(1)); rerr != nil {
+			t.Fatalf("Reset after Record(limit %d): %v", limit, rerr)
+		}
+		return tr, err
+	}
+	full, err := record(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(6) * chunkBytes; full.Bytes() != want {
+		t.Fatalf("unlimited trace takes %d bytes, want %d", full.Bytes(), want)
+	}
+	if tr, err := record(full.Bytes()); err != nil || tr.Bytes() != full.Bytes() || tr.Len() != full.Len() {
+		t.Fatalf("Record at a limit the trace fits: %v, %v", tr, err)
+	}
+	tr, err := record(full.Bytes() - 1)
+	if !errors.Is(err, ErrTraceLimit) || tr != nil {
+		t.Fatalf("Record a byte short = %v, %v; want no trace and ErrTraceLimit", tr, err)
+	}
+	t.Log(err)
 }
 
 // TestReplayAndRunShareStrands passes one engine's strand pool between the

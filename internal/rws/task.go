@@ -93,6 +93,10 @@
 // races, so callers keep such kernels on coroutines. It rejects what it can
 // see: stack accesses outside the kernel's live segments, accesses to
 // memory allocated after the run began, and steals during the recording.
+// Its byte limit rejects a trace that would outgrow it, so a caller that
+// caches traces under a budget never holds a larger one: internal/harness
+// records each trace once into a TraceCache of 2 MiB, and both the
+// experiment sweeps and every rwsimd server replay from one.
 //
 // # Pooling lifecycle
 //

@@ -76,14 +76,19 @@ func (t *Trace) at(i int) *op { return &t.chunks[i>>chunkShift][i&(chunkLen-1)] 
 // Len returns the number of ops in the stream.
 func (t *Trace) Len() int { return t.n }
 
+// chunkBytes is the memory one chunk of ops occupies.
+const chunkBytes = chunkLen * int64(unsafe.Sizeof(op{}))
+
 // Bytes returns the memory the trace's op chunks occupy.
-func (t *Trace) Bytes() int64 {
-	return int64(len(t.chunks)) * chunkLen * int64(unsafe.Sizeof(op{}))
-}
+func (t *Trace) Bytes() int64 { return int64(len(t.chunks)) * chunkBytes }
 
 // ErrNotReplayable is wrapped by Record's error when the kernel's op stream
 // may depend on the schedule.
 var ErrNotReplayable = errors.New("rws: kernel is not replayable")
+
+// ErrTraceLimit is wrapped by Record's error when the trace would outgrow
+// the recording's byte limit.
+var ErrTraceLimit = errors.New("rws: trace exceeds its size limit")
 
 // Record runs root like Run, with a recorder attached to every Ctx, and
 // returns the kernel's op stream. The engine must be ready to run, with the
@@ -96,10 +101,14 @@ var ErrNotReplayable = errors.New("rws: kernel is not replayable")
 //   - accesses memory at or past the pre-run allocation mark outside the
 //     root stack;
 //
-// or when a steal happens during the recording.
-func (e *Engine) Record(root func(*Ctx)) (*Trace, error) {
+// or when a steal happens during the recording. When limit is positive, no
+// trace outgrows it: Record returns an error wrapping ErrTraceLimit, and no
+// trace, once the next chunk of ops would take Bytes past limit, and frees
+// the chunks it had. Either way the run itself completes, on the kernel's
+// own code, and the engine needs a Reset before its next run.
+func (e *Engine) Record(root func(*Ctx), limit int64) (*Trace, error) {
 	mark := e.mach.Alloc.Mark()
-	r := &recorder{e: e, mark: mark, tr: &Trace{
+	r := &recorder{e: e, mark: mark, limit: limit, tr: &Trace{
 		mark: mark, rootStackWords: e.cfg.RootStackWords, b: e.mach.B,
 	}}
 	if mark > math.MaxUint32 {
@@ -117,10 +126,11 @@ func (e *Engine) Record(root func(*Ctx)) (*Trace, error) {
 // recorder builds a Trace from the Ctx calls of a Record run. Its first
 // rejection sticks and stops the recording; the run itself completes.
 type recorder struct {
-	e    *Engine
-	tr   *Trace
-	err  error
-	mark mem.Addr
+	e     *Engine
+	tr    *Trace
+	err   error
+	mark  mem.Addr
+	limit int64 // the trace's byte limit; none when not positive
 	// forks holds, per open fork, the index of its fork op, replaced by
 	// that of its pop-if once the join decision passed.
 	forks []int
@@ -143,6 +153,11 @@ func (r *recorder) reject(why string) {
 func (r *recorder) push(o op) {
 	t := r.tr
 	if t.n&(chunkLen-1) == 0 {
+		if r.limit > 0 && t.Bytes()+chunkBytes > r.limit {
+			r.err = fmt.Errorf("%w: more than %d bytes", ErrTraceLimit, r.limit)
+			t.chunks = nil
+			return
+		}
 		t.chunks = append(t.chunks, make([]op, chunkLen))
 	}
 	*t.at(t.n) = o

@@ -741,8 +741,9 @@ func TestStatzSchemaStable(t *testing.T) {
 		"corpus_exported_rows", "corpus_imported_rows", "corpus_rejected_rows",
 		"deadline_expired", "dedups", "drain_rejected",
 		"internal", "invalid", "ok", "panics", "peer_warm_failures", "quarantined",
-		"queue_full", "rate_limited", "received", "retries", "rows_quarantined",
-		"simulations", "warm_skipped_rows",
+		"queue_full", "rate_limited", "received", "recordings", "recordings_rejected",
+		"replays", "retries", "rows_quarantined", "simulations", "trace_bytes",
+		"trace_evictions", "warm_skipped_rows",
 	}
 	got := make([]string, 0, len(counters))
 	for k := range counters {
@@ -754,6 +755,9 @@ func TestStatzSchemaStable(t *testing.T) {
 	}
 	if counters["ok"] != 1 || counters["received"] != 1 {
 		t.Fatalf("counters not live: %v", counters)
+	}
+	if counters["recordings"] != 1 || counters["replays"] != 1 || counters["trace_bytes"] <= 0 {
+		t.Fatalf("trace counters not live: %v", counters)
 	}
 }
 

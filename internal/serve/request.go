@@ -126,7 +126,7 @@ func (r *Request) validate(lim Limits) error {
 	if r.Alg == "" {
 		return fmt.Errorf("missing \"alg\" (one of %v)", harness.Workloads())
 	}
-	if _, ok := harness.WorkloadMaker(r.Alg, 1); !ok {
+	if harness.CheckSize(r.Alg, 1) != nil { // every workload runs at n = 1
 		return fmt.Errorf("unknown alg %q (one of %v)", r.Alg, harness.Workloads())
 	}
 	if r.N <= 0 || r.N > lim.MaxN {

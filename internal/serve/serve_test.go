@@ -419,3 +419,19 @@ func TestStatsSnapshotCopiesEveryCounter(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateAllocatesNothing holds request validation to building
+// nothing: it runs on every /simulate request, cache hits included, and on
+// every batch, corpus and warm-up row, so it must not build a workload's
+// inputs to check its name.
+func TestValidateAllocatesNothing(t *testing.T) {
+	lim := Limits{}.withDefaults()
+	for _, alg := range harness.Workloads() {
+		r := Request{Alg: alg, N: 64, P: 8, Seed: 1, Policy: "hierarchical", Sockets: 2, CostMissRemote: 40}
+		r.normalize()
+		var err error
+		if allocs := testing.AllocsPerRun(20, func() { err = r.validate(lim) }); err != nil || allocs != 0 {
+			t.Errorf("%s: validate = %v with %.0f allocations, want nil with 0", alg, err, allocs)
+		}
+	}
+}

@@ -15,8 +15,20 @@
 //     Config hash — engine determinism (same Config+Seed ⇒ byte-equal
 //     Result) makes both trivially correct, and the cache tests assert the
 //     byte equality end to end;
-//   - panic recovery that quarantines a poisoned engine and replaces it from
-//     the pool, and retry-with-backoff around panicking attempts;
+//   - replay: a request's op stream is fixed by its workload, size and
+//     block size, so a worker replays the kernel's recorded trace
+//     (rws.Engine.Replay) instead of building its inputs and running its
+//     code. The server owns one harness.TraceCache, shared by its workers
+//     and bounded by the constant harness.TraceBudget (2 MiB): a miss
+//     records the kernel once, at P = 1 through the worker's own pool; a
+//     recording past the budget is rejected and its key remembered; and
+//     conncomp, whose op stream depends on the schedule, and rejected keys
+//     run on coroutines. Results are bit-identical either way. /statz
+//     counts recordings, rejected recordings, replays, trace evictions and
+//     the trace bytes held;
+//   - panic recovery that quarantines a poisoned engine — the recording's
+//     too — and replaces it from the pool, and retry-with-backoff around
+//     panicking attempts;
 //   - graceful drain: Drain stops admission (typed 503s), in-flight requests
 //     finish, Close flushes the final stats.
 //
@@ -60,7 +72,9 @@
 //
 // The FaultInjector hook injects delayed, panicking and stuck attempts —
 // plus truncated, corrupted, stalled and erroring corpus exports — so the
-// chaos suite can prove all of the above under a request storm.
+// chaos suite can prove all of the above under a request storm. An
+// injected panic fires inside the kernel when the attempt records a trace,
+// and before the run otherwise.
 package serve
 
 import (
@@ -292,10 +306,35 @@ type Stats struct {
 	CorpusRejected int64 `json:"corpus_rejected_rows"`
 	WarmSkipped    int64 `json:"warm_skipped_rows"`
 	PeerFailures   int64 `json:"peer_warm_failures"`
+
+	// Op traces — the recorded kernel op streams workers replay, not the
+	// attempt timelines of "trace": true and /tracez: recordings made on a
+	// trace cache miss, the recordings rejected among them, runs replayed
+	// from a cached trace (Simulations counts them too), and traces evicted
+	// to keep the cache within harness.TraceBudget. TraceBytes is a gauge:
+	// the bytes the cache holds, a remembered rejected key counting one
+	// 48 KiB chunk.
+	Recordings         int64 `json:"recordings"`
+	RecordingsRejected int64 `json:"recordings_rejected"`
+	Replays            int64 `json:"replays"`
+	TraceEvictions     int64 `json:"trace_evictions"`
+	TraceBytes         int64 `json:"trace_bytes"`
 }
 
 // add bumps one counter; all counter access is atomic.
 func (st *Stats) add(f *int64, n int64) { atomic.AddInt64(f, n) }
+
+// addTraceChange counts what one trace cache call changed.
+func (st *Stats) addTraceChange(ch harness.TraceChange) {
+	if ch.Recorded {
+		st.add(&st.Recordings, 1)
+	}
+	if ch.Rejected {
+		st.add(&st.RecordingsRejected, 1)
+	}
+	st.add(&st.TraceEvictions, ch.Evicted)
+	st.add(&st.TraceBytes, ch.Bytes)
+}
 
 // snapshot copies the counters atomically. It walks the struct's fields, so
 // a new counter can never be left out; every field must be an int64.
@@ -321,6 +360,7 @@ type Server struct {
 	flight  *flightGroup
 	breaker *jobs.Breaker
 	tracer  *tracer
+	traces  harness.TraceCache // op traces, shared by the workers
 	stats   Stats
 
 	start    time.Time

@@ -31,7 +31,7 @@ var errRunPanicked = errors.New("serve: run panicked")
 // worker owns one shard of the engine fleet: a harness.Runner pool whose
 // engines are Reset between requests instead of rebuilt. Requests are
 // sharded across workers by queue order; a quarantined engine only ever
-// costs its own worker a rebuild.
+// costs its own worker a rebuild. Workers share the server's trace cache.
 type worker struct {
 	id   int
 	s    *Server
@@ -175,10 +175,7 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 		// Unreachable after validation; surface as a panic-class failure.
 		return nil, fmt.Errorf("%w: %v", errRunPanicked, err)
 	}
-	mk, ok := harness.WorkloadMaker(j.req.Alg, j.req.N)
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown alg %q", errRunPanicked, j.req.Alg)
-	}
+	wl := &workload{alg: j.req.Alg, n: j.req.N, key: harness.WorkloadKey(j.req.Alg, j.req.N)}
 
 	out := make([]RunSummary, 0, j.req.Runs)
 	for i := 0; i < j.req.Runs; i++ {
@@ -190,7 +187,7 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 		}
 		runCfg := cfg
 		runCfg.Seed = cfg.Seed + int64(i)
-		sum, err := w.runOne(mk, runCfg, fault.Panic && i == 0)
+		sum, err := w.runOne(wl, runCfg, fault.Panic && i == 0)
 		if err != nil {
 			return nil, err
 		}
@@ -199,11 +196,37 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 	return &payload{Key: j.key, Alg: j.req.Alg, Runs: out, req: wireRequest(*j.req)}, nil
 }
 
+// workload is the kernel of one request: its content key, "" for conncomp,
+// and its Maker, which builds the inputs and so is resolved only for a run
+// that needs them — a recording, or a run on coroutines.
+type workload struct {
+	alg string
+	n   int
+	key string
+	mk  harness.Maker
+}
+
+func (wl *workload) maker() harness.Maker {
+	if wl.mk == nil {
+		mk, ok := harness.WorkloadMaker(wl.alg, wl.n)
+		if !ok {
+			// Unreachable after validation.
+			panic(fmt.Sprintf("serve: unknown alg %q", wl.alg))
+		}
+		wl.mk = mk
+	}
+	return wl.mk
+}
+
 // runOne performs a single simulated run on a pooled engine, recovering
-// panics. A panicking run quarantines its engine: the engine is closed and
-// never recycled, so the pool replaces it with a fresh build on the next
-// checkout.
-func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum RunSummary, err error) {
+// panics. A keyed workload replays its trace from the server's cache,
+// recording it first on a miss; conncomp, and a key whose recording was
+// rejected, run the kernel on coroutines. An injected panic fires inside
+// the recording when this run records, and before the run otherwise. A
+// panicking run quarantines its engine, the recording's included: the
+// engine is closed and never recycled, so the pool replaces it with a
+// fresh build on the next checkout.
+func (w *worker) runOne(wl *workload, cfg rws.Config, injectPanic bool) (sum RunSummary, err error) {
 	var e *rws.Engine
 	defer func() {
 		if pv := recover(); pv != nil {
@@ -214,12 +237,40 @@ func (w *worker) runOne(mk harness.Maker, cfg rws.Config, injectPanic bool) (sum
 			}
 		}
 	}()
-	e, root := mk(&w.pool, cfg)
+	var tr *rws.Trace
+	if wl.key != "" {
+		var ch harness.TraceChange
+		tr, ch = w.s.traces.Trace(wl.key, cfg, func(rc rws.Config, limit int64) (*rws.Trace, error) {
+			var root func(*rws.Ctx)
+			e, root = wl.maker()(&w.pool, rc)
+			if injectPanic {
+				injectPanic = false
+				root = func(*rws.Ctx) { panic("serve: injected kernel panic while recording") }
+			}
+			t, err := e.Record(root, limit)
+			w.pool.Recycle(e)
+			e = nil
+			return t, err
+		})
+		w.s.stats.addTraceChange(ch)
+	}
+	var root func(*rws.Ctx)
+	if tr != nil {
+		e = w.pool.Engine(cfg)
+	} else {
+		e, root = wl.maker()(&w.pool, cfg)
+	}
 	w.s.stats.add(&w.s.stats.Simulations, 1)
 	if injectPanic {
 		panic("serve: injected engine panic")
 	}
-	res := e.RunLean(root)
+	var res rws.Result
+	if tr != nil {
+		w.s.stats.add(&w.s.stats.Replays, 1)
+		res = e.Replay(tr)
+	} else {
+		res = e.RunLean(root)
+	}
 	sum = summarize(cfg.Seed, res)
 	w.pool.Recycle(e)
 	return sum, nil
