@@ -115,13 +115,16 @@
 //     coroutines, no kernel code and no simulated values. Traces live in a
 //     harness.TraceCache: least recently used out, within the constant
 //     2 MiB harness.TraceBudget, which also limits each recording. The
-//     sweep's cache lives for the process, and the full sweep records 29
-//     traces for its 306 replayed runs; each rwsimd server owns one,
+//     sweep's cache lives for the process, and the full sweep records 31
+//     traces for its 312 replayed runs; each rwsimd server owns one,
 //     shared by its workers. conncomp, whose jump step is a determinacy
-//     race, stays on coroutines.
-//   - internal/harness fans each experiment's independent deterministic
-//     (p, budget, seed) runs out across host workers (experiments -par)
-//     with ordered results, so sweep output is byte-identical to serial.
+//     race, is the only sweep kernel left on coroutines.
+//   - internal/harness runs every experiment's grid one way: the
+//     experiment lists its points (a kernel and an rws.Config), and one
+//     helper runs each point once per seed, fanning the whole grid out
+//     across host workers (experiments -par) with ordered results, so
+//     sweep output is byte-identical to serial. The averaged rows share
+//     one seed set and divide by its size.
 //
 // # Engine reuse (the Reset lifecycle)
 //

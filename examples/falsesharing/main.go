@@ -1,8 +1,8 @@
 // False sharing, three ways: first measured exactly on the simulated flat
 // machine (block misses, per-block transfers), then on a two-socket machine
 // with distance-priced steals where Ctx.PlaceLocal keeps result blocks off
-// the interconnect, then timed on your real CPU with the native
-// work-stealing runtime's padded vs unpadded counters.
+// the interconnect, then timed on your real CPU with padded vs unpadded
+// per-goroutine counters.
 //
 //	go run ./examples/falsesharing
 package main

@@ -12,6 +12,7 @@ import (
 	"rwsfs/internal/alg/sorthbp"
 	"rwsfs/internal/alg/transpose"
 	"rwsfs/internal/layout"
+	"rwsfs/internal/machine"
 	"rwsfs/internal/matrix"
 	"rwsfs/internal/mem"
 	"rwsfs/internal/rws"
@@ -67,6 +68,10 @@ func listRankKernel(n int) kernel {
 // across leaves, is a determinacy race, so which addresses a leaf reads
 // depends on the schedule and a recording of it would not replay.
 func connCompKernel(n, edges int) kernel { return kernel{"", ConnCompMaker(n, edges)} }
+
+func placementKernel(leaves int, place bool) kernel {
+	return kernel{fmt.Sprintf("placement/leaves=%d/place=%t", leaves, place), placementMaker(leaves, place)}
+}
 
 // MMMaker multiplies two deterministic n x n matrices under the variant.
 func MMMaker(v matmul.Variant, n, base int) Maker {
@@ -241,5 +246,30 @@ func ConnCompMaker(n, edges int) Maker {
 		mm := e.Machine()
 		lay := conncomp.Place(mm.Alloc, mm.Mem, g)
 		return e, conncomp.Build(lay)
+	}
+}
+
+// placementMaker is E21's kernel: the root writes one block per leaf, then
+// each leaf writes its block, after binding it to its own socket with
+// Ctx.PlaceLocal when place is set.
+func placementMaker(leaves int, place bool) Maker {
+	return func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+		e := pool.Engine(cfg)
+		slotWords := cfg.Machine.B
+		slots := e.Machine().Alloc.Alloc(leaves * slotWords)
+		return e, func(c *rws.Ctx) {
+			// The root warms every slot: its processor's socket becomes each
+			// block's owner, the pattern PlaceLocal exists to undo.
+			c.WriteRange(slots, leaves*slotWords)
+			c.ForkN(leaves, func(j int, c *rws.Ctx) {
+				slot := slots + mem.Addr(j*slotWords)
+				if place {
+					c.PlaceLocal(slot, slotWords)
+				}
+				c.Work(machine.Tick(1 + j%7))
+				c.WriteRange(slot, slotWords)
+				c.StoreInt(slot, int64(j))
+			})
+		}
 	}
 }

@@ -41,15 +41,15 @@ func mmMissExperiment(id string, v matmul.Variant, s Scale) Table {
 		Header: []string{"budget", "S", "extraMiss", "bound", "meas/bound"},
 	}
 	budgets := budgetSweep(s)
-	specs := make([]runSpec, len(budgets))
+	pts := make([]point, len(budgets))
 	for i, budget := range budgets {
-		specs[i] = runSpec{p: 8, budget: budget, seed: 12345}
+		pts[i] = at(mk, base, 8, budget)
 	}
-	results := sweepRuns(mk, base, specs)
+	rows := sweep(pts, []int64{12345})
 	var ratios []float64
 	var xs, ys []float64
 	for i, budget := range budgets {
-		res := results[i]
+		res := rows[i][0]
 		extra := res.Totals.CacheMisses - seq.Totals.CacheMisses
 		if extra < 0 {
 			extra = 0
@@ -101,20 +101,17 @@ func E03(s Scale) Table {
 	var ratios []float64
 	var maxes []float64
 	bs := []int{4, 8, 16, 32, 64}
-	jobs := make([]func() rws.Result, len(bs))
+	mk := prefixKernel(n, prefix.Config{Chunk: 1})
+	pts := make([]point, len(bs))
 	for i, B := range bs {
-		B := B
-		jobs[i] = func() rws.Result {
-			base := rws.DefaultConfig(8)
-			base.Machine.B = B
-			base.Machine.M = 256 * B
-			mk := prefixKernel(n, prefix.Config{Chunk: 1})
-			return runAt(mk, base, 8, -1, 777)
-		}
+		base := rws.DefaultConfig(8)
+		base.Machine.B = B
+		base.Machine.M = 256 * B
+		pts[i] = point{mk, base}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, []int64{777})
 	for i, B := range bs {
-		res := results[i]
+		res := rows[i][0]
 		ref := math.Min(float64(B), float64(ht)) + float64(log2i(n))
 		ratio := float64(res.BlockTransfersMax) / ref
 		ratios = append(ratios, ratio)
@@ -148,14 +145,14 @@ func E04(s Scale) Table {
 		Header: []string{"budget", "S", "blockMiss", "S·B", "meas/(S·B)"},
 	}
 	budgets := budgetSweep(s)
-	specs := make([]runSpec, len(budgets))
+	pts := make([]point, len(budgets))
 	for i, budget := range budgets {
-		specs[i] = runSpec{p: 8, budget: budget, seed: 99}
+		pts[i] = at(mk, base, 8, budget)
 	}
-	results := sweepRuns(mk, base, specs)
+	rows := sweep(pts, []int64{99})
 	var ratios []float64
 	for i, budget := range budgets {
-		res := results[i]
+		res := rows[i][0]
 		bound := analysis.BlockDelayPerSteal(float64(res.Steals), costs(base.Machine))
 		ratio := math.NaN()
 		if bound > 0 {
@@ -189,14 +186,14 @@ func E05(s Scale) Table {
 		Header: []string{"budget", "S", "cacheMiss", "missBound", "m/b", "blockMiss", "S·B"},
 	}
 	budgets := budgetSweep(s)
-	specs := make([]runSpec, len(budgets))
+	pts := make([]point, len(budgets))
 	for i, budget := range budgets {
-		specs[i] = runSpec{p: 8, budget: budget, seed: 31}
+		pts[i] = at(mk, base, 8, budget)
 	}
-	results := sweepRuns(mk, base, specs)
+	rows := sweep(pts, []int64{31})
 	var mr, br []float64
 	for i, budget := range budgets {
-		res := results[i]
+		res := rows[i][0]
 		bound := analysis.RMToBICacheMisses(n, float64(res.Steals), cs)
 		ratio := float64(res.Totals.CacheMisses) / bound
 		mr = append(mr, ratio)
@@ -229,7 +226,9 @@ func E06(s Scale) Table {
 	base.Machine.B = 32
 	base.Machine.M = 8192
 	cs := costs(base.Machine)
-	seq := seqBaseline(biToRMKernel(n, false), base)
+	bufMk := biToRMKernel(n, false)
+	natMk := biToRMKernel(n, true)
+	seq := seqBaseline(bufMk, base)
 	t := Table{
 		ID:    "E06",
 		Title: fmt.Sprintf("BI→RM: buffered (paper) vs natural tree (rejected) (n=%d, p=8, B=32)", n),
@@ -239,44 +238,26 @@ func E06(s Scale) Table {
 			"should exceed the buffered version's (rows average 3 scheduling seeds).", seq.Totals.CacheMisses),
 		Header: []string{"budget", "S_buf", "bufExtra", "bufBound", "bufBlk", "S_nat", "natBlk"},
 	}
-	bufMk := biToRMKernel(n, false)
-	natMk := biToRMKernel(n, true)
 	budgets := budgetSweep(s)
-	var jobs []func() rws.Result
+	var pts []point
 	for _, budget := range budgets {
-		for seed := int64(1); seed <= 3; seed++ {
-			budget, seed := budget, seed
-			jobs = append(jobs,
-				func() rws.Result { return runAt(bufMk, base, 8, budget, 40+seed) },
-				func() rws.Result { return runAt(natMk, base, 8, budget, 40+seed) })
-		}
+		pts = append(pts, at(bufMk, base, 8, budget), at(natMk, base, 8, budget))
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, []int64{41, 42, 43})
 	var mr []float64
 	var bufTot, natTot int64
-	k := 0
-	for _, budget := range budgets {
-		var sb, mbuf, bb, sn, bn int64
-		for seed := int64(1); seed <= 3; seed++ {
-			rb, rn := results[k], results[k+1]
-			k += 2
-			sb += rb.Steals
-			mbuf += rb.Totals.CacheMisses - seq.Totals.CacheMisses
-			bb += rb.Totals.BlockMisses
-			sn += rn.Steals
-			bn += rn.Totals.BlockMisses
+	for i, budget := range budgets {
+		buf, runs := sum(rows[2*i])
+		nat, _ := sum(rows[2*i+1])
+		extra := max(buf.Totals.CacheMisses-runs*seq.Totals.CacheMisses, 0)
+		bound := analysis.BIToRMCacheMisses(n, float64(buf.Steals)/float64(runs), cs)
+		if buf.Steals > 0 {
+			mr = append(mr, float64(extra)/float64(runs)/bound)
 		}
-		if mbuf < 0 {
-			mbuf = 0
-		}
-		bound := analysis.BIToRMCacheMisses(n, float64(sb)/3, cs)
-		if sb > 0 {
-			mr = append(mr, float64(mbuf)/3/bound)
-		}
-		bufTot += bb
-		natTot += bn
-		t.AddRow(fmtI(budget), fmtI(sb/3), fmtI(mbuf/3), fmtF(bound),
-			fmtI(bb/3), fmtI(sn/3), fmtI(bn/3))
+		bufTot += buf.Totals.BlockMisses
+		natTot += nat.Totals.BlockMisses
+		t.AddRow(fmtI(budget), fmtI(buf.Steals/runs), fmtI(extra/runs), fmtF(bound),
+			fmtI(buf.Totals.BlockMisses/runs), fmtI(nat.Steals/runs), fmtI(nat.Totals.BlockMisses/runs))
 	}
 	t.Checked("buffered extra cache misses within O((n²/B)·log S)", maxOf(mr) <= 4,
 		fmt.Sprintf("worst ratio %.2f", maxOf(mr)))
@@ -304,35 +285,25 @@ func E07(s Scale) Table {
 	if s == Quick {
 		ps = []int{2, 4, 8}
 	}
-	var specs []runSpec
-	for _, p := range ps {
-		for seed := int64(1); seed <= 3; seed++ {
-			specs = append(specs, runSpec{p: p, budget: -1, seed: seed})
-		}
+	pts := make([]point, len(ps))
+	for i, p := range ps {
+		pts[i] = at(mk, base, p, -1)
 	}
-	results := sweepRuns(mk, base, specs)
+	rows := sweep(pts, seeds)
 	var prev float64
 	monotone := true
 	var ratios []float64
-	k := 0
-	for _, p := range ps {
-		var st, fs int64
-		var ticks int64
-		for seed := int64(1); seed <= 3; seed++ {
-			res := results[k]
-			k++
-			st += res.Steals
-			fs += res.FailedSteals
-			ticks += int64(res.Totals.StealTicks)
-		}
-		avg := float64(st) / 3
+	for i, p := range ps {
+		sm, runs := sum(rows[i])
+		avg := float64(sm.Steals) / float64(runs)
 		bound := analysis.StealBoundGeneral(p, h, 1)
 		ratios = append(ratios, avg/bound)
 		if avg < prev {
 			monotone = false
 		}
 		prev = avg
-		t.AddRow(fmtI(int64(p)), fmtF(avg), fmtF(bound), fmtF(avg/bound), fmtI(fs/3), fmtI(ticks/3))
+		t.AddRow(fmtI(int64(p)), fmtF(avg), fmtF(bound), fmtF(avg/bound),
+			fmtI(sm.FailedSteals/runs), fmtI(int64(sm.Totals.StealTicks)/runs))
 	}
 	t.Checked("measured steals stay under p·h(t)·(1+a)", maxOf(ratios) <= 1,
 		fmt.Sprintf("worst S/bound %.3f", maxOf(ratios)))
@@ -358,7 +329,7 @@ func E08(s Scale) Table {
 		hPred float64
 	}
 	lg := func(x int) float64 { return math.Log2(math.Max(float64(x), 2)) }
-	rows := []caseRow{
+	cases := []caseRow{
 		{
 			name:  "case(i) c=1: depth-log²n MM",
 			mk:    mmKernel(matmul.DepthLog2, nMM, 4),
@@ -382,25 +353,19 @@ func E08(s Scale) Table {
 			"Theorem 6.2: S = O(p·h(t)(1+a)); the *ordering* of the cases is the reproducible claim.",
 		Header: []string{"case", "h(t) pred", "S(avg)", "S/(p·h·2)"},
 	}
-	var jobs []func() rws.Result
-	for _, r := range rows {
-		for seed := int64(1); seed <= 3; seed++ {
-			mk, seed := r.mk, seed
-			jobs = append(jobs, func() rws.Result { return runAt(mk, base, 8, -1, seed) })
-		}
+	pts := make([]point, len(cases))
+	for i, c := range cases {
+		pts[i] = point{c.mk, base}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	var hs, ss []float64
-	for ri, r := range rows {
-		var st int64
-		for si := 0; si < 3; si++ {
-			st += results[ri*3+si].Steals
-		}
-		avg := float64(st) / 3
-		hs = append(hs, r.hPred)
+	for i, c := range cases {
+		sm, runs := sum(rows[i])
+		avg := float64(sm.Steals) / float64(runs)
+		hs = append(hs, c.hPred)
 		ss = append(ss, avg)
-		bound := analysis.StealBoundGeneral(8, r.hPred, 1)
-		t.AddRow(r.name, fmtF(r.hPred), fmtF(avg), fmtF(avg/bound))
+		bound := analysis.StealBoundGeneral(8, c.hPred, 1)
+		t.AddRow(c.name, fmtF(c.hPred), fmtF(avg), fmtF(avg/bound))
 	}
 	t.Checked("predicted ordering case(i) < case(iii)", hs[0] < hs[2],
 		fmt.Sprintf("h pred %.0f vs %.0f", hs[0], hs[2]))
@@ -425,32 +390,20 @@ func E09(s Scale) Table {
 			"The claim under test: the ratio S_n/S_log grows with n.",
 		Header: []string{"n", "S depth-n", "S depth-log²", "ratio", "pred ratio"},
 	}
-	var jobs []func() rws.Result
+	var pts []point
 	for _, n := range ns {
-		mkN := mmKernel(matmul.LimitedAccessDepthN, n, 4)
-		mkL := mmKernel(matmul.DepthLog2, n, 4)
-		for seed := int64(1); seed <= 3; seed++ {
-			seed := seed
-			jobs = append(jobs,
-				func() rws.Result { return runAt(mkN, base, 8, -1, seed) },
-				func() rws.Result { return runAt(mkL, base, 8, -1, seed) })
-		}
+		pts = append(pts, point{mmKernel(matmul.LimitedAccessDepthN, n, 4), base},
+			point{mmKernel(matmul.DepthLog2, n, 4), base})
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	var ratios []float64
-	k := 0
-	for _, n := range ns {
-		var sn, sl int64
-		for seed := int64(1); seed <= 3; seed++ {
-			rn, rl := results[k], results[k+1]
-			k += 2
-			sn += rn.Steals
-			sl += rl.Steals
-		}
-		ratio := float64(sn) / math.Max(float64(sl), 1)
+	for i, n := range ns {
+		sn, runs := sum(rows[2*i])
+		sl, _ := sum(rows[2*i+1])
+		ratio := float64(sn.Steals) / math.Max(float64(sl.Steals), 1)
 		pred := analysis.MMStealsDepthN(8, n, 1, cs) / analysis.MMStealsDepthLog(8, n, 1, cs)
 		ratios = append(ratios, ratio)
-		t.AddRow(fmtI(int64(n)), fmtI(sn/3), fmtI(sl/3), fmtF(ratio), fmtF(pred))
+		t.AddRow(fmtI(int64(n)), fmtI(sn.Steals/runs), fmtI(sl.Steals/runs), fmtF(ratio), fmtF(pred))
 	}
 	t.Checked("depth-log²n MM always steals less", minOf(ratios) > 1,
 		fmt.Sprintf("min steal ratio %.2f", minOf(ratios)))
@@ -485,30 +438,21 @@ func E10(s Scale) Table {
 		{fmt.Sprintf("prefix-sums n=%d", nPrefix), prefixKernel(nPrefix, prefix.Config{Chunk: 4}), nPrefix},
 		{fmt.Sprintf("transpose n=%d", nT), transposeKernel(nT), nT * nT},
 	}
-	var jobs []func() rws.Result
+	ps := []int{4, 8}
+	var pts []point
 	for _, a := range algs {
-		for _, p := range []int{4, 8} {
-			for seed := int64(1); seed <= 3; seed++ {
-				mk, p, seed := a.mk, p, seed
-				jobs = append(jobs, func() rws.Result { return runAt(mk, base, p, -1, seed) })
-			}
+		for _, p := range ps {
+			pts = append(pts, at(a.mk, base, p, -1))
 		}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	var sratios, eratios []float64
-	k := 0
-	for _, a := range algs {
+	for ai, a := range algs {
 		seq := seqBaseline(a.mk, base)
-		for _, p := range []int{4, 8} {
-			var st, extra int64
-			for seed := int64(1); seed <= 3; seed++ {
-				res := results[k]
-				k++
-				st += res.Steals
-				extra += res.Totals.CacheMisses - seq.Totals.CacheMisses
-			}
-			avgS := float64(st) / 3
-			avgE := math.Max(float64(extra)/3, 0)
+		for pi, p := range ps {
+			sm, runs := sum(rows[ai*len(ps)+pi])
+			avgS := float64(sm.Steals) / float64(runs)
+			avgE := math.Max(float64(sm.Totals.CacheMisses-runs*seq.Totals.CacheMisses)/float64(runs), 0)
 			bound := analysis.BPSteals(p, a.n, 1, cs)
 			sratios = append(sratios, avgS/bound)
 			perS := math.NaN()
@@ -549,24 +493,16 @@ func E11(s Scale) Table {
 		{"columnsort", sortKernel(sorthbp.Columnsort, n)},
 		{"fft", fftKernel(n)},
 	}
-	var jobs []func() rws.Result
-	for _, a := range algs {
-		for seed := int64(1); seed <= 3; seed++ {
-			mk, seed := a.mk, seed
-			jobs = append(jobs, func() rws.Result { return runAt(mk, base, 8, -1, seed) })
-		}
+	pts := make([]point, len(algs))
+	for i, a := range algs {
+		pts[i] = point{a.mk, base}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	var sr, br []float64
-	for ai, a := range algs {
-		var st, bm int64
-		for si := 0; si < 3; si++ {
-			res := results[ai*3+si]
-			st += res.Steals
-			bm += res.Totals.BlockMisses
-		}
-		avgS := float64(st) / 3
-		avgB := float64(bm) / 3
+	for i, a := range algs {
+		sm, runs := sum(rows[i])
+		avgS := float64(sm.Steals) / float64(runs)
+		avgB := float64(sm.Totals.BlockMisses) / float64(runs)
 		bound := analysis.SortSteals(8, n, 1, cs)
 		sr = append(sr, avgS/bound)
 		perSB := math.NaN()
@@ -606,23 +542,23 @@ func E12(s Scale) Table {
 		{"listrank", listRankKernel(n)},
 		{"conncomp", connCompKernel(n, 2*n)},
 	}
-	var jobs []func() rws.Result
+	ps := []int{1, 4, 8}
+	var pts []point
 	for _, a := range algs {
-		mk := a.mk
-		jobs = append(jobs,
-			func() rws.Result { return seqBaseline(mk, base) },
-			func() rws.Result { return runAt(mk, base, 4, -1, 5) },
-			func() rws.Result { return runAt(mk, base, 8, -1, 5) })
+		for _, p := range ps {
+			pts = append(pts, at(a.mk, base, p, -1))
+		}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, []int64{5})
 	var speedups []float64
 	for ai, a := range algs {
-		seq := results[ai*3]
-		t.AddRow(a.name, "1", "0", fmtI(seq.Totals.BlockMisses), fmtI(int64(seq.Makespan)), "1.00")
-		for pi, p := range []int{4, 8} {
-			res := results[ai*3+1+pi]
+		seq := rows[ai*len(ps)][0]
+		for pi, p := range ps {
+			res := rows[ai*len(ps)+pi][0]
 			sp := float64(seq.Makespan) / float64(res.Makespan)
-			speedups = append(speedups, sp)
+			if p > 1 {
+				speedups = append(speedups, sp)
+			}
 			t.AddRow(a.name, fmtI(int64(p)), fmtI(res.Steals), fmtI(res.Totals.BlockMisses),
 				fmtI(int64(res.Makespan)), fmtF(sp))
 		}
@@ -653,19 +589,15 @@ func E13(s Scale) Table {
 		Header: []string{"variant", "S", "S/(p·h·2)", "maxXfer", "blockMiss"},
 	}
 	variants := []bool{false, true}
-	jobs := make([]func() rws.Result, len(variants))
+	pts := make([]point, len(variants))
 	for i, padded := range variants {
-		padded := padded
-		jobs[i] = func() rws.Result {
-			mk := prefixKernel(n, prefix.Config{Chunk: 1, Padded: padded})
-			return runAt(mk, base, 8, -1, 21)
-		}
+		pts[i] = point{prefixKernel(n, prefix.Config{Chunk: 1, Padded: padded}), base}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, []int64{21})
 	var ratios []float64
 	var plainMax, paddedMax int64
 	for i, padded := range variants {
-		res := results[i]
+		res := rows[i][0]
 		bound := analysis.StealBoundGeneral(8, hFull, 1)
 		ratios = append(ratios, float64(res.Steals)/bound)
 		name := "plain BP"
@@ -747,29 +679,19 @@ func E15(s Scale) Table {
 			"When it holds, makespan should scale near 1/p.", seq.Totals.CacheMisses),
 		Header: []string{"p", "S(avg)", "condRatio", "makespan", "speedup", "eff=speedup/p"},
 	}
-	var specs []runSpec
-	for _, p := range []int{1, 2, 4, 8} {
-		for seed := int64(1); seed <= 3; seed++ {
-			specs = append(specs, runSpec{p: p, budget: -1, seed: seed})
-		}
+	ps := []int{1, 2, 4, 8}
+	pts := make([]point, len(ps))
+	for i, p := range ps {
+		pts[i] = at(mk, base, p, -1)
 	}
-	results := sweepRuns(mk, base, specs)
+	rows := sweep(pts, seeds)
 	var effs []float64
-	k := 0
-	for _, p := range []int{1, 2, 4, 8} {
-		var st int64
-		var span int64
-		var extra int64
-		for seed := int64(1); seed <= 3; seed++ {
-			res := results[k]
-			k++
-			st += res.Steals
-			span += int64(res.Makespan)
-			extra += res.Totals.CacheMisses - seq.Totals.CacheMisses
-		}
-		avgS := float64(st) / 3
-		avgSpan := float64(span) / 3
-		cond := (math.Max(float64(extra)/3, 0) + avgS*float64(base.Machine.B)) / q
+	for i, p := range ps {
+		sm, runs := sum(rows[i])
+		avgS := float64(sm.Steals) / float64(runs)
+		avgSpan := float64(sm.Makespan) / float64(runs)
+		extra := sm.Totals.CacheMisses - runs*seq.Totals.CacheMisses
+		cond := (math.Max(float64(extra)/float64(runs), 0) + avgS*float64(base.Machine.B)) / q
 		sp := float64(seq.Makespan) / avgSpan
 		eff := sp / float64(p)
 		effs = append(effs, eff)
@@ -818,17 +740,6 @@ func minOf(v []float64) float64 {
 		return math.NaN()
 	}
 	return m
-}
-
-func avgOf(v []float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // fitLogLog returns the least-squares slope of log(y) against log(x).

@@ -184,11 +184,11 @@ func Lookup(id string) (Experiment, bool) {
 // Runner owns a pool of reusable engines for the experiment sweeps: instead
 // of constructing a fresh rws.Engine (machine, caches, coherence directory,
 // memory pages, strand coroutines) for every one of the thousands of runs an
-// experiment sweep performs, builders draw engines from the pool — a pooled
-// engine is Reset in place to the run's Config, which is bit-for-bit
-// equivalent to fresh construction (the rws reuse differentials pin that)
-// but reuses all the backing structures and suspended coroutines. One
-// pooled engine serves both coroutine runs and trace replays.
+// experiment sweep performs, poolRun and the Makers draw engines from the
+// pool — a pooled engine is Reset in place to the run's Config, which is
+// bit-for-bit equivalent to fresh construction (the rws reuse differentials
+// pin that) but reuses all the backing structures and suspended coroutines.
+// One pooled engine serves recordings, trace replays and coroutine runs.
 //
 // The pool is safe for concurrent use; engines checked out by different
 // sweep workers are independent. The pool only ever holds as many engines as
@@ -345,22 +345,59 @@ func runPar(jobs []func() rws.Result) []rws.Result {
 	return out
 }
 
-// runSpec is one (processors, steal budget, seed) point of a sweep.
-type runSpec struct {
-	p      int
-	budget int64
-	seed   int64
+// seeds is the scheduling-seed set of the averaged rows: every point of
+// such a row runs once per seed, and the row reports the mean.
+var seeds = []int64{1, 2, 3}
+
+// point is one point of an experiment's grid: a kernel and the Config it
+// runs under. The sweep sets the Config's seed.
+type point struct {
+	k   kernel
+	cfg rws.Config
 }
 
-// sweepRuns executes k at every spec, fanning out across the configured
-// workers, with results in spec order.
-func sweepRuns(k kernel, base rws.Config, specs []runSpec) []rws.Result {
-	jobs := make([]func() rws.Result, len(specs))
-	for i, sp := range specs {
-		sp := sp
-		jobs[i] = func() rws.Result { return runAt(k, base, sp.p, sp.budget, sp.seed) }
+// at is the point that runs k on base with p processors and the given steal
+// budget.
+func at(k kernel, base rws.Config, p int, budget int64) point {
+	base.Machine.P = p
+	base.StealBudget = budget
+	return point{k, base}
+}
+
+// sweep runs every point once per seed through poolRun, the whole grid in
+// one batch over the configured workers (see runPar), and returns each
+// point's Results in seed order.
+func sweep(pts []point, seeds []int64) [][]rws.Result {
+	jobs := make([]func() rws.Result, 0, len(pts)*len(seeds))
+	for _, pt := range pts {
+		for _, seed := range seeds {
+			cfg := pt.cfg
+			cfg.Seed = seed
+			jobs = append(jobs, func() rws.Result { return poolRun(pt.k, cfg) })
+		}
 	}
-	return runPar(jobs)
+	res := runPar(jobs)
+	rows := make([][]rws.Result, len(pts))
+	for i := range rows {
+		rows[i] = res[i*len(seeds) : (i+1)*len(seeds)]
+	}
+	return rows
+}
+
+// sum adds up one point's runs: the fields the tables average (Makespan,
+// Steals, FailedSteals, SpawnsMigrated and Totals); the others stay zero.
+// It returns the number of runs too, the divisor of every mean.
+func sum(runs []rws.Result) (rws.Result, int64) {
+	var s rws.Result
+	for i := range runs {
+		r := &runs[i]
+		s.Makespan += r.Makespan
+		s.Steals += r.Steals
+		s.FailedSteals += r.FailedSteals
+		s.SpawnsMigrated += r.SpawnsMigrated
+		s.Totals.Add(&r.Totals)
+	}
+	return s, int64(len(runs))
 }
 
 // costs converts machine params to analysis costs.
@@ -390,17 +427,9 @@ func seqBaseline(k kernel, base rws.Config) rws.Result {
 	return poolRun(k, cfg)
 }
 
-// runAt executes the computation at the given processor count and budget.
-func runAt(k kernel, base rws.Config, p int, budget int64, seed int64) rws.Result {
-	cfg := base
-	cfg.Machine.P = p
-	cfg.StealBudget = budget
-	cfg.Seed = seed
-	return poolRun(k, cfg)
-}
-
 // poolRun performs one run on a pooled engine and returns the engine for
-// the next run. A kernel with a content key replays its trace from the
+// the next run; every run of an experiment goes through it, by sweep or
+// seqBaseline. A kernel with a content key replays its trace from the
 // sweep's TraceCache, recorded on first use: one recording serves every
 // processor count, seed, policy, topology and budget a sweep visits at one
 // block size. A kernel without a key, or whose recording was rejected, runs

@@ -132,8 +132,8 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 	// The sweep runner must render byte-identical tables for any worker
 	// count: runs are independent deterministic engines and results are
-	// ordered. E07 (nested p×seed sweep) and E03 (per-row configs) cover
-	// both batching shapes; E16–E18 additionally pin the policy sweeps,
+	// ordered. E07 (p × seeds) and E03 (a Config per point, one seed)
+	// cover both grid shapes; E16–E18 additionally pin the policy sweeps,
 	// whose disciplines consume the RNG differently per attempt — the
 	// StealPolicy RNG ownership rule (stateless policy values, all draws
 	// from the engine's per-run RNG) is what keeps a shared policy value

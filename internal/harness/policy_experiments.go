@@ -8,17 +8,17 @@ import (
 	"rwsfs/internal/alg/prefix"
 	"rwsfs/internal/analysis"
 	"rwsfs/internal/machine"
-	"rwsfs/internal/mem"
 	"rwsfs/internal/rws"
 )
 
 // The policy/topology experiments (E16–E21) compare the paper's uniform
 // stealing discipline against the pluggable alternatives on the
 // false-sharing metrics the analysis bounds, and price steal attempts and
-// block transfers by socket distance. Every run owns its engine and
-// consumes only its own RNG (see the StealPolicy RNG ownership rule), so
-// the sweeps fan out across workers like the rest of the harness with
-// byte-identical output.
+// block transfers by socket distance. Each lists its points, policy and
+// topology in the Config, for sweep like every other experiment. Every run
+// owns its engine and consumes only its own RNG (see the StealPolicy RNG
+// ownership rule), so a policy value shared by the points of a batch
+// couples no runs, and the output is byte-identical for any worker count.
 
 // E16 compares every registered steal policy on one false-sharing-heavy BP
 // workload over the flat machine.
@@ -37,35 +37,25 @@ func E16(s Scale) Table {
 		Header: []string{"policy", "S(avg)", "migrated", "blockMiss", "blockWait", "makespan"},
 	}
 	pols := rws.Policies()
-	var jobs []func() rws.Result
-	for _, pol := range pols {
+	pts := make([]point, len(pols))
+	for i, pol := range pols {
 		base := rws.DefaultConfig(8)
 		base.Policy = pol
-		for seed := int64(1); seed <= 3; seed++ {
-			base, seed := base, seed
-			jobs = append(jobs, func() rws.Result { return runAt(mk, base, 8, -1, seed) })
-		}
+		pts[i] = point{mk, base}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	conserved := true
 	var spawns []int64
-	for pi, pol := range pols {
-		var st, mig, bm, bw, span int64
-		for si := 0; si < 3; si++ {
-			res := results[pi*3+si]
-			st += res.Steals
-			mig += res.SpawnsMigrated
-			bm += res.Totals.BlockMisses
-			bw += int64(res.Totals.BlockWait)
-			span += int64(res.Makespan)
+	for i, pol := range pols {
+		for _, res := range rows[i] {
 			if res.Spawns != res.Steals+res.InlinePops+res.IdlePops {
 				conserved = false
 			}
-			if si == 0 {
-				spawns = append(spawns, res.Spawns)
-			}
 		}
-		t.AddRow(pol.Name(), fmtF(float64(st)/3), fmtI(mig/3), fmtI(bm/3), fmtI(bw/3), fmtI(span/3))
+		spawns = append(spawns, rows[i][0].Spawns)
+		sm, runs := sum(rows[i])
+		t.AddRow(pol.Name(), fmtF(float64(sm.Steals)/float64(runs)), fmtI(sm.SpawnsMigrated/runs),
+			fmtI(sm.Totals.BlockMisses/runs), fmtI(int64(sm.Totals.BlockWait)/runs), fmtI(int64(sm.Makespan)/runs))
 	}
 	t.Checked("every run conserves spawns (S + inline + idle pops)", conserved,
 		"consumption identity held for all policy runs")
@@ -98,7 +88,7 @@ func E17(s Scale) Table {
 	}
 	sockets := []int{1, 2, 4}
 	pols := []rws.StealPolicy{rws.Uniform{}, rws.Localized{}}
-	var jobs []func() rws.Result
+	var pts []point
 	for _, sk := range sockets {
 		for _, pol := range pols {
 			base := rws.DefaultConfig(8)
@@ -106,35 +96,24 @@ func E17(s Scale) Table {
 			if sk > 1 {
 				base.Machine.Topology = machine.Topology{Sockets: sk, CostMissRemote: 4 * base.Machine.CostMiss}
 			}
-			for seed := int64(1); seed <= 3; seed++ {
-				base, seed := base, seed
-				jobs = append(jobs, func() rws.Result { return runAt(mk, base, 8, -1, seed) })
-			}
+			pts = append(pts, point{mk, base})
 		}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	localizedNoWorse := true
-	k := 0
-	for _, sk := range sockets {
+	for si, sk := range sockets {
 		var remote [2]int64
 		for pi, pol := range pols {
-			var st, rf, bm, span int64
-			for si := 0; si < 3; si++ {
-				res := results[k]
-				k++
-				st += res.Steals
-				rf += res.Totals.RemoteFetches
-				bm += res.Totals.BlockMisses
-				span += int64(res.Makespan)
-			}
-			remote[pi] = rf
-			t.AddRow(fmtI(int64(sk)), pol.Name(), fmtF(float64(st)/3), fmtI(rf/3), fmtI(bm/3), fmtI(span/3))
+			sm, runs := sum(rows[si*len(pols)+pi])
+			remote[pi] = sm.Totals.RemoteFetches
+			t.AddRow(fmtI(int64(sk)), pol.Name(), fmtF(float64(sm.Steals)/float64(runs)),
+				fmtI(sm.Totals.RemoteFetches/runs), fmtI(sm.Totals.BlockMisses/runs), fmtI(int64(sm.Makespan)/runs))
 		}
 		if sk > 1 && remote[1] > remote[0] {
 			localizedNoWorse = false
 		}
 	}
-	t.Checked("flat topology has zero remote fetches", results[0].Totals.RemoteFetches == 0,
+	t.Checked("flat topology has zero remote fetches", rows[0][0].Totals.RemoteFetches == 0,
 		"provenance pricing is inert on the paper's machine")
 	t.Checked("localized stealing does not increase cross-socket traffic", localizedNoWorse,
 		"avg remote fetches, localized <= uniform, on every multi-socket topology")
@@ -157,46 +136,33 @@ func E18(s Scale) Table {
 		Header: []string{"p", "B", "policy", "S(avg)", "blockMiss", "blk/(S·B)"},
 	}
 	pols := rws.Policies()
-	type point struct {
-		p, B int
-	}
-	points := []point{{4, 8}, {8, 8}, {4, 32}, {8, 32}}
-	var jobs []func() rws.Result
-	for _, pt := range points {
+	shapes := []struct{ p, B int }{{4, 8}, {8, 8}, {4, 32}, {8, 32}}
+	mk := mmKernel(matmul.LimitedAccessDepthN, n, 4)
+	var pts []point
+	for _, sh := range shapes {
 		for _, pol := range pols {
-			base := rws.DefaultConfig(pt.p)
-			base.Machine.B = pt.B
-			base.Machine.M = 256 * pt.B
+			base := rws.DefaultConfig(sh.p)
+			base.Machine.B = sh.B
+			base.Machine.M = 256 * sh.B
 			base.Policy = pol
-			mk := mmKernel(matmul.LimitedAccessDepthN, n, 4)
-			for seed := int64(1); seed <= 2; seed++ {
-				mk, base, pt, seed := mk, base, pt, seed
-				jobs = append(jobs, func() rws.Result { return runAt(mk, base, pt.p, -1, seed) })
-			}
+			pts = append(pts, point{mk, base})
 		}
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds[:2])
 	var ratios []float64
-	k := 0
-	for _, pt := range points {
-		cs := costs(machine.DefaultParams(pt.p))
-		cs.B = pt.B
-		for _, pol := range pols {
-			var st, bm int64
-			for si := 0; si < 2; si++ {
-				res := results[k]
-				k++
-				st += res.Steals
-				bm += res.Totals.BlockMisses
-			}
-			avgS := float64(st) / 2
-			avgB := float64(bm) / 2
+	for si, sh := range shapes {
+		cs := costs(machine.DefaultParams(sh.p))
+		cs.B = sh.B
+		for pi, pol := range pols {
+			sm, runs := sum(rows[si*len(pols)+pi])
+			avgS := float64(sm.Steals) / float64(runs)
+			avgB := float64(sm.Totals.BlockMisses) / float64(runs)
 			perSB := math.NaN()
 			if avgS > 0 {
 				perSB = avgB / (analysis.BlockDelayPerSteal(avgS, cs))
 				ratios = append(ratios, perSB)
 			}
-			t.AddRow(fmtI(int64(pt.p)), fmtI(int64(pt.B)), pol.Name(), fmtF(avgS), fmtF(avgB), fmtF(perSB))
+			t.AddRow(fmtI(int64(sh.p)), fmtI(int64(sh.B)), pol.Name(), fmtF(avgS), fmtF(avgB), fmtF(perSB))
 		}
 	}
 	t.Checked("block misses stay O(S·B) under every policy", maxOf(ratios) <= 2,
@@ -226,32 +192,22 @@ func E19(s Scale) Table {
 		Header: []string{"policy", "S(avg)", "attempts", "remoteProbes", "stealLatency", "makespan"},
 	}
 	pols := []rws.StealPolicy{rws.Uniform{}, rws.Localized{}, rws.Hierarchical{}, rws.LatencyAware{}}
-	var jobs []func() rws.Result
-	for _, pol := range pols {
+	pts := make([]point, len(pols))
+	for i, pol := range pols {
 		base := rws.DefaultConfig(8)
 		base.Policy = pol
 		base.Machine.Topology = machine.Topology{
 			Sockets: 4, CostMissRemote: 4 * base.Machine.CostMiss,
 			CostSteal: 5, CostStealRemote: 25,
 		}
-		for seed := int64(1); seed <= 3; seed++ {
-			base, seed := base, seed
-			jobs = append(jobs, func() rws.Result { return runAt(mk, base, 8, budget, seed) })
-		}
+		pts[i] = at(mk, base, 8, budget)
 	}
-	results := runPar(jobs)
+	rows := sweep(pts, seeds)
 	lat := make([]int64, len(pols))
 	stealsMatch := true
 	conserved := true
-	for pi, pol := range pols {
-		var st, att, rp, sl, span int64
-		for si := 0; si < 3; si++ {
-			res := results[pi*3+si]
-			st += res.Steals
-			att += res.Totals.StealsOK + res.Totals.StealsFail
-			rp += res.Totals.RemoteSteals
-			sl += int64(res.Totals.StealLatency)
-			span += int64(res.Makespan)
+	for i, pol := range pols {
+		for _, res := range rows[i] {
 			if res.Steals != budget {
 				stealsMatch = false
 			}
@@ -260,8 +216,10 @@ func E19(s Scale) Table {
 				conserved = false
 			}
 		}
-		lat[pi] = sl
-		t.AddRow(pol.Name(), fmtF(float64(st)/3), fmtI(att/3), fmtI(rp/3), fmtI(sl/3), fmtI(span/3))
+		sm, runs := sum(rows[i])
+		lat[i] = int64(sm.Totals.StealLatency)
+		t.AddRow(pol.Name(), fmtF(float64(sm.Steals)/float64(runs)), fmtI((sm.Totals.StealsOK+sm.Totals.StealsFail)/runs),
+			fmtI(sm.Totals.RemoteSteals/runs), fmtI(lat[i]/runs), fmtI(int64(sm.Makespan)/runs))
 	}
 	t.Checked("steal counts match across policies (budget binds)", stealsMatch,
 		fmt.Sprintf("every run hit the shared budget of %d successful steals", budget))
@@ -300,32 +258,25 @@ func E20(s Scale) Table {
 	if s == Quick {
 		ps = []int{2, 4, 8}
 	}
-	var specs []runSpec
-	for _, p := range ps {
-		for seed := int64(1); seed <= 3; seed++ {
-			specs = append(specs, runSpec{p: p, budget: -1, seed: seed})
-		}
+	pts := make([]point, len(ps))
+	for i, p := range ps {
+		pts[i] = at(mk, base, p, -1)
 	}
-	results := sweepRuns(mk, base, specs)
+	rows := sweep(pts, seeds)
 	var ratios []float64
 	priced := true
-	k := 0
-	for _, p := range ps {
-		var st, rp, sl int64
-		for seed := int64(1); seed <= 3; seed++ {
-			res := results[k]
-			k++
-			st += res.Steals
-			rp += res.Totals.RemoteSteals
-			sl += int64(res.Totals.StealLatency)
+	for i, p := range ps {
+		for _, res := range rows[i] {
 			if res.Totals.StealLatency == 0 && res.Totals.StealsOK+res.Totals.StealsFail > 0 {
 				priced = false
 			}
 		}
-		avg := float64(st) / 3
+		sm, runs := sum(rows[i])
+		avg := float64(sm.Steals) / float64(runs)
 		bound := analysis.StealBoundGeneral(p, h, 1)
 		ratios = append(ratios, avg/bound)
-		t.AddRow(fmtI(int64(p)), fmtF(avg), fmtF(bound), fmtF(avg/bound), fmtI(rp/3), fmtI(sl/3))
+		t.AddRow(fmtI(int64(p)), fmtF(avg), fmtF(bound), fmtF(avg/bound),
+			fmtI(sm.Totals.RemoteSteals/runs), fmtI(int64(sm.Totals.StealLatency)/runs))
 	}
 	t.Checked("priced steals stay under p·h(t)·(1+a)", maxOf(ratios) <= 1,
 		fmt.Sprintf("worst S/bound %.3f with attempt pricing on", maxOf(ratios)))
@@ -352,56 +303,21 @@ func E21(s Scale) Table {
 			"socket before use, so only genuinely shared traffic stays remote. Same timed work either way.",
 		Header: []string{"variant", "remoteFetch", "blockMiss", "missStall", "makespan"},
 	}
-	run := func(place bool, seed int64) rws.Result {
-		cfg := rws.DefaultConfig(8)
-		cfg.Seed = seed
-		cfg.Machine.Topology = machine.Topology{Sockets: 4, CostMissRemote: 4 * cfg.Machine.CostMiss}
-		e := enginePool.Engine(cfg)
-		defer enginePool.Recycle(e)
-		mm := e.Machine()
-		slotWords := cfg.Machine.B // one block per leaf slot
-		slots := mm.Alloc.Alloc(leaves * slotWords)
-		return e.RunLean(func(c *rws.Ctx) {
-			// The root warms every slot: its processor's socket becomes each
-			// block's owner, the pattern PlaceLocal exists to undo.
-			c.WriteRange(slots, leaves*slotWords)
-			c.ForkN(leaves, func(j int, c *rws.Ctx) {
-				slot := slots + mem.Addr(j*slotWords)
-				if place {
-					c.PlaceLocal(slot, slotWords)
-				}
-				c.Work(machine.Tick(1 + j%7))
-				c.WriteRange(slot, slotWords)
-				c.StoreInt(slot, int64(j))
-			})
-		})
+	base := rws.DefaultConfig(8)
+	base.Machine.Topology = machine.Topology{Sockets: 4, CostMissRemote: 4 * base.Machine.CostMiss}
+	rows := sweep([]point{
+		{placementKernel(leaves, false), base},
+		{placementKernel(leaves, true), base},
+	}, seeds)
+	var remote [2]int64 // unplaced, placed
+	for i, name := range []string{"root-owned slots", "PlaceLocal slots"} {
+		sm, runs := sum(rows[i])
+		remote[i] = sm.Totals.RemoteFetches
+		t.AddRow(name, fmtI(sm.Totals.RemoteFetches/runs), fmtI(sm.Totals.BlockMisses/runs),
+			fmtI(int64(sm.Totals.MissStall)/runs), fmtI(int64(sm.Makespan)/runs))
 	}
-	var placedRF, unplacedRF int64
-	for _, place := range []bool{false, true} {
-		var jobs []func() rws.Result
-		for seed := int64(1); seed <= 3; seed++ {
-			place, seed := place, seed
-			jobs = append(jobs, func() rws.Result { return run(place, seed) })
-		}
-		results := runPar(jobs)
-		var rf, bm, ms, span int64
-		for _, res := range results {
-			rf += res.Totals.RemoteFetches
-			bm += res.Totals.BlockMisses
-			ms += int64(res.Totals.MissStall)
-			span += int64(res.Makespan)
-		}
-		name := "root-owned slots"
-		if place {
-			name = "PlaceLocal slots"
-			placedRF = rf
-		} else {
-			unplacedRF = rf
-		}
-		t.AddRow(name, fmtI(rf/3), fmtI(bm/3), fmtI(ms/3), fmtI(span/3))
-	}
-	ratio := float64(placedRF) / float64(unplacedRF)
-	t.Checked("placement cuts cross-socket fetches", placedRF < unplacedRF,
+	ratio := float64(remote[1]) / float64(remote[0])
+	t.Checked("placement cuts cross-socket fetches", remote[1] < remote[0],
 		fmt.Sprintf("remote fetches placed/unplaced ratio %.2f", ratio))
 	return t
 }

@@ -416,26 +416,30 @@ func (m *Machine) invalidateOthers(p int, bid mem.BlockID) {
 // Cache exposes processor p's cache for tests.
 func (m *Machine) Cache(p int) *cache.Cache { return m.caches[p] }
 
+// Add adds every counter of c to t's.
+func (t *ProcCounters) Add(c *ProcCounters) {
+	t.WorkTicks += c.WorkTicks
+	t.CacheMisses += c.CacheMisses
+	t.BlockMisses += c.BlockMisses
+	t.MissStall += c.MissStall
+	t.BlockWait += c.BlockWait
+	t.StealsOK += c.StealsOK
+	t.StealsFail += c.StealsFail
+	t.StealTicks += c.StealTicks
+	t.Usurpations += c.Usurpations
+	t.NodesExecuted += c.NodesExecuted
+	t.AccessesTimed += c.AccessesTimed
+	t.InvalidationsSent += c.InvalidationsSent
+	t.RemoteFetches += c.RemoteFetches
+	t.RemoteSteals += c.RemoteSteals
+	t.StealLatency += c.StealLatency
+}
+
 // Totals sums the per-processor counters.
 func (m *Machine) Totals() ProcCounters {
 	var t ProcCounters
 	for i := range m.Proc {
-		c := &m.Proc[i]
-		t.WorkTicks += c.WorkTicks
-		t.CacheMisses += c.CacheMisses
-		t.BlockMisses += c.BlockMisses
-		t.MissStall += c.MissStall
-		t.BlockWait += c.BlockWait
-		t.StealsOK += c.StealsOK
-		t.StealsFail += c.StealsFail
-		t.StealTicks += c.StealTicks
-		t.Usurpations += c.Usurpations
-		t.NodesExecuted += c.NodesExecuted
-		t.AccessesTimed += c.AccessesTimed
-		t.InvalidationsSent += c.InvalidationsSent
-		t.RemoteFetches += c.RemoteFetches
-		t.RemoteSteals += c.RemoteSteals
-		t.StealLatency += c.StealLatency
+		t.Add(&m.Proc[i])
 	}
 	return t
 }

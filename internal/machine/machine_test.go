@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +152,26 @@ func TestTotalsSumPerProc(t *testing.T) {
 	tot := m.Totals()
 	if tot.CacheMisses != 2 || tot.AccessesTimed != 2 {
 		t.Errorf("totals wrong: %+v", tot)
+	}
+}
+
+// TestProcCountersAddAddsEveryField sets every counter to a distinct value
+// and adds it twice to zero counters: every field must come out doubled, so
+// a counter added later cannot drop out of Totals or the harness's sums.
+func TestProcCountersAddAddsEveryField(t *testing.T) {
+	var c ProcCounters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(1000 + i))
+	}
+	var sum ProcCounters
+	sum.Add(&c)
+	sum.Add(&c)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if x := got.Field(i).Int(); x != int64(2*(1000+i)) {
+			t.Errorf("%s = %d after adding %d twice, want %d", got.Type().Field(i).Name, x, 1000+i, 2*(1000+i))
+		}
 	}
 }
 

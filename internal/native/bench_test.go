@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkDequePushPop(b *testing.B) {
-	d := &deque{}
-	t := &task{run: func(int) {}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.push(t)
-		d.pop()
-	}
-}
-
-func BenchmarkDequeSteal(b *testing.B) {
-	d := &deque{}
-	t := &task{run: func(int) {}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.push(t)
-		d.steal()
-	}
-}
-
 // BenchmarkFalseSharingUnpadded and ...Padded are the host-machine
 // realization of the paper's block-miss cost: same logical work, different
 // line sharing.
@@ -34,31 +14,4 @@ func BenchmarkFalseSharingUnpadded(b *testing.B) {
 		r := MeasureFalseSharing(w, 200_000)
 		b.ReportMetric(r.Slowdown, "slowdown")
 	}
-}
-
-func BenchmarkPoolForkJoin(b *testing.B) {
-	p := NewPool(min(4, runtime.GOMAXPROCS(0)))
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Run(func(w int) {
-			var rec func(w, d int)
-			rec = func(w, d int) {
-				if d == 0 {
-					return
-				}
-				h := p.Fork(w, func(w int) { rec(w, d-1) })
-				rec(w, d-1)
-				h.Wait(w)
-			}
-			rec(w, 8)
-		})
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

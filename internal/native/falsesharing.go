@@ -1,3 +1,9 @@
+// Package native measures on the host machine, outside the simulator, a
+// phenomenon the simulator counts exactly: false sharing of adjacent words
+// is a real cost (experiment E14 and examples/falsesharing).
+//
+// The paper's counters (cache misses, block misses) are not observable from
+// portable Go; wall-clock time is, and that is what this package reports.
 package native
 
 import (

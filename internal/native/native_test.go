@@ -1,163 +1,6 @@
 package native
 
-import (
-	"runtime"
-	"sync/atomic"
-	"testing"
-)
-
-func TestDequeLIFOForOwner(t *testing.T) {
-	d := &deque{}
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		d.push(&task{run: func(int) { got = append(got, i) }})
-	}
-	for i := 0; i < 5; i++ {
-		tk := d.pop()
-		if tk == nil {
-			t.Fatalf("pop %d returned nil", i)
-		}
-		tk.run(0)
-	}
-	want := []int{4, 3, 2, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("owner pop order %v, want %v", got, want)
-		}
-	}
-	if d.pop() != nil {
-		t.Fatal("pop from empty deque should be nil")
-	}
-}
-
-func TestDequeFIFOForThief(t *testing.T) {
-	d := &deque{}
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		d.push(&task{run: func(int) { got = append(got, i) }})
-	}
-	for i := 0; i < 5; i++ {
-		tk := d.steal()
-		if tk == nil {
-			t.Fatalf("steal %d returned nil", i)
-		}
-		tk.run(0)
-	}
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("thief steal order %v, want FIFO", got)
-		}
-	}
-	if d.steal() != nil {
-		t.Fatal("steal from empty deque should be nil")
-	}
-}
-
-func TestDequeConcurrentOwnerThieves(t *testing.T) {
-	d := &deque{}
-	const total = 20000
-	var executed atomic.Int64
-	run := func(int) { executed.Add(1) }
-
-	done := make(chan struct{})
-	// Two thieves.
-	for i := 0; i < 2; i++ {
-		go func() {
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if tk := d.steal(); tk != nil {
-					tk.run(1)
-				}
-			}
-		}()
-	}
-	// Owner pushes and pops.
-	for i := 0; i < total; i++ {
-		if !d.push(&task{run: run}) {
-			run(0) // full: inline
-			continue
-		}
-		if i%2 == 0 {
-			if tk := d.pop(); tk != nil {
-				tk.run(0)
-			}
-		}
-	}
-	// Drain.
-	for {
-		tk := d.pop()
-		if tk == nil {
-			break
-		}
-		tk.run(0)
-	}
-	// Let thieves finish in-flight steals.
-	for executed.Load() < total {
-		runtime.Gosched()
-	}
-	close(done)
-	if executed.Load() != total {
-		t.Fatalf("executed %d of %d (lost or duplicated tasks)", executed.Load(), total)
-	}
-}
-
-func TestPoolForkJoinSum(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var rec func(w, depth int) int64
-	rec = func(w, depth int) int64 {
-		if depth == 0 {
-			return 1
-		}
-		var r int64
-		h := p.Fork(w, func(w int) { r = rec(w, depth-1) })
-		l := rec(w, depth-1)
-		h.Wait(w)
-		return l + r
-	}
-	var total int64
-	p.Run(func(w int) { total = rec(w, 12) })
-	if total != 4096 {
-		t.Fatalf("fork-join sum = %d, want 4096", total)
-	}
-}
-
-func TestPoolParallelFor(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
-	n := 10000
-	out := make([]int64, n)
-	p.Run(func(w int) {
-		var rec func(w, lo, hi int)
-		rec = func(w, lo, hi int) {
-			if hi-lo <= 64 {
-				for i := lo; i < hi; i++ {
-					out[i] = int64(i) * 3
-				}
-				return
-			}
-			mid := (lo + hi) / 2
-			h := p.Fork(w, func(w int) { rec(w, mid, hi) })
-			rec(w, lo, mid)
-			h.Wait(w)
-		}
-		rec(w, 0, n)
-	})
-	for i := range out {
-		if out[i] != int64(i)*3 {
-			t.Fatalf("out[%d] = %d", i, out[i])
-		}
-	}
-	if ok, _ := p.Steals(); ok == 0 {
-		t.Log("no steals observed (machine busy?); correctness unaffected")
-	}
-}
+import "testing"
 
 func TestMeasureFalseSharingChecksums(t *testing.T) {
 	// Small run: just verifies both variants compute correct counts and

@@ -115,12 +115,15 @@ func (Uniform) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 // Take implements StealPolicy: one task per steal.
 func (Uniform) Take(int) int { return 1 }
 
-// Localized biases victim selection toward the thief's own socket, after
-// Suksompong, Leiserson & Schardl's localized work stealing: with
+// Localized biases victim selection toward the thief's own socket: with
 // probability (Bias-1)/Bias the victim is uniform over the thief's socket
-// peers, otherwise uniform over all other processors. On a flat topology
-// every processor is a socket peer, so the policy degenerates to uniform
-// selection (with a different RNG consumption pattern than Uniform).
+// peers, otherwise uniform over all other processors. The socket bias is
+// this repo's own modelling choice; the paper analyses uniform victims
+// only. Despite the name, it is not the localized work stealing of
+// Suksompong, Leiserson and Schardl, in which a free processor first tries
+// to steal back its own work. On a flat topology every processor is a
+// socket peer, so the policy degenerates to uniform selection (with a
+// different RNG consumption pattern than Uniform).
 type Localized struct {
 	// Bias is the locality denominator; values < 2 mean the default 4
 	// (steal locally 3 attempts in 4).
@@ -215,10 +218,10 @@ func (Affinity) Take(int) int { return 1 }
 // *outside* the socket, then the ladder restarts. Under distance-priced
 // stealing this keeps almost every attempt — successful or not — at the
 // cheap local price, paying the cross-interconnect premium only when the
-// local socket is demonstrably drained; cf. the socket-then-core fallback
-// of localized work stealing (Suksompong et al.). On a flat topology every
-// processor is a socket peer and the policy is draw-for-draw identical to
-// Uniform.
+// local socket is demonstrably drained. The socket-first ladder is this
+// repo's own modelling choice, like Localized's bias. On a flat topology
+// every processor is a socket peer and the policy is draw-for-draw
+// identical to Uniform.
 type Hierarchical struct {
 	// LocalProbes is how many consecutive failed attempts stay
 	// socket-local before one remote probe; values < 1 mean the default 3.
