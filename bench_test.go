@@ -53,3 +53,9 @@ func BenchmarkE12_ListRankConnComp(b *testing.B)            { benchExperiment(b,
 func BenchmarkE13_LevelMachinery(b *testing.B)              { benchExperiment(b, "E13") }
 func BenchmarkE14_NativeFalseSharing(b *testing.B)          { benchExperiment(b, "E14") }
 func BenchmarkE15_SpeedupOptimality(b *testing.B)           { benchExperiment(b, "E15") }
+func BenchmarkE16_PolicyComparison(b *testing.B)            { benchExperiment(b, "E16") }
+func BenchmarkE17_LocalizedAcrossSockets(b *testing.B)      { benchExperiment(b, "E17") }
+func BenchmarkE18_PolicyPBSweep(b *testing.B)               { benchExperiment(b, "E18") }
+func BenchmarkE19_DistancePricedStealing(b *testing.B)      { benchExperiment(b, "E19") }
+func BenchmarkE20_PricedStealBound(b *testing.B)            { benchExperiment(b, "E20") }
+func BenchmarkE21_PlaceLocal(b *testing.B)                  { benchExperiment(b, "E21") }

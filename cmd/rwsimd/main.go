@@ -18,8 +18,8 @@
 //
 // Workers replay recorded op streams: a request's op stream depends only on
 // its workload, size and block size, so the first request for one records
-// the kernel at P = 1 and every later run, at any p, seed, policy, topology
-// or budget, replays it without building inputs. The daemon holds the
+// it by a serial walk of the kernel, and every later run, at any p, seed,
+// policy, topology or budget, replays it without building inputs. The daemon holds the
 // traces in one cache shared by its workers, bounded by a constant 2 MiB
 // (harness.TraceBudget; no flag sets it), evicting the least recently used;
 // a recording past the budget is rejected and its key remembered. conncomp

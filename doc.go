@@ -108,11 +108,12 @@
 //     stolen tasks and their stacks) is recycled through per-engine free
 //     lists fed by slab allocations, and ForkN trees fork leaf *ranges*
 //     instead of per-node closures, so the steady state allocates nothing.
-//   - internal/harness replays race-free kernels: a kernel runs once at
-//     P = 1 under rws.Engine.Record, and every later run of it at that
-//     block size interprets the recorded op stream with rws.Engine.Replay —
-//     the same protocol steps, scheduler and machine, with no strand
-//     coroutines, no kernel code and no simulated values. Traces live in a
+//   - internal/harness replays race-free kernels: rws.Engine.Record walks a
+//     kernel once, serially and depth-first with no scheduler, and every
+//     later run of it at that block size interprets the recorded op
+//     stream with rws.Engine.Replay — the same protocol steps, scheduler
+//     and machine, with no strand coroutines, no kernel code and no
+//     simulated values. Traces live in a
 //     harness.TraceCache: least recently used out, within the constant
 //     2 MiB harness.TraceBudget, which also limits each recording. The
 //     sweep's cache lives for the process, and the full sweep records 31

@@ -39,8 +39,8 @@ var budgetGoldenMachines = []struct {
 // budgetGoldenLines runs the budgeted grid and returns one line per case:
 // its key, Makespan, Steals, FailedSteals, and the SHA-256 of the full
 // Result's %+v, PerProc and StolenKernelSizes included. prefix, fft,
-// sort-col and matmul-la run on coroutines and replay their P = 1
-// recording; conncomp, whose op stream depends on the schedule, only runs.
+// sort-col and matmul-la run on coroutines and replay their recording;
+// conncomp, whose op stream depends on the schedule, only runs.
 func budgetGoldenLines(t *testing.T) []string {
 	kernels := []struct {
 		name   string

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"rwsfs/internal/machine"
 	"rwsfs/internal/rws"
 )
 
@@ -78,11 +77,11 @@ func (c *TraceCache) limit() int64 {
 
 // Trace returns the trace of the kernel with content key key at cfg's block
 // and root stack sizes, or nil when its recording was rejected. On a miss
-// it calls record once with cfg at P = 1 on a flat machine, where no steal
-// can split the stream, and the cache's budget as the limit; callers asking
-// for the key meanwhile wait for that recording. If record panics, the
-// cache forgets the key, so a later call records it again, and the panic
-// goes on to the caller.
+// it calls record once with cfg as it came and the cache's budget as the
+// limit: a recording walks the kernel serially, so no other field of cfg
+// changes it. Callers asking for the key meanwhile wait for that
+// recording. If record panics, the cache forgets the key, so a later call
+// records it again, and the panic goes on to the caller.
 func (c *TraceCache) Trace(key string, cfg rws.Config, record Recorder) (*rws.Trace, TraceChange) {
 	k := traceKey{key, cfg.Machine.B, cfg.RootStackWords}
 	c.mu.Lock()
@@ -116,8 +115,6 @@ func (c *TraceCache) Trace(key string, cfg rws.Config, record Recorder) (*rws.Tr
 			close(ent.done)
 		}
 	}()
-	cfg.Machine.P = 1
-	cfg.Machine.Topology = machine.Topology{}
 	tr, err := record(cfg, c.limit())
 	if err != nil {
 		tr = nil

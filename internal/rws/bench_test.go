@@ -186,6 +186,36 @@ func BenchmarkStealHeavyReplayReuse(b *testing.B) {
 	b.ReportMetric(float64(tr.Bytes()), "trace_B")
 }
 
+// BenchmarkRecordStealHeavy records BenchmarkStealHeavyReplayReuse's
+// kernel through one engine: per op, a Reset, the kernel's 512 words of
+// input and a Record. Not a Reuse benchmark, so the allocs/op gate does
+// not hold it: a recording allocates its trace.
+func BenchmarkRecordStealHeavy(b *testing.B) {
+	cfg := DefaultConfig(1)
+	e := MustNewEngine(cfg)
+	defer e.Close()
+	record := func() {
+		if err := e.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		out := e.Machine().Alloc.Alloc(512)
+		if _, err := e.Record(func(c *Ctx) {
+			c.ForkN(512, func(j int, c *Ctx) {
+				c.Work(5)
+				c.StoreInt(out+mem.Addr(j), int64(j))
+			})
+		}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	record()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		record()
+	}
+}
+
 // BenchmarkBudgetSpentReplayReuse is the shape of the sweep's budgeted
 // experiments (E04's matrix multiply at p = 8 under a small steal budget):
 // a recursion with long leaves, recorded at P = 1 and replayed at P = 8

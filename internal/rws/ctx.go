@@ -7,11 +7,11 @@ import (
 )
 
 // Ctx is the handle algorithm code uses to perform simulated work, memory
-// accesses, stack allocation and forking. A Ctx is bound to one strand; it is
-// only valid within the function the strand is executing. Each method
-// records its op when Engine.Record attached a recorder, then runs the
-// op's protocol step (protocol.go), suspending the strand's coroutine
-// whenever the step stops it.
+// accesses, stack allocation and forking. A Ctx is bound to one strand, or
+// to an Engine.Record walk; it is only valid within the function it was
+// passed to. On a strand, each method runs its op's protocol step
+// (protocol.go), suspending the strand's coroutine whenever the step stops
+// it; in a recording, it records its op and returns.
 //
 // Timing discipline: every word of simulated data an algorithm reads or
 // writes must be covered by a *timed* access (Read/Write/ReadRange/WriteRange
@@ -26,8 +26,7 @@ import (
 type Ctx struct {
 	e *Engine
 	s *strand
-	// rec is the recorder of an Engine.Record run, nil otherwise. Kernel
-	// calls append to it; the fork protocol's own charges do not.
+	// rec is the recorder of an Engine.Record walk; s is nil then.
 	rec *recorder
 }
 
@@ -43,6 +42,7 @@ func (c *Ctx) wait() {
 func (c *Ctx) work(nodes int64, t machine.Tick) {
 	if c.rec != nil {
 		c.rec.work(uint32(nodes), t)
+		return
 	}
 	for c.e.work(c.s, nodes, t) {
 		c.wait()
@@ -54,6 +54,7 @@ func (c *Ctx) work(nodes int64, t machine.Tick) {
 func (c *Ctx) access(a mem.Addr, n int, write bool, work machine.Tick) {
 	if c.rec != nil {
 		c.rec.access(a, n, write, work)
+		return
 	}
 	for c.e.access(c.s, a, n, write, work) {
 		c.wait()
@@ -77,6 +78,7 @@ func (c *Ctx) order() {
 func (c *Ctx) PlaceLocal(a mem.Addr, n int) {
 	if c.rec != nil {
 		c.rec.place(a, n)
+		return
 	}
 	c.order()
 	c.e.mach.PlaceRange(c.s.proc, a, n)
@@ -161,18 +163,18 @@ func (c *Ctx) StoreFloat(a mem.Addr, v float64) {
 // like any other accesses. The addresses become fresh variables for the
 // limited-access write tracker.
 func (c *Ctx) Alloc(words int) exec.Seg {
-	c.order()
-	seg := c.e.alloc(c.s.task, words)
 	if c.rec != nil {
-		c.rec.alloc(seg)
+		return c.rec.alloc(words)
 	}
-	return seg
+	c.order()
+	return c.e.alloc(c.s.task, words)
 }
 
 // Free returns a segment allocated with Alloc.
 func (c *Ctx) Free(seg exec.Seg) {
 	if c.rec != nil {
 		c.rec.free(seg)
+		return
 	}
 	c.order()
 	c.s.task.stack.Free(seg)
@@ -202,7 +204,8 @@ func (c *Ctx) ForkHint(hint int, left, right func(*Ctx)) {
 // fork opens a fork whose right side is right.
 func (c *Ctx) fork(f *frame, hint int, right strandJob) {
 	if c.rec != nil {
-		c.rec.fork(hint)
+		f.seg = c.rec.fork(hint)
+		return
 	}
 	for c.e.fork(c.s, f, hint, right) {
 		c.wait()
@@ -210,21 +213,23 @@ func (c *Ctx) fork(f *frame, hint int, right strandJob) {
 }
 
 // decide takes a fork's join decision and reports whether the caller runs
-// the right side inline.
+// the right side inline, as a recording always does.
 func (c *Ctx) decide(f *frame) bool {
+	if c.rec != nil {
+		c.rec.popIf()
+		return true
+	}
 	for c.e.decide(c.s, f) {
 		c.wait()
-	}
-	if f.inline && c.rec != nil {
-		c.rec.popIf()
 	}
 	return f.inline
 }
 
 // join closes a fork.
 func (c *Ctx) join(f *frame) {
-	if f.inline && c.rec != nil {
-		c.rec.join()
+	if c.rec != nil {
+		c.rec.join(f.seg)
+		return
 	}
 	for c.e.join(c.s, f) {
 		c.wait()

@@ -114,8 +114,8 @@ type Result struct {
 // At runtime exactly one goroutine at a time touches Engine state: the
 // goroutine that called Run (start, drain, collect) or the strand coroutine
 // its driver loop resumed (see the package comment on the protocol).
-// No Engine state is locked; coroutine switches order everything. Replay
-// never leaves the calling goroutine.
+// No Engine state is locked; coroutine switches order everything. Record
+// and Replay never leave the calling goroutine.
 type Engine struct {
 	cfg    Config
 	mach   *machine.Machine
@@ -163,10 +163,9 @@ type Engine struct {
 	// what an engine that never parks spins. Not Result fields either.
 	idleSpun, idleSettled int64
 
-	// rec is attached for the run of Record; trace is the stream a Replay
-	// interprets, with segs its table of kernel segment bases, indexed by
-	// Alloc op. Both are nil on an ordinary coroutine run.
-	rec   *recorder
+	// trace is the stream a Replay interprets, with segs its table of
+	// kernel segment bases, indexed by Alloc op. trace is nil on a
+	// coroutine run.
 	trace *Trace
 	segs  []mem.Addr
 
@@ -359,7 +358,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.finishTime = 0
 	e.taskSeq = 0
 	e.handoffs, e.idleSpun, e.idleSettled = 0, 0, 0
-	e.rec, e.trace = nil, nil
+	e.trace = nil
 	if e.root != nil {
 		e.putTask(e.root)
 		e.root = nil
@@ -628,9 +627,6 @@ func (e *Engine) stealAttempt(p int) {
 	if e.stealBudget != 0 {
 		if n := e.deques[v].size(); n > 0 {
 			sp := e.deques[v].popTop()
-			if e.rec != nil {
-				e.rec.reject("a steal happened during recording")
-			}
 			if e.stealBudget > 0 {
 				e.stealBudget--
 			}
@@ -804,7 +800,7 @@ func (e *Engine) runJobs(st *strand) iter.Seq[struct{}] {
 func (e *Engine) runJob(st *strand) {
 	job := st.job
 	st.job = strandJob{}
-	st.ctx = Ctx{e: e, s: st, rec: e.rec}
+	st.ctx = Ctx{e: e, s: st}
 	c := &st.ctx
 	if job.fn != nil {
 		job.fn(c)

@@ -14,7 +14,7 @@ import (
 // frame is a fork its strand opened and has not joined: the spawn until
 // the join decision, the join cell, the join flag's segment, and whether
 // the right side runs inline. A coroutine strand keeps it on the kernel's
-// stack, a replayed strand in st.frames.
+// stack, a replayed strand in st.frames; a recording uses only seg.
 type frame struct {
 	sp     *spawn
 	jc     *joinCell

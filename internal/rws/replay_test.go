@@ -9,14 +9,11 @@ import (
 	"rwsfs/internal/mem"
 )
 
-// recordAt records workload over words of input at P = 1 on a fresh engine
-// with cfg's block size and stack sizes.
+// recordAt records workload over words of input on a fresh engine under
+// cfg.
 func recordAt(t *testing.T, cfg Config, words int, workload func(*Ctx, mem.Addr)) *Trace {
 	t.Helper()
-	rc := cfg
-	rc.Machine.P = 1
-	rc.Machine.Topology = machine.Topology{}
-	e := MustNewEngine(rc)
+	e := MustNewEngine(cfg)
 	base := e.Machine().Alloc.Alloc(words)
 	tr, err := e.Record(func(c *Ctx) { workload(c, base) }, 0)
 	if err != nil {
@@ -25,12 +22,12 @@ func recordAt(t *testing.T, cfg Config, words int, workload func(*Ctx, mem.Addr)
 	return tr
 }
 
-// TestGoldenReplay records every golden and policy golden at P = 1,
-// replays it under the golden's Config, and requires the pinned values, a
-// Result equal to RunLean's, and the same number of strand handoffs and of
-// idle steps spun and settled: the coroutine run and the replay drive the
-// same protocol steps, so they must stop at the same points and park the
-// same processors, which Result equality cannot see.
+// TestGoldenReplay records every golden and policy golden under its
+// Config, replays it under the same Config, and requires the pinned
+// values, a Result equal to RunLean's, and the same number of strand
+// handoffs and of idle steps spun and settled: the coroutine run and the
+// replay drive the same protocol steps, so they must stop at the same
+// points and park the same processors, which Result equality cannot see.
 func TestGoldenReplay(t *testing.T) {
 	for _, g := range append(goldenCases(), policyGoldenCases()...) {
 		g := g
@@ -81,44 +78,49 @@ func TestReplayLockstep(t *testing.T) {
 }
 
 // TestRecordRejects covers each way a recording can fail: a kernel whose
-// stack addresses cannot be expressed as segment offsets, one that touches
-// memory allocated after the run began, and a steal that splits the
-// stream. Each must fail with
-// ErrNotReplayable and no trace.
+// stack addresses cannot be expressed as segment offsets, and one that
+// touches memory allocated after the run began. Each must fail with
+// ErrNotReplayable and no trace, and stop the kernel at the offending
+// call: the flag the kernel sets after it stays unset.
 func TestRecordRejects(t *testing.T) {
 	cases := []struct {
 		name   string
-		p      int
-		kernel func(e *Engine) func(*Ctx)
+		kernel func(e *Engine, after *bool) func(*Ctx)
 	}{
-		{"stack word past its segment", 1, func(*Engine) func(*Ctx) {
+		{"stack word past its segment", func(_ *Engine, after *bool) func(*Ctx) {
 			return func(c *Ctx) {
 				seg := c.Alloc(4)
 				c.Write(seg.Base + 4)
+				*after = true
 				c.Free(seg)
 			}
 		}},
-		{"stack word of a freed segment", 1, func(*Engine) func(*Ctx) {
+		{"stack word of a freed segment", func(_ *Engine, after *bool) func(*Ctx) {
 			return func(c *Ctx) {
 				seg := c.Alloc(4)
 				c.Free(seg)
 				c.Read(seg.Base)
+				*after = true
 			}
 		}},
-		{"memory allocated during the run", 1, func(e *Engine) func(*Ctx) {
-			return func(c *Ctx) { c.Read(e.Machine().Alloc.Alloc(8)) }
-		}},
-		{"a steal", 2, func(*Engine) func(*Ctx) {
-			return func(c *Ctx) { c.ForkN(16, func(_ int, c *Ctx) { c.Work(50) }) }
+		{"memory allocated during the run", func(e *Engine, after *bool) func(*Ctx) {
+			return func(c *Ctx) {
+				c.Read(e.Machine().Alloc.Alloc(8))
+				*after = true
+			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := MustNewEngine(DefaultConfig(tc.p))
+			e := MustNewEngine(DefaultConfig(1))
 			e.Machine().Alloc.Alloc(64) // inputs below the mark are fine
-			tr, err := e.Record(tc.kernel(e), 0)
+			after := false
+			tr, err := e.Record(tc.kernel(e, &after), 0)
 			if !errors.Is(err, ErrNotReplayable) || tr != nil {
 				t.Fatalf("Record = %v, %v; want no trace and ErrNotReplayable", tr, err)
+			}
+			if after {
+				t.Fatal("the kernel ran on past the call that rejected its recording")
 			}
 			t.Log(err)
 		})
@@ -126,19 +128,23 @@ func TestRecordRejects(t *testing.T) {
 }
 
 // TestRecordLimit holds a recording to its byte limit: a limit the trace
-// fits accepts it, one a chunk short rejects it with ErrTraceLimit and no
-// trace, and a rejected recording still leaves the engine ready for Reset.
+// fits accepts it; one a chunk short rejects it with ErrTraceLimit and no
+// trace, and stops the kernel before its loop ends; and a rejected
+// recording still leaves the engine ready for Reset.
 func TestRecordLimit(t *testing.T) {
 	const words = 1 << 10
+	iters := 0
 	kernel := func(base mem.Addr) func(*Ctx) {
 		return func(c *Ctx) {
 			for i := 0; i < 3*chunkLen; i++ { // a work op and an access op each
+				iters++
 				c.Work(1)
 				c.Read(base + mem.Addr(i*37%words))
 			}
 		}
 	}
 	record := func(limit int64) (*Trace, error) {
+		iters = 0
 		e := MustNewEngine(DefaultConfig(1))
 		defer e.Close()
 		tr, err := e.Record(kernel(e.Machine().Alloc.Alloc(words)), limit)
@@ -161,7 +167,92 @@ func TestRecordLimit(t *testing.T) {
 	if !errors.Is(err, ErrTraceLimit) || tr != nil {
 		t.Fatalf("Record a byte short = %v, %v; want no trace and ErrTraceLimit", tr, err)
 	}
+	if iters >= 3*chunkLen {
+		t.Fatalf("the kernel ran all %d iterations after its recording was rejected", iters)
+	}
 	t.Log(err)
+}
+
+// TestRecordKernelPanic checks that a kernel's own panic, raised inside a
+// fork, leaves Record with the kernel's own value.
+func TestRecordKernelPanic(t *testing.T) {
+	e := MustNewEngine(DefaultConfig(1))
+	base := e.Machine().Alloc.Alloc(8)
+	defer func() {
+		if pv := recover(); pv != "boom" {
+			t.Fatalf("Record panicked with %v, want the kernel's own value", pv)
+		}
+	}()
+	e.Record(func(c *Ctx) {
+		c.Fork(func(c *Ctx) { c.Read(base) }, func(c *Ctx) { panic("boom") })
+	}, 0)
+	t.Fatal("Record returned after its kernel panicked")
+}
+
+// TestRecordIgnoresSchedule records one fork-heavy kernel on engines that
+// would steal and park in a run: P in {1, 8, 70}, flat and two sockets
+// with priced steals, every policy, unlimited and spent budgets. A
+// recording walks the kernel serially, so each trace must equal the P = 1
+// trace op for op, and the engine must start no strand and make no
+// handoff.
+func TestRecordIgnoresSchedule(t *testing.T) {
+	const words = 256
+	workload := func(c *Ctx, base mem.Addr) {
+		var rec func(c *Ctx, lo, hi int)
+		rec = func(c *Ctx, lo, hi int) {
+			seg := c.Alloc(2)
+			c.Write(seg.Base)
+			if hi-lo <= 8 {
+				c.ForkN(hi-lo, func(j int, c *Ctx) {
+					i := lo + j
+					c.Work(machine.Tick(1 + i%7))
+					c.StoreInt(base+mem.Addr(i), int64(i))
+				})
+			} else {
+				mid := (lo + hi) / 2
+				c.PlaceLocal(seg.Base, 2)
+				c.ForkHint(64, func(c *Ctx) { rec(c, lo, mid) }, func(c *Ctx) { rec(c, mid, hi) })
+			}
+			c.Read(seg.Base + 1)
+			c.Free(seg)
+		}
+		rec(c, 0, words)
+	}
+	want := recordAt(t, DefaultConfig(1), words, workload)
+	n := 0
+	for _, p := range []int{1, 8, 70} {
+		for _, sockets := range []int{0, 2} {
+			if sockets > p {
+				continue
+			}
+			for _, pol := range Policies() {
+				for _, budget := range []int64{-1, 0} {
+					cfg := DefaultConfig(p)
+					if sockets > 0 {
+						cfg.Machine.Topology = machine.Topology{Sockets: sockets,
+							CostMissRemote: 4 * cfg.Machine.CostMiss, CostSteal: 5, CostStealRemote: 25}
+					}
+					cfg.Policy, cfg.StealBudget = pol, budget
+					e := MustNewEngine(cfg)
+					base := e.Machine().Alloc.Alloc(words)
+					got, err := e.Record(func(c *Ctx) { workload(c, base) }, 0)
+					if err != nil {
+						t.Fatalf("p=%d sockets=%d %s budget %d: Record: %v", p, sockets, pol.Name(), budget, err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("p=%d sockets=%d %s budget %d: trace of %d ops differs from the P = 1 trace of %d",
+							p, sockets, pol.Name(), budget, got.Len(), want.Len())
+					}
+					if len(e.allStrands) != 0 || e.handoffs != 0 {
+						t.Fatalf("p=%d sockets=%d %s budget %d: recording started %d strands and made %d handoffs",
+							p, sockets, pol.Name(), budget, len(e.allStrands), e.handoffs)
+					}
+					n++
+				}
+			}
+		}
+	}
+	t.Logf("%d recordings, %d ops each", n, want.Len())
 }
 
 // TestReplayAndRunShareStrands passes one engine's strand pool between the

@@ -49,8 +49,8 @@ func fuzzByte(ops []byte, i int) byte {
 // distance-dependent miss and steal costs, a steal budget and the workload
 // shape. Each decoded configuration runs four ways — run-ahead fast path,
 // DisableFastPath lockstep, an engine that never parks idle processors
-// (spinningEngine), and a replay of the workload's P = 1 recording — and
-// must produce bit-for-bit equal Results,
+// (spinningEngine), and a replay of the workload's recording made under
+// the same configuration — and must produce bit-for-bit equal Results,
 // legal victims only (never the thief), steals within the budget, and exact
 // steal-cost conservation. Seed corpus lives in
 // testdata/fuzz/FuzzStealPolicy; CI runs a short -fuzz pass on top of it.

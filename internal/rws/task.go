@@ -43,13 +43,13 @@
 // stops, keeping in the strand's phase where it resumes.
 //
 // Two op sources feed the steps. A coroutine strand (iter.Pull) runs
-// kernel code: each Ctx method records its op when Engine.Record attached
-// a recorder, then calls its step, yielding to the driver whenever the
-// step stops — two coroutine switches per strand interleaving, none for
-// anything else. A replayed strand is a cursor over a recorded Trace: an
-// op index and the forks opened and not yet joined. It needs no
-// coroutine, no kernel code and no simulated values. The root's finish
-// leaves no next strand, so the driver returns, and the engine drains.
+// kernel code: each Ctx method calls its step, yielding to the driver
+// whenever the step stops — two coroutine switches per strand
+// interleaving, none for anything else. A replayed strand is a cursor over
+// a recorded Trace: an op index and the forks opened and not yet joined.
+// It needs no coroutine, no kernel code and no simulated values. The
+// root's finish leaves no next strand, so the driver returns, and the
+// engine drains.
 //
 // The sequence of simulated actions, and therefore every metric and the RNG
 // consumption order, is identical to a lockstep one-request-per-handoff
@@ -73,12 +73,13 @@
 //
 // Everything the engine takes from a kernel is its op stream: Work and
 // Node charges, timed accesses, Alloc and Free, PlaceLocal, and the shape
-// of its forks and joins. Engine.Record runs a kernel once and keeps that
-// stream in a Trace: twelve-byte ops in fixed-size chunks, with runs of
-// Work and Node merged and runs of same-shaped single-word accesses at a
-// constant stride stored as one op. Engine.Replay interprets a trace under
-// any Config and returns the Result Run would, bit for bit, with the same
-// handoffs. Stack addresses are recorded as (segment, offset) pairs,
+// of its forks and joins. Engine.Record walks a kernel once, serially and
+// depth-first with no scheduler, as a P = 1 run executes it, and keeps
+// that stream in a Trace: twelve-byte ops in fixed-size chunks, with runs
+// of Work and Node merged and runs of same-shaped single-word accesses at
+// a constant stride stored as one op. Engine.Replay interprets a trace
+// under any Config and returns the Result Run would, bit for bit, with the
+// same handoffs. Stack addresses are recorded as (segment, offset) pairs,
 // because a stolen task's stack lands wherever the schedule puts it;
 // replay resolves them through a per-run table of segment bases.
 //
@@ -91,12 +92,12 @@
 // not: a leaf may read a label another leaf is rewriting, and the labels
 // steer later addresses and the number of rounds. Record cannot see value
 // races, so callers keep such kernels on coroutines. It rejects what it can
-// see: stack accesses outside the kernel's live segments, accesses to
-// memory allocated after the run began, and steals during the recording.
-// Its byte limit rejects a trace that would outgrow it, so a caller that
-// caches traces under a budget never holds a larger one: internal/harness
-// records each trace once into a TraceCache of 2 MiB, and both the
-// experiment sweeps and every rwsimd server replay from one.
+// see: stack accesses outside the kernel's live segments and accesses to
+// memory allocated after the run began. Its byte limit rejects a trace that
+// would outgrow it, so a caller that caches traces under a budget never
+// holds a larger one: internal/harness records each trace once into a
+// TraceCache of 2 MiB, and both the experiment sweeps and every rwsimd
+// server replay from one. The first rejection stops the kernel at once.
 //
 // # Pooling lifecycle
 //

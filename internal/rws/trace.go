@@ -90,45 +90,56 @@ var ErrNotReplayable = errors.New("rws: kernel is not replayable")
 // the recording's byte limit.
 var ErrTraceLimit = errors.New("rws: trace exceeds its size limit")
 
-// Record runs root like Run, with a recorder attached to every Ctx, and
-// returns the kernel's op stream. The engine must be ready to run, with the
-// kernel's inputs allocated: Replay places the root stack where this run
-// put it, just past the inputs. Run it at P = 1 so no steal splits the
-// stream. Record returns an error wrapping ErrNotReplayable, and no trace,
-// when the kernel
+// Record walks root serially, depth-first on the calling goroutine, and
+// returns the kernel's op stream. The engine must be ready to run, with
+// the kernel's inputs allocated: Replay places the root stack where the
+// walk put it, just past the inputs. Each Ctx method records its op and
+// returns; a fork runs its left side, then its right side inline, and
+// allocates and frees its join flag on the root stack where the fork and
+// join steps do. No scheduler takes part, so the stream, segment addresses
+// included, is a P = 1 run's under any Config. Record returns an error
+// wrapping ErrNotReplayable, and no trace, when the kernel
 //
 //   - touches a root-stack word outside every live segment it allocated;
 //   - accesses memory at or past the pre-run allocation mark outside the
-//     root stack;
+//     root stack.
 //
-// or when a steal happens during the recording. When limit is positive, no
-// trace outgrows it: Record returns an error wrapping ErrTraceLimit, and no
-// trace, once the next chunk of ops would take Bytes past limit, and frees
-// the chunks it had. Either way the run itself completes, on the kernel's
-// own code, and the engine needs a Reset before its next run.
-func (e *Engine) Record(root func(*Ctx), limit int64) (*Trace, error) {
+// When limit is positive, no trace outgrows it: Record returns an error
+// wrapping ErrTraceLimit, and no trace, once the next chunk of ops would
+// take Bytes past limit. A rejection unwinds the kernel at once; a panic
+// of the kernel's own reaches the caller as it is. Either way the engine
+// needs a Reset before its next run.
+func (e *Engine) Record(root func(*Ctx), limit int64) (tr *Trace, err error) {
+	e.checkFresh("Record")
 	mark := e.mach.Alloc.Mark()
-	r := &recorder{e: e, mark: mark, limit: limit, tr: &Trace{
+	e.root = e.newTask(e.cfg.RootStackWords, false)
+	r := &recorder{stack: e.root.stack, mark: mark, limit: limit, tr: &Trace{
 		mark: mark, rootStackWords: e.cfg.RootStackWords, b: e.mach.B,
 	}}
+	defer func() {
+		if r.err != nil {
+			if pv := recover(); pv != nil && pv != errRecordStopped {
+				panic(pv)
+			}
+			tr, err = nil, r.err
+		}
+	}()
 	if mark > math.MaxUint32 {
-		r.reject("the inputs end past word 2^32")
+		r.reject(ErrNotReplayable, "the inputs end past word 2^32")
 	}
-	e.rec = r
-	defer func() { e.rec = nil }()
-	e.run(root, false)
-	if r.err != nil {
-		return nil, r.err
-	}
+	root(&Ctx{e: e, rec: r})
 	return r.tr, nil
 }
 
-// recorder builds a Trace from the Ctx calls of a Record run. Its first
-// rejection sticks and stops the recording; the run itself completes.
+// errRecordStopped unwinds a kernel whose recording was rejected.
+var errRecordStopped = errors.New("rws: recording stopped")
+
+// recorder builds a Trace from the Ctx calls of a Record walk. Its first
+// rejection stops the walk.
 type recorder struct {
-	e     *Engine
 	tr    *Trace
 	err   error
+	stack *exec.Stack // the root stack the walk allocates on
 	mark  mem.Addr
 	limit int64 // the trace's byte limit; none when not positive
 	// forks holds, per open fork, the index of its fork op, replaced by
@@ -144,19 +155,18 @@ type liveSeg struct {
 	id    uint32
 }
 
-func (r *recorder) reject(why string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrNotReplayable, why)
-	}
+// reject ends the recording with an error wrapping kind and unwinds the
+// kernel back to Record.
+func (r *recorder) reject(kind error, why string) {
+	r.err = fmt.Errorf("%w: %s", kind, why)
+	panic(errRecordStopped)
 }
 
 func (r *recorder) push(o op) {
 	t := r.tr
 	if t.n&(chunkLen-1) == 0 {
 		if r.limit > 0 && t.Bytes()+chunkBytes > r.limit {
-			r.err = fmt.Errorf("%w: more than %d bytes", ErrTraceLimit, r.limit)
-			t.chunks = nil
-			return
+			r.reject(ErrTraceLimit, fmt.Sprintf("more than %d bytes", r.limit))
 		}
 		t.chunks = append(t.chunks, make([]op, chunkLen))
 	}
@@ -176,9 +186,6 @@ func (r *recorder) last() *op {
 // previous op when that is a work op too: pure work charges only defer the
 // heap check, so a run of them replays as one.
 func (r *recorder) work(nodes uint32, t machine.Tick) {
-	if r.err != nil {
-		return
-	}
 	if l := r.last(); l != nil && l.code() == opWork && l.count()+nodes <= maxCount {
 		w := (uint64(l.x) | uint64(l.y)<<32) + uint64(t)
 		l.k += nodes << 8
@@ -191,12 +198,8 @@ func (r *recorder) work(nodes uint32, t machine.Tick) {
 // access records one timed kernel access. A single-word access at a
 // constant stride from a run of same-shaped ones extends that run.
 func (r *recorder) access(a mem.Addr, n int, write bool, work machine.Tick) {
-	if r.err != nil {
-		return
-	}
 	if n > maxCount {
-		r.reject(fmt.Sprintf("an access spans %d words", n))
-		return
+		r.reject(ErrNotReplayable, fmt.Sprintf("an access spans %d words", n))
 	}
 	flags := uint32(0)
 	if write {
@@ -205,10 +208,7 @@ func (r *recorder) access(a mem.Addr, n int, write bool, work machine.Tick) {
 	if work != 0 {
 		flags |= opLoad
 	}
-	x, y, stack, ok := r.addr(a, n)
-	if !ok {
-		return
-	}
+	x, y, stack := r.addr(a, n)
 	if stack {
 		flags |= opStack
 	}
@@ -239,28 +239,24 @@ func (r *recorder) access(a mem.Addr, n int, write bool, work machine.Tick) {
 // absolute input address, or an offset into a live kernel segment of the
 // root stack. Anything else has a schedule-dependent address, so it
 // rejects the recording.
-func (r *recorder) addr(a mem.Addr, n int) (x, y uint32, stack, ok bool) {
+func (r *recorder) addr(a mem.Addr, n int) (x, y uint32, stack bool) {
 	end := a + mem.Addr(n)
 	if end <= r.mark {
-		return uint32(a), 0, false, true
+		return uint32(a), 0, false
 	}
-	st := r.e.root.stack
-	if a < st.Base() || end > st.Base()+mem.Addr(st.Words()) {
-		r.reject("the kernel accesses memory at or past the pre-run allocation mark outside the root stack")
-		return 0, 0, false, false
+	if a < r.stack.Base() || end > r.stack.Base()+mem.Addr(r.stack.Words()) {
+		r.reject(ErrNotReplayable, "the kernel accesses memory at or past the pre-run allocation mark outside the root stack")
 	}
 	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].base > a }) - 1
 	if i < 0 || end > r.live[i].base+mem.Addr(r.live[i].words) {
-		r.reject("the kernel touches a root-stack word outside every live segment")
-		return 0, 0, false, false
+		r.reject(ErrNotReplayable, "the kernel touches a root-stack word outside every live segment")
 	}
-	return r.live[i].id, uint32(a - r.live[i].base), true, true
+	return r.live[i].id, uint32(a - r.live[i].base), true
 }
 
-func (r *recorder) alloc(seg exec.Seg) {
-	if r.err != nil {
-		return
-	}
+// alloc allocates a kernel segment of words on the root stack.
+func (r *recorder) alloc(words int) exec.Seg {
+	seg := r.stack.Alloc(words)
 	id := uint32(r.tr.segs)
 	r.tr.segs++
 	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].base > seg.Base })
@@ -268,39 +264,30 @@ func (r *recorder) alloc(seg exec.Seg) {
 	copy(r.live[i+1:], r.live[i:])
 	r.live[i] = liveSeg{base: seg.Base, words: seg.Words, id: id}
 	r.push(op{k: opAlloc, x: uint32(seg.Words), y: id})
+	return seg
 }
 
 func (r *recorder) free(seg exec.Seg) {
-	if r.err != nil {
-		return
-	}
 	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].base >= seg.Base })
 	if i == len(r.live) || r.live[i].base != seg.Base || r.live[i].words != seg.Words {
-		r.reject("the kernel frees a segment it did not allocate")
-		return
+		r.reject(ErrNotReplayable, "the kernel frees a segment it did not allocate")
 	}
 	id := r.live[i].id
 	r.live = append(r.live[:i], r.live[i+1:]...)
 	r.push(op{k: opFree, x: id, y: uint32(seg.Words)})
+	r.stack.Free(seg)
 }
 
 func (r *recorder) place(a mem.Addr, n int) {
-	if r.err != nil {
-		return
-	}
 	if n <= 0 {
 		// Still a synced operation, though it places nothing.
 		r.push(op{k: opPlace})
 		return
 	}
 	if n > maxCount {
-		r.reject(fmt.Sprintf("a placement spans %d words", n))
-		return
+		r.reject(ErrNotReplayable, fmt.Sprintf("a placement spans %d words", n))
 	}
-	x, y, stack, ok := r.addr(a, n)
-	if !ok {
-		return
-	}
+	x, y, stack := r.addr(a, n)
 	k := opPlace | uint32(n)<<8
 	if stack {
 		k |= opStack
@@ -308,34 +295,32 @@ func (r *recorder) place(a mem.Addr, n int) {
 	r.push(op{k: k, x: x, y: y})
 }
 
-func (r *recorder) fork(hint int) {
-	if r.err != nil {
-		return
-	}
+// fork records a fork and allocates its join flag, as the engine's fork
+// step does, and returns the flag's segment.
+func (r *recorder) fork(hint int) exec.Seg {
 	if int64(hint) > math.MaxUint32 {
-		r.reject(fmt.Sprintf("a fork's stack hint is %d words", hint))
-		return
+		r.reject(ErrNotReplayable, fmt.Sprintf("a fork's stack hint is %d words", hint))
 	}
 	r.forks = append(r.forks, r.tr.n)
 	r.push(op{k: opFork, x: uint32(max(hint, 0))})
+	return r.stack.Alloc(1)
 }
 
+// popIf records the join decision; a serial walk always runs the right
+// side inline.
 func (r *recorder) popIf() {
-	if r.err != nil {
-		return
-	}
 	top := len(r.forks) - 1
 	r.tr.at(r.forks[top]).y = uint32(r.tr.n)
 	r.forks[top] = r.tr.n
 	r.push(op{k: opPopIf})
 }
 
-func (r *recorder) join() {
-	if r.err != nil {
-		return
-	}
+// join records a fork's join and frees its join flag, as the engine's
+// join step does.
+func (r *recorder) join(flag exec.Seg) {
 	top := len(r.forks) - 1
 	r.tr.at(r.forks[top]).x = uint32(r.tr.n)
 	r.forks = r.forks[:top]
 	r.push(op{k: opJoin})
+	r.stack.Free(flag)
 }

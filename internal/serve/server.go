@@ -20,8 +20,9 @@
 //     (rws.Engine.Replay) instead of building its inputs and running its
 //     code. The server owns one harness.TraceCache, shared by its workers
 //     and bounded by the constant harness.TraceBudget (2 MiB): a miss
-//     records the kernel once, at P = 1 through the worker's own pool; a
-//     recording past the budget is rejected and its key remembered; and
+//     records the kernel once, by a serial walk on an engine from the
+//     worker's own pool; a recording past the budget stops there, is
+//     rejected and its key remembered; and
 //     conncomp, whose op stream depends on the schedule, and rejected keys
 //     run on coroutines. Results are bit-identical either way. /statz
 //     counts recordings, rejected recordings, replays, trace evictions and

@@ -220,12 +220,15 @@ func (wl *workload) maker() harness.Maker {
 
 // runOne performs a single simulated run on a pooled engine, recovering
 // panics. A keyed workload replays its trace from the server's cache,
-// recording it first on a miss; conncomp, and a key whose recording was
-// rejected, run the kernel on coroutines. An injected panic fires inside
-// the recording when this run records, and before the run otherwise. A
-// panicking run quarantines its engine, the recording's included: the
-// engine is closed and never recycled, so the pool replaces it with a
-// fresh build on the next checkout.
+// recording it first on a miss: a serial walk of the kernel under the
+// request's Config, which stops at its first rejection. conncomp, and a
+// key whose recording was rejected, run the kernel on coroutines. A
+// kernel's panic while recording reaches the recover here with its own
+// value. An injected panic fires inside the recording when this run
+// records, and before the run otherwise. A panicking run quarantines its
+// engine, the recording's included: the engine is closed and never
+// recycled, so the pool replaces it with a fresh build on the next
+// checkout.
 func (w *worker) runOne(wl *workload, cfg rws.Config, injectPanic bool) (sum RunSummary, err error) {
 	var e *rws.Engine
 	defer func() {
