@@ -19,14 +19,15 @@
 // Workers replay recorded op streams: a request's op stream depends only on
 // its workload, size and block size, so the first request for one records
 // it by a serial walk of the kernel, and every later run, at any p, seed,
-// policy, topology or budget, replays it without building inputs. The daemon holds the
-// traces in one cache shared by its workers, bounded by a constant 2 MiB
-// (harness.TraceBudget; no flag sets it), evicting the least recently used;
-// a recording past the budget is rejected and its key remembered. conncomp
-// and rejected keys run the kernel on coroutines, with bit-identical
-// results. /statz counts recordings, recordings_rejected, replays and
-// trace_evictions, with a trace_bytes gauge; these are op traces, not the
-// attempt timelines below.
+// policy, topology or budget, replays it without building inputs. Every
+// run goes through harness.TraceCache.Run, the function that runs the
+// experiment sweeps too. The daemon holds the traces in one cache shared
+// by its workers, bounded by a constant 2 MiB (harness.TraceBudget; no
+// flag sets it), evicting the least recently used; a recording past the
+// budget is rejected and its key remembered. conncomp and rejected keys
+// run the kernel on coroutines, with bit-identical results. /statz counts
+// recordings, recordings_rejected, replays and trace_evictions, with a
+// trace_bytes gauge; these are op traces, not the attempt timelines below.
 //
 // Any /simulate request may set "trace": true to get its attempt timeline —
 // queued, dispatched, per-attempt panics and backoffs, cache/dedup
@@ -74,8 +75,9 @@
 //
 // The -inject-* flags wire a serve.FaultInjector for chaos drills: they
 // deterministically pick requests (by canonical key) whose first attempt is
-// delayed, panicked, or stalled, exercising the retry, quarantine and
-// deadline paths against real traffic shapes.
+// delayed, panicked (its first run is a kernel that panics on a pooled
+// engine), or stalled, exercising the retry, quarantine and deadline paths
+// against real traffic shapes.
 package main
 
 import (

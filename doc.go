@@ -113,13 +113,15 @@
 //     later run of it at that block size interprets the recorded op
 //     stream with rws.Engine.Replay — the same protocol steps, scheduler
 //     and machine, with no strand coroutines, no kernel code and no
-//     simulated values. Traces live in a
-//     harness.TraceCache: least recently used out, within the constant
-//     2 MiB harness.TraceBudget, which also limits each recording. The
-//     sweep's cache lives for the process, and the full sweep records 31
-//     traces for its 312 replayed runs; each rwsimd server owns one,
-//     shared by its workers. conncomp, whose jump step is a determinacy
-//     race, is the only sweep kernel left on coroutines.
+//     simulated values. One function, harness.TraceCache.Run, decides
+//     for the sweep and for rwsimd whether a run replays or runs on
+//     coroutines, and closes an engine whose run panicked. Its cache keeps
+//     traces least recently used out, within the constant 2 MiB
+//     harness.TraceBudget, which also limits each recording. The sweep's
+//     cache lives for the process, and the full sweep records 31 traces
+//     for its 312 replayed runs; each rwsimd server owns one, shared by
+//     its workers. conncomp, whose jump step is a determinacy race, is the
+//     only sweep kernel left on coroutines.
 //   - internal/harness runs every experiment's grid one way: the
 //     experiment lists its points (a kernel and an rws.Config), and one
 //     helper runs each point once per seed, fanning the whole grid out
@@ -176,13 +178,15 @@
 //   - admission is a token bucket (-rate/-burst → typed 429s) in front of a
 //     bounded work queue (-queue → typed 503s), so overload degrades into
 //     fast, typed rejections;
-//   - workers replay each request's recorded op stream from the server's
-//     trace cache, recording it on the first request for its (workload,
-//     size, block size); conncomp and recordings past the budget run on
-//     coroutines, with bit-identical results;
+//   - workers replay each request's recorded op stream through the
+//     server's trace cache (harness.TraceCache.Run, as the sweep does),
+//     recording it on the first request for its (workload, size, block
+//     size); conncomp and recordings past the budget run on coroutines,
+//     with bit-identical results;
 //   - per-request deadlines (deadline_ms, -deadline) cancel at simulator run
-//     boundaries via context; a panicking run quarantines its engine and is
-//     retried with backoff on a replacement (-attempts/-backoff);
+//     boundaries via context; a panicking run's engine is closed (a
+//     quarantine) and the attempt is retried with backoff on a replacement
+//     (-attempts/-backoff);
 //   - SIGTERM/SIGINT drains gracefully: admission stops with typed 503s,
 //     in-flight requests complete (bounded by -drain-grace), final stats
 //     flush to the log;

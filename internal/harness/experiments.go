@@ -325,7 +325,7 @@ func E08(s Scale) Table {
 
 	type caseRow struct {
 		name  string
-		mk    kernel
+		mk    Kernel
 		hPred float64
 	}
 	lg := func(x int) float64 { return math.Log2(math.Max(float64(x), 2)) }
@@ -431,7 +431,7 @@ func E10(s Scale) Table {
 	}
 	type algRow struct {
 		name string
-		mk   kernel
+		mk   Kernel
 		n    int
 	}
 	algs := []algRow{
@@ -487,7 +487,7 @@ func E11(s Scale) Table {
 	}
 	algs := []struct {
 		name string
-		mk   kernel
+		mk   Kernel
 	}{
 		{"mergesort", sortKernel(sorthbp.Mergesort, n)},
 		{"columnsort", sortKernel(sorthbp.Columnsort, n)},
@@ -537,7 +537,7 @@ func E12(s Scale) Table {
 	base := rws.DefaultConfig(8)
 	algs := []struct {
 		name string
-		mk   kernel
+		mk   Kernel
 	}{
 		{"listrank", listRankKernel(n)},
 		{"conncomp", connCompKernel(n, 2*n)},

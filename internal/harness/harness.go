@@ -352,13 +352,13 @@ var seeds = []int64{1, 2, 3}
 // point is one point of an experiment's grid: a kernel and the Config it
 // runs under. The sweep sets the Config's seed.
 type point struct {
-	k   kernel
+	k   Kernel
 	cfg rws.Config
 }
 
 // at is the point that runs k on base with p processors and the given steal
 // budget.
-func at(k kernel, base rws.Config, p int, budget int64) point {
+func at(k Kernel, base rws.Config, p int, budget int64) point {
 	base.Machine.P = p
 	base.StealBudget = budget
 	return point{k, base}
@@ -421,47 +421,25 @@ func fmtI(v int64) string { return fmt.Sprintf("%d", v) }
 
 // seqBaseline runs the same computation at p=1 (no steals possible) to
 // obtain the sequential W and Q the theorems compare against.
-func seqBaseline(k kernel, base rws.Config) rws.Result {
+func seqBaseline(k Kernel, base rws.Config) rws.Result {
 	cfg := base
 	cfg.Machine.P = 1
 	return poolRun(k, cfg)
 }
 
-// poolRun performs one run on a pooled engine and returns the engine for
-// the next run; every run of an experiment goes through it, by sweep or
-// seqBaseline. A kernel with a content key replays its trace from the
-// sweep's TraceCache, recorded on first use: one recording serves every
-// processor count, seed, policy, topology and budget a sweep visits at one
-// block size. A kernel without a key, or whose recording was rejected, runs
-// on coroutines: build (or Reset) through the maker and run lean — the
-// sweeps aggregate totals, so the per-processor counters snapshot is
-// skipped rather than allocated per run. Either way the Result is fully
-// materialized before the engine goes back, so recycling cannot clobber it.
-func poolRun(k kernel, cfg rws.Config) rws.Result {
-	if k.key != "" {
-		if tr, _ := traces.Trace(k.key, cfg, k.recorder(&enginePool)); tr != nil {
-			e := enginePool.Engine(cfg)
-			res := e.Replay(tr)
-			enginePool.Recycle(e)
-			return res
-		}
+// poolRun performs one run on a pooled engine through the sweeps' trace
+// cache (see TraceCache.Run); every run of an experiment goes through it,
+// by sweep or seqBaseline. One recording serves every processor count,
+// seed, policy, topology and budget a sweep visits at one block size. A
+// run that panics stops the sweep with the panic's error.
+func poolRun(k Kernel, cfg rws.Config) rws.Result {
+	res, _, err := traces.Run(&enginePool, k, cfg)
+	if err != nil {
+		panic(err)
 	}
-	e, root := k.mk(&enginePool, cfg)
-	res := e.RunLean(root)
-	enginePool.Recycle(e)
 	return res
 }
 
 // traces is the sweeps' trace cache. It lives for the process, so a trace
 // recorded by one experiment serves the next while the budget holds it.
 var traces TraceCache
-
-// recorder records k through pool: the Recorder of a TraceCache miss.
-func (k kernel) recorder(pool *Runner) Recorder {
-	return func(cfg rws.Config, limit int64) (*rws.Trace, error) {
-		e, root := k.mk(pool, cfg)
-		tr, err := e.Record(root, limit)
-		pool.Recycle(e)
-		return tr, err
-	}
-}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,8 +60,7 @@ func TestReplayMatchesRun(t *testing.T) {
 		if name == "conncomp" {
 			continue // see TestConnCompReplayDiverges
 		}
-		mk, _ := WorkloadMaker(name, replaySizes[name])
-		k := kernel{key: fmt.Sprintf("%s/n=%d", name, replaySizes[name]), mk: mk}
+		k, _ := Workload(name, replaySizes[name])
 		for _, b := range []int{8, 16, 32} {
 			base := rws.DefaultConfig(1)
 			base.Machine.B = b
@@ -75,7 +73,7 @@ func TestReplayMatchesRun(t *testing.T) {
 			}
 			for i := 0; i < 2*len(pols); i++ {
 				cfg := randomReplayConfig(rng, b, pols[i%len(pols)])
-				e, root := k.mk(&pool, cfg)
+				e, root := k.Make(&pool, cfg)
 				want := e.RunLean(root)
 				pool.Recycle(e)
 				e = pool.Engine(cfg)
@@ -125,43 +123,52 @@ func TestConnCompReplayDiverges(t *testing.T) {
 }
 
 // TestSweepRecordsOncePerKernel checks the sweep's use of the trace cache:
-// runs of one kernel at one block size share one recording, a block size
-// change records again, and a kernel without a key never records.
+// runs of one kernel at one block size share one recording and replay it,
+// a block size change records again, and a kernel without a key never
+// records or replays.
 func TestSweepRecordsOncePerKernel(t *testing.T) {
 	var c TraceCache
-	rec := func(k kernel, cfg rws.Config) (*rws.Trace, TraceChange) {
-		return c.Trace(k.key, cfg, k.recorder(&enginePool))
+	run := func(k Kernel, cfg rws.Config) TraceChange {
+		t.Helper()
+		_, ch, err := c.Run(&enginePool, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
 	}
 	base := rws.DefaultConfig(4)
 	k := prefixKernel(256, prefix.Config{Chunk: 4})
-	first, ch := rec(k, base)
-	if first == nil || !ch.Recorded {
-		t.Fatalf("prefix recording rejected: %+v", ch)
+	if ch := run(k, base); !ch.Recorded || ch.Rejected || !ch.Replayed {
+		t.Fatalf("prefix recording rejected or not replayed: %+v", ch)
 	}
 	for p := 1; p <= 8; p++ {
 		cfg := base
 		cfg.Machine.P = p
-		if tr, ch := rec(k, cfg); tr != first || ch.Recorded {
-			t.Fatalf("P=%d recorded again", p)
+		if ch := run(k, cfg); ch.Recorded || !ch.Replayed {
+			t.Fatalf("P=%d recorded again or did not replay: %+v", p, ch)
 		}
 	}
 	wide := base
 	wide.Machine.B = 32
-	if tr, ch := rec(k, wide); tr == first || tr == nil || !ch.Recorded {
-		t.Fatal("B=32 did not get its own recording")
+	if ch := run(k, wide); !ch.Recorded || !ch.Replayed {
+		t.Fatalf("B=32 did not get its own recording: %+v", ch)
 	}
-	before := traces.held()
-	poolRun(connCompKernel(64, 128), base)
-	if after := traces.held(); len(after) != len(before) {
-		t.Fatalf("conncomp was recorded: %v", after)
+	if held := c.held(); len(held) != 2 {
+		t.Fatalf("held %v, want the B=16 and B=32 recordings", held)
+	}
+	if ch := run(connCompKernel(64, 128), base); ch != (TraceChange{}) {
+		t.Fatalf("conncomp changed the cache or replayed: %+v", ch)
+	}
+	if held := c.held(); len(held) != 2 {
+		t.Fatalf("conncomp was recorded: %v", held)
 	}
 }
 
 // TestRejectedRecordingRunsOnCoroutines checks the fallback: a keyed kernel
-// whose recording is rejected caches no trace, and poolRun gives it the
-// coroutine engine's Result.
+// whose recording is rejected caches no trace, and Run gives it the
+// coroutine engine's Result, without replaying, on every call.
 func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
-	k := kernel{key: "test/allocates-in-run", mk: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+	k := Kernel{Key: "test/allocates-in-run", Make: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
 		e := pool.Engine(cfg)
 		out := e.Machine().Alloc.Alloc(64)
 		return e, func(c *rws.Ctx) {
@@ -174,15 +181,17 @@ func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
 		}
 	}}
 	cfg := rws.DefaultConfig(4)
-	var c TraceCache
-	if tr, ch := c.Trace(k.key, cfg, k.recorder(&enginePool)); tr != nil || !ch.Rejected {
-		t.Fatalf("recorded a kernel that accesses memory allocated during the run: %+v", ch)
-	}
-	got := poolRun(k, cfg)
-	e, root := k.mk(&enginePool, cfg)
+	e, root := k.Make(&enginePool, cfg)
 	want := e.RunLean(root)
 	enginePool.Recycle(e)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("fallback diverged from RunLean:\nrun:     %+v\npoolRun: %+v", want, got)
+	var c TraceCache
+	for i, wantCh := range []TraceChange{{Recorded: true, Rejected: true, Bytes: rejectedBytes}, {}} {
+		got, ch, err := c.Run(&enginePool, k, cfg)
+		if err != nil || ch != wantCh {
+			t.Fatalf("call %d: %+v, %v; want %+v: a kernel that accesses memory allocated during the run must be rejected once and run on coroutines", i, ch, err, wantCh)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("call %d: fallback diverged from RunLean:\nrun: %+v\nRun: %+v", i, want, got)
+		}
 	}
 }

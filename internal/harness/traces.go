@@ -2,6 +2,7 @@ package harness
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"rwsfs/internal/rws"
@@ -18,21 +19,21 @@ const TraceBudget = 2 << 20
 // recording was rejected: one chunk of ops, the size of the smallest trace.
 const rejectedBytes = 48 << 10
 
-// Recorder records a kernel once under cfg, through rws.Engine.Record with
+// recorder records a kernel once under cfg, through rws.Engine.Record with
 // the given byte limit, and returns the trace or the recording's error.
-type Recorder func(cfg rws.Config, limit int64) (*rws.Trace, error)
+type recorder func(cfg rws.Config, limit int64) (*rws.Trace, error)
 
-// TraceCache holds recorded op traces under a byte budget. A kernel's op
-// stream is fixed by its content key, the block size and the root stack
-// size; the processor count, seed, steal policy, topology and steal budget
-// do not change it, so one recording serves every run that shares those
-// three. The cache records each key once, however many callers ask for it
-// at the same time, and remembers a key whose recording was rejected, so
-// that it is not recorded again while the cache holds it. It evicts the
-// least recently used entries, charging a trace its Bytes and a rejected
-// key rejectedBytes, so that once a call returns the cache holds at most
-// TraceBudget bytes. Traces are immutable, and any number of engines may
-// replay one at the same time.
+// TraceCache runs kernels (Run, the one way to a trace), replaying op
+// traces it holds under a byte budget. A kernel's op stream is fixed by its
+// content key, the block size and the root stack size; the processor
+// count, seed, steal policy, topology and steal budget do not change it, so
+// one recording serves every run that shares those three. The cache
+// records each key once, however many callers ask for it at the same time,
+// and remembers a key whose recording was rejected, so that it is not
+// recorded again while the cache holds it. It evicts the least recently
+// used entries, charging a trace its Bytes and a rejected key
+// rejectedBytes, so that once a call returns the cache holds at most
+// TraceBudget bytes. Traces are immutable, so engines may share one.
 //
 // The zero value is an empty cache, safe for concurrent use.
 type TraceCache struct {
@@ -58,14 +59,15 @@ type traceEntry struct {
 	done  chan struct{} // closed when the recording settles or panics
 }
 
-// TraceChange reports what one Trace call changed in the cache. Every
-// change happens in exactly one call, so summing the changes of all calls
-// gives the cache's totals.
+// TraceChange reports what one Run call changed in the cache, and whether
+// the run replayed a trace. Every change happens in exactly one call, so
+// summing the changes of all calls gives the cache's totals.
 type TraceChange struct {
 	Recorded bool  // the call recorded its key
 	Rejected bool  // and the recording was rejected
 	Evicted  int64 // entries evicted to keep within the budget
 	Bytes    int64 // the change in the bytes the cache holds
+	Replayed bool  // the run replayed a trace, not the kernel's code
 }
 
 func (c *TraceCache) limit() int64 {
@@ -75,14 +77,54 @@ func (c *TraceCache) limit() int64 {
 	return TraceBudget
 }
 
-// Trace returns the trace of the kernel with content key key at cfg's block
+// Run performs one run of k under cfg on an engine from pool, and returns
+// its Result and what the call changed in the cache. A kernel with a key
+// replays its trace, recorded on a miss by rws.Engine.Record under the
+// cache's budget; a kernel without a key (conncomp), or whose recording
+// was rejected, runs on coroutines through k.Make and RunLean, with a
+// bit-identical Result. If the recording or the run panics, Run closes
+// that engine, never recycling it, and returns the panic value as an
+// error; the TraceChange still reports what the cache changed.
+func (c *TraceCache) Run(pool *Runner, k Kernel, cfg rws.Config) (res rws.Result, ch TraceChange, err error) {
+	var e *rws.Engine // the engine in use, closed if it panics
+	var root func(*rws.Ctx)
+	defer func() {
+		if pv := recover(); pv != nil {
+			if e != nil {
+				e.Close()
+			}
+			err = fmt.Errorf("%v", pv)
+		}
+	}()
+	var tr *rws.Trace
+	if k.Key != "" {
+		tr, ch = c.trace(k.Key, cfg, func(cfg rws.Config, limit int64) (t *rws.Trace, err error) {
+			e, root = k.Make(pool, cfg)
+			t, err = e.Record(root, limit)
+			pool.Recycle(e)
+			e = nil
+			return t, err
+		})
+	}
+	if tr != nil {
+		e = pool.Engine(cfg)
+		res, ch.Replayed = e.Replay(tr), true
+	} else {
+		e, root = k.Make(pool, cfg)
+		res = e.RunLean(root)
+	}
+	pool.Recycle(e) // res is fully materialized: recycling cannot clobber it
+	return res, ch, nil
+}
+
+// trace returns the trace of the kernel with content key key at cfg's block
 // and root stack sizes, or nil when its recording was rejected. On a miss
 // it calls record once with cfg as it came and the cache's budget as the
 // limit: a recording walks the kernel serially, so no other field of cfg
 // changes it. Callers asking for the key meanwhile wait for that
 // recording. If record panics, the cache forgets the key, so a later call
 // records it again, and the panic goes on to the caller.
-func (c *TraceCache) Trace(key string, cfg rws.Config, record Recorder) (*rws.Trace, TraceChange) {
+func (c *TraceCache) trace(key string, cfg rws.Config, record recorder) (*rws.Trace, TraceChange) {
 	k := traceKey{key, cfg.Machine.B, cfg.RootStackWords}
 	c.mu.Lock()
 	for {

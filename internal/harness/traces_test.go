@@ -1,13 +1,18 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"rwsfs/internal/machine"
 	"rwsfs/internal/mem"
 	"rwsfs/internal/rws"
 )
@@ -38,11 +43,21 @@ func (c *TraceCache) heldBytes(t *testing.T) int64 {
 	return c.bytes
 }
 
+// recorder records k through pool, as Run does on a miss.
+func (k Kernel) recorder(pool *Runner) recorder {
+	return func(cfg rws.Config, limit int64) (*rws.Trace, error) {
+		e, root := k.Make(pool, cfg)
+		tr, err := e.Record(root, limit)
+		pool.Recycle(e)
+		return tr, err
+	}
+}
+
 // sized records a kernel whose trace takes exactly chunks chunks of ops,
 // rejectedBytes each: every iteration adds one work op and one access op.
-func sized(chunks int) Recorder {
+func sized(chunks int) recorder {
 	const words = 1 << 10
-	k := kernel{key: fmt.Sprintf("test/chunks=%d", chunks), mk: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+	k := Kernel{Key: fmt.Sprintf("test/chunks=%d", chunks), Make: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
 		e := pool.Engine(cfg)
 		base := e.Machine().Alloc.Alloc(words)
 		return e, func(c *rws.Ctx) {
@@ -64,7 +79,7 @@ func TestTraceCacheLRU(t *testing.T) {
 	cfg := rws.DefaultConfig(1)
 	get := func(key string, chunks int) TraceChange {
 		t.Helper()
-		tr, ch := c.Trace(key, cfg, sized(chunks))
+		tr, ch := c.trace(key, cfg, sized(chunks))
 		if tr == nil || tr.Bytes() != int64(chunks)*rejectedBytes {
 			t.Fatalf("%s: trace %v, want %d chunks", key, tr, chunks)
 		}
@@ -111,7 +126,7 @@ func TestTraceCacheBudgetHolds(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				k := rng.Intn(10)
 				cfg := rws.DefaultConfig(1 + rng.Intn(8))
-				tr, ch := c.Trace(fmt.Sprint(k), cfg, sized(1+k%3))
+				tr, ch := c.trace(fmt.Sprint(k), cfg, sized(1+k%3))
 				total.Add(ch.Bytes)
 				if tr == nil {
 					t.Errorf("key %d: no trace", k)
@@ -142,11 +157,11 @@ func TestTraceCacheRejectsOverBudget(t *testing.T) {
 		}
 		return sized(3)(cfg, limit)
 	}
-	tr, ch := c.Trace("big", cfg, big)
+	tr, ch := c.trace("big", cfg, big)
 	if tr != nil || ch != (TraceChange{Recorded: true, Rejected: true, Bytes: rejectedBytes}) {
 		t.Fatalf("over-budget recording: %v, %+v", tr, ch)
 	}
-	tr, ch = c.Trace("big", cfg, big)
+	tr, ch = c.trace("big", cfg, big)
 	if tr != nil || ch != (TraceChange{}) || calls != 1 {
 		t.Fatalf("rejected key: %v, %+v after %d recordings", tr, ch, calls)
 	}
@@ -163,7 +178,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 	var arrived sync.WaitGroup
 	rec := func(cfg rws.Config, limit int64) (*rws.Trace, error) {
 		calls.Add(1)
-		arrived.Wait() // every goroutine is calling Trace
+		arrived.Wait() // every goroutine is calling trace
 		return sized(1)(cfg, limit)
 	}
 	got := make([]*rws.Trace, 8)
@@ -174,7 +189,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arrived.Done()
-			tr, ch := c.Trace("one", rws.DefaultConfig(1+g), rec)
+			tr, ch := c.trace("one", rws.DefaultConfig(1+g), rec)
 			got[g] = tr
 			if ch.Recorded {
 				recorded.Add(1)
@@ -211,7 +226,7 @@ func TestTraceCachePanicWhileRecording(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.Trace("k", cfg, rec)
+		c.trace("k", cfg, rec)
 	}()
 	<-started
 	type result struct {
@@ -224,11 +239,11 @@ func TestTraceCachePanicWhileRecording(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		go func() {
 			arrived.Done()
-			tr, ch := c.Trace("k", cfg, rec)
+			tr, ch := c.trace("k", cfg, rec)
 			results <- result{tr, ch}
 		}()
 	}
-	arrived.Wait() // the waiters are calling Trace while the recording hangs
+	arrived.Wait() // the waiters are calling trace while the recording hangs
 	close(release)
 	if pv := <-panicked; pv != "injected recording panic" {
 		t.Fatalf("recording caller recovered %v", pv)
@@ -250,5 +265,101 @@ func TestTraceCachePanicWhileRecording(t *testing.T) {
 	}
 	if got := c.held(); !slices.Equal(got, []string{"k"}) {
 		t.Fatalf("held %v after the retry", got)
+	}
+}
+
+// forkWrites is a kernel body that forks 64 leaves, each writing one word
+// of out; the leaf j == fail panics with "boom" instead (fail < 0: none).
+func forkWrites(out mem.Addr, fail int) func(*rws.Ctx) {
+	return func(c *rws.Ctx) {
+		c.ForkN(64, func(j int, c *rws.Ctx) {
+			c.Work(machine.Tick(1 + j%5))
+			if j == fail {
+				panic("boom")
+			}
+			c.Write(out + mem.Addr(j))
+		})
+	}
+}
+
+// TestTraceCacheRunPanicWhileRecording panics in a keyed kernel while Run
+// records it. Run returns the panic as an error and closes the recording
+// engine, so the pool's next checkout builds a new one; the cache holds
+// nothing for the key, and the next Run records, replays and equals
+// RunLean.
+func TestTraceCacheRunPanicWhileRecording(t *testing.T) {
+	var pool Runner
+	defer pool.Close()
+	cfg := rws.DefaultConfig(4)
+	pool.Recycle(pool.Engine(cfg)) // the recording reuses this engine
+	var engines []*rws.Engine
+	k := Kernel{Key: "test/panics-once", Make: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+		e := pool.Engine(cfg)
+		engines = append(engines, e)
+		fail := -1
+		if len(engines) == 1 {
+			fail = 40
+		}
+		return e, forkWrites(e.Machine().Alloc.Alloc(64), fail)
+	}}
+	var c TraceCache
+	_, ch, err := c.Run(&pool, k, cfg)
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run returned %v, want the recording's panic", err)
+	}
+	if ch != (TraceChange{}) || len(c.held()) != 0 {
+		t.Fatalf("a panicked recording changed the cache: %+v, holds %v", ch, c.held())
+	}
+	if err := engines[0].Reset(cfg); !errors.Is(err, rws.ErrEngineClosed) {
+		t.Fatalf("the recording engine was not closed: Reset returned %v", err)
+	}
+	_, built := pool.Stats()
+	got, ch, err := c.Run(&pool, k, cfg)
+	if err != nil || !ch.Recorded || ch.Rejected || !ch.Replayed {
+		t.Fatalf("the next Run must record and replay: %+v, %v", ch, err)
+	}
+	if _, b := pool.Stats(); b != built+1 {
+		t.Fatalf("the next checkout built %d engines, want 1", b-built)
+	}
+	e, root := k.Make(&pool, cfg)
+	want := e.RunLean(root)
+	pool.Recycle(e)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("replay after the panic diverged from RunLean:\nrun: %+v\nRun: %+v", want, got)
+	}
+}
+
+// TestTraceCacheRunPanicOnCoroutines panics in one leaf of a keyless
+// kernel at P = 8, on a pooled engine whose strands stay suspended between
+// runs. Run returns the panic as an error and closes the engine, which
+// leaves no goroutine behind, and reports no replay.
+func TestTraceCacheRunPanicOnCoroutines(t *testing.T) {
+	var pool Runner
+	defer pool.Close()
+	cfg := rws.DefaultConfig(8)
+	fail := -1
+	var used *rws.Engine
+	k := Kernel{Make: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+		used = pool.Engine(cfg)
+		return used, forkWrites(used.Machine().Alloc.Alloc(64), fail)
+	}}
+	var c TraceCache
+	if _, ch, err := c.Run(&pool, k, cfg); err != nil || ch != (TraceChange{}) {
+		t.Fatalf("clean run: %+v, %v", ch, err)
+	}
+	before := runtime.NumGoroutine()
+	fail = 40
+	_, ch, err := c.Run(&pool, k, cfg)
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Run returned %v, want the leaf's panic", err)
+	}
+	if ch != (TraceChange{}) {
+		t.Fatalf("a keyless run changed the cache or replayed: %+v", ch)
+	}
+	if err := used.Reset(cfg); !errors.Is(err, rws.ErrEngineClosed) {
+		t.Fatalf("the panicked engine was not closed: Reset returned %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the panicked Run, %d before it", n, before)
 	}
 }

@@ -3,10 +3,12 @@ package harness
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"rwsfs/internal/alg/matmul"
 	"rwsfs/internal/alg/prefix"
 	"rwsfs/internal/alg/sorthbp"
+	"rwsfs/internal/rws"
 )
 
 // workload is one registered workload: its Maker at problem size n, and
@@ -66,11 +68,12 @@ func lookup(alg string) (workload, bool) {
 }
 
 // WorkloadMaker resolves a workload name to its Maker at problem size n —
-// the registry behind cmd/rwsim's -alg flag and cmd/rwsimd's request "alg"
-// field. The second return is false for an unknown name. The Maker captures
-// its deterministic input data at resolution time, so one resolved Maker can
-// serve many runs over identical inputs. Check n with CheckSize first: a
-// Maker panics at a size its workload cannot run.
+// the registry behind cmd/rwsim's -alg flag, as Workload is behind
+// cmd/rwsimd's request "alg" field. The second return is false for an
+// unknown name. The Maker captures its deterministic input data at
+// resolution time, so one resolved Maker can serve many runs over
+// identical inputs. Check n with CheckSize first: a Maker panics at a size
+// its workload cannot run.
 func WorkloadMaker(alg string, n int) (Maker, bool) {
 	w, ok := lookup(alg)
 	if !ok {
@@ -79,17 +82,22 @@ func WorkloadMaker(alg string, n int) (Maker, bool) {
 	return w.mk(n), true
 }
 
-// WorkloadKey returns the content key of the registered workload alg at
-// problem size n, or "" for an unknown name and for conncomp, whose op
-// stream depends on the schedule. The name and size fix the Maker's
-// inputs, so the key, the block size and the root stack size fix the op
-// stream a TraceCache records. It builds no inputs.
-func WorkloadKey(alg string, n int) string {
+// Workload resolves a workload name to its Kernel at problem size n, for
+// TraceCache.Run: its content key, "" for conncomp, whose op stream depends
+// on the schedule, and its Maker, resolved at its first call, so a Kernel
+// that only replays makes no input data. The second return is false for an
+// unknown name; check n with CheckSize first.
+func Workload(alg string, n int) (Kernel, bool) {
 	w, ok := lookup(alg)
-	if !ok || w.flags&raced != 0 {
-		return ""
+	if !ok {
+		return Kernel{}, false
 	}
-	return w.name + "/n=" + strconv.Itoa(n)
+	mk := sync.OnceValue(func() Maker { return w.mk(n) })
+	k := Kernel{Make: func(pool *Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) { return mk()(pool, cfg) }}
+	if w.flags&raced == 0 {
+		k.Key = w.name + "/n=" + strconv.Itoa(n)
+	}
+	return k, true
 }
 
 // CheckSize reports why the registered workload alg cannot run at problem

@@ -31,7 +31,6 @@ package machine
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"rwsfs/internal/cache"
 	"rwsfs/internal/mem"
@@ -463,14 +462,6 @@ func (m *Machine) StealPrice(thief, victim int) (price Tick, remote bool) {
 	return m.stealLocal, false
 }
 
-// SocketOf returns processor p's socket index (0 on a flat topology).
-func (m *Machine) SocketOf(p int) int {
-	if m.socketOf == nil {
-		return 0
-	}
-	return int(m.socketOf[p])
-}
-
 // SocketSpan returns the half-open processor range [lo, hi) sharing p's
 // socket; on a flat topology that is [0, P).
 func (m *Machine) SocketSpan(p int) (lo, hi int) {
@@ -530,48 +521,6 @@ func (m *Machine) BlockTransfers() (total int64, maxPerBlock int64) {
 		}
 	})
 	return total, maxPerBlock
-}
-
-// TransfersOf reports the fetch count of the block containing a.
-func (m *Machine) TransfersOf(a mem.Addr) int64 {
-	r := m.dir.peek(m.Mem.Block(a))
-	if r.pg == nil {
-		return 0
-	}
-	return r.pg.transfers[r.i]
-}
-
-// HotBlocks returns the k most-transferred blocks in decreasing order.
-func (m *Machine) HotBlocks(k int) []struct {
-	Block mem.BlockID
-	Moves int64
-} {
-	all := make([]struct {
-		Block mem.BlockID
-		Moves int64
-	}, 0, 64)
-	m.dir.forEachTransferred(func(b mem.BlockID, n int64) {
-		all = append(all, struct {
-			Block mem.BlockID
-			Moves int64
-		}{b, n})
-	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Moves != all[j].Moves {
-			return all[i].Moves > all[j].Moves
-		}
-		return all[i].Block < all[j].Block
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	// Copy the top k out so the full sorted slice is collectable.
-	out := make([]struct {
-		Block mem.BlockID
-		Moves int64
-	}, k)
-	copy(out, all[:k])
-	return out
 }
 
 // MaxWriteCount returns the largest per-variable write count observed, or -1

@@ -136,13 +136,6 @@ func TestTransfersAccounting(t *testing.T) {
 	if total != 3 || maxPer != 3 {
 		t.Errorf("transfers (%d,%d), want (3,3)", total, maxPer)
 	}
-	if m.TransfersOf(5) != 3 { // word 5 is in block 0
-		t.Error("TransfersOf wrong")
-	}
-	hot := m.HotBlocks(5)
-	if len(hot) != 1 || hot[0].Moves != 3 {
-		t.Errorf("HotBlocks wrong: %+v", hot)
-	}
 }
 
 func TestTotalsSumPerProc(t *testing.T) {

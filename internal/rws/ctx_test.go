@@ -75,13 +75,12 @@ func TestForkNHintUsedForStolenStacks(t *testing.T) {
 	// Hints large enough to force a non-default stack class for thieves.
 	cfg := DefaultConfig(4)
 	cfg.Seed = 5
-	cfg.DefaultStackWords = 256
 	e := MustNewEngine(cfg)
 	res := e.Run(func(c *Ctx) {
 		c.ForkNHint(64,
-			func(lo, hi int) int { return (hi - lo) * 600 },
+			func(lo, hi int) int { return (hi - lo) * 6000 },
 			func(i int, c *Ctx) {
-				seg := c.Alloc(500) // would overflow a 256-word default stack
+				seg := c.Alloc(5000) // would overflow a defaultStackWords stack
 				c.Work(30)
 				c.Free(seg)
 			})

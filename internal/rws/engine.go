@@ -29,9 +29,6 @@ type Config struct {
 	StealBudget int64
 	// RootStackWords sizes the root task's execution stack (default 1<<16).
 	RootStackWords int
-	// DefaultStackWords sizes stolen tasks' stacks when the fork site gave no
-	// hint (default 4096).
-	DefaultStackWords int
 	// AuditStackBlocks enables the per-task block-delay audit of Lemmas
 	// 4.3/4.4: for every task, the maximum number of moves of any single
 	// block of its execution stack during its lifetime is recorded in
@@ -48,11 +45,10 @@ type Config struct {
 // DefaultConfig returns a Config over machine.DefaultParams(p).
 func DefaultConfig(p int) Config {
 	return Config{
-		Machine:           machine.DefaultParams(p),
-		Seed:              1,
-		StealBudget:       -1,
-		RootStackWords:    1 << 16,
-		DefaultStackWords: 4096,
+		Machine:        machine.DefaultParams(p),
+		Seed:           1,
+		StealBudget:    -1,
+		RootStackWords: 1 << 16,
 	}
 }
 
@@ -223,9 +219,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.RootStackWords <= 0 {
 		cfg.RootStackWords = 1 << 16
 	}
-	if cfg.DefaultStackWords <= 0 {
-		cfg.DefaultStackWords = 4096
-	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
@@ -309,9 +302,6 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	if cfg.RootStackWords <= 0 {
 		cfg.RootStackWords = 1 << 16
-	}
-	if cfg.DefaultStackWords <= 0 {
-		cfg.DefaultStackWords = 4096
 	}
 	if err := e.mach.Reset(cfg.Machine); err != nil {
 		return err
@@ -669,6 +659,10 @@ func (e *Engine) stealAttempt(p int) {
 	e.consecFail[p]++
 }
 
+// defaultStackWords sizes a stolen task's stack when its fork site gave no
+// hint.
+const defaultStackWords = 4096
+
 // startSpawn begins executing spawn sp on processor p. If stolen, sp becomes
 // a fresh task with its own execution stack; otherwise it runs as a new
 // strand of its owning task's kernel. sp itself stays with the forking
@@ -678,7 +672,7 @@ func (e *Engine) startSpawn(p int, sp *spawn, stolen bool) {
 	if stolen {
 		hint := sp.stackHint
 		if hint <= 0 {
-			hint = e.cfg.DefaultStackWords
+			hint = defaultStackWords
 		}
 		task = e.newTask(hint, true)
 	}

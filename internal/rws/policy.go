@@ -56,10 +56,6 @@ func (v *PolicyView) P() int { return v.e.mach.P }
 // QueueLen returns the number of stealable tasks in processor p's deque.
 func (v *PolicyView) QueueLen(p int) int { return v.e.deques[p].size() }
 
-// Socket returns processor p's socket on the machine's topology (0 when
-// flat).
-func (v *PolicyView) Socket(p int) int { return v.e.mach.SocketOf(p) }
-
 // SocketSpan returns the half-open processor range of p's socket.
 func (v *PolicyView) SocketSpan(p int) (lo, hi int) { return v.e.mach.SocketSpan(p) }
 

@@ -95,9 +95,11 @@
 // see: stack accesses outside the kernel's live segments and accesses to
 // memory allocated after the run began. Its byte limit rejects a trace that
 // would outgrow it, so a caller that caches traces under a budget never
-// holds a larger one: internal/harness records each trace once into a
-// TraceCache of 2 MiB, and both the experiment sweeps and every rwsimd
-// server replay from one. The first rejection stops the kernel at once.
+// holds a larger one. The first rejection stops the kernel at once. In
+// internal/harness, one function, TraceCache.Run, calls Record and Replay
+// for the experiment sweeps and every rwsimd server: it records each trace
+// once into a cache of 2 MiB, replays it, and runs a kernel without a
+// trace on coroutines.
 //
 // # Pooling lifecycle
 //

@@ -9,10 +9,11 @@ type Fault struct {
 	// attempt's first engine checkout (interruptible by the request
 	// deadline).
 	Delay time.Duration
-	// Panic poisons the attempt: the worker panics after checking an engine
-	// out of its pool, exercising the recovery path — the engine is
-	// quarantined (never recycled) and the next checkout replaces it from
-	// the pool. Retry-with-backoff exists for exactly this shape.
+	// Panic poisons the attempt: its first run is a keyless kernel whose
+	// root panics on coroutines, on an engine from the worker's pool,
+	// whether or not the request's trace is cached. The engine is
+	// quarantined (closed, never recycled) and the next checkout replaces
+	// it. Retry-with-backoff exists for exactly this shape.
 	Panic bool
 	// Stall simulates a stuck engine: the attempt blocks until the request
 	// context is done and then reports a cancellation, never producing a

@@ -153,11 +153,12 @@ func TestServeReplayRejectsOverBudget(t *testing.T) {
 	}
 }
 
-// TestServeReplayPanicWhileRecording injects a panic into the kernel the
-// first attempt records. The recording engine is quarantined, the cache
-// keeps nothing for the key, the breaker counts the panic, and the retry
-// records, replays and returns the clean result.
-func TestServeReplayPanicWhileRecording(t *testing.T) {
+// TestServeReplayAfterInjectedPanic injects a panic into the first attempt,
+// whose kernel is then a keyless one that panics on coroutines: its engine
+// is quarantined, the breaker counts the panic, nothing is recorded or
+// simulated for it, and the retry records, replays and returns the clean
+// result.
+func TestServeReplayAfterInjectedPanic(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers:      1,
 		MaxAttempts:  3,
@@ -173,8 +174,8 @@ func TestServeReplayPanicWhileRecording(t *testing.T) {
 			detail = ev.Detail
 		}
 	}
-	if !strings.Contains(detail, "injected kernel panic while recording") {
-		t.Fatalf("attempt 0 did not panic inside the recording: %+v", w.Trace.Events)
+	if !strings.Contains(detail, "injected kernel panic") {
+		t.Fatalf("attempt 0 did not run the injected panic: %+v", w.Trace.Events)
 	}
 	st := s.Stats()
 	if st.Panics != 1 || st.Quarantined != 1 || st.Retries != 1 {

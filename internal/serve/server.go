@@ -16,20 +16,18 @@
 //     Result) makes both trivially correct, and the cache tests assert the
 //     byte equality end to end;
 //   - replay: a request's op stream is fixed by its workload, size and
-//     block size, so a worker replays the kernel's recorded trace
-//     (rws.Engine.Replay) instead of building its inputs and running its
-//     code. The server owns one harness.TraceCache, shared by its workers
-//     and bounded by the constant harness.TraceBudget (2 MiB): a miss
-//     records the kernel once, by a serial walk on an engine from the
-//     worker's own pool; a recording past the budget stops there, is
-//     rejected and its key remembered; and
-//     conncomp, whose op stream depends on the schedule, and rejected keys
-//     run on coroutines. Results are bit-identical either way. /statz
-//     counts recordings, rejected recordings, replays, trace evictions and
-//     the trace bytes held;
-//   - panic recovery that quarantines a poisoned engine — the recording's
-//     too — and replaces it from the pool, and retry-with-backoff around
-//     panicking attempts;
+//     block size, so a worker runs it through the server's one
+//     harness.TraceCache (TraceCache.Run), shared by the workers and
+//     bounded by the constant harness.TraceBudget (2 MiB). Run replays the
+//     kernel's recorded trace instead of building its inputs and running
+//     its code; a miss records it once, by a serial walk on an engine from
+//     the worker's own pool, stopping at the budget; conncomp, whose op
+//     stream depends on the schedule, and rejected keys run on coroutines.
+//     Results are bit-identical either way. /statz counts recordings,
+//     rejected recordings, replays, trace evictions and the trace bytes;
+//   - panic recovery: Run closes the engine a recording or a run panicked
+//     on, so the pool replaces it (a quarantine), and the worker retries
+//     the attempt with backoff;
 //   - graceful drain: Drain stops admission (typed 503s), in-flight requests
 //     finish, Close flushes the final stats.
 //
@@ -74,8 +72,9 @@
 // The FaultInjector hook injects delayed, panicking and stuck attempts —
 // plus truncated, corrupted, stalled and erroring corpus exports — so the
 // chaos suite can prove all of the above under a request storm. An
-// injected panic fires inside the kernel when the attempt records a trace,
-// and before the run otherwise.
+// injected panic runs a keyless kernel that panics in place of the
+// attempt's first run, so it poisons an engine that really ran it, whether
+// or not the key's trace is cached.
 package serve
 
 import (
@@ -289,6 +288,8 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheWarmed int64 `json:"cache_warmed"`
 	Dedups      int64 `json:"dedups"`
+	// Simulations counts runs that returned a Result. A run that panicked
+	// counts once in Panics and once in Quarantined: its engine is closed.
 	Simulations int64 `json:"simulations"`
 	Panics      int64 `json:"panics"`
 	Retries     int64 `json:"retries"`
@@ -325,13 +326,16 @@ type Stats struct {
 // add bumps one counter; all counter access is atomic.
 func (st *Stats) add(f *int64, n int64) { atomic.AddInt64(f, n) }
 
-// addTraceChange counts what one trace cache call changed.
+// addTraceChange counts what one trace cache run changed, and its replay.
 func (st *Stats) addTraceChange(ch harness.TraceChange) {
 	if ch.Recorded {
 		st.add(&st.Recordings, 1)
 	}
 	if ch.Rejected {
 		st.add(&st.RecordingsRejected, 1)
+	}
+	if ch.Replayed {
+		st.add(&st.Replays, 1)
 	}
 	st.add(&st.TraceEvictions, ch.Evicted)
 	st.add(&st.TraceBytes, ch.Bytes)

@@ -171,11 +171,11 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 	}
 
 	cfg, err := j.req.config()
-	if err != nil {
+	k, ok := harness.Workload(j.req.Alg, j.req.N)
+	if err != nil || !ok {
 		// Unreachable after validation; surface as a panic-class failure.
-		return nil, fmt.Errorf("%w: %v", errRunPanicked, err)
+		return nil, fmt.Errorf("%w: alg %q: %v", errRunPanicked, j.req.Alg, err)
 	}
-	wl := &workload{alg: j.req.Alg, n: j.req.N, key: harness.WorkloadKey(j.req.Alg, j.req.N)}
 
 	out := make([]RunSummary, 0, j.req.Runs)
 	for i := 0; i < j.req.Runs; i++ {
@@ -187,7 +187,11 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 		}
 		runCfg := cfg
 		runCfg.Seed = cfg.Seed + int64(i)
-		sum, err := w.runOne(wl, runCfg, fault.Panic && i == 0)
+		rk := k
+		if fault.Panic && i == 0 {
+			rk = injectedPanic
+		}
+		sum, err := w.runOne(rk, runCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -196,94 +200,31 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 	return &payload{Key: j.key, Alg: j.req.Alg, Runs: out, req: wireRequest(*j.req)}, nil
 }
 
-// workload is the kernel of one request: its content key, "" for conncomp,
-// and its Maker, which builds the inputs and so is resolved only for a run
-// that needs them — a recording, or a run on coroutines.
-type workload struct {
-	alg string
-	n   int
-	key string
-	mk  harness.Maker
-}
+// injectedPanic is the kernel Fault.Panic runs in place of an attempt's
+// first run: it has no key, so it runs on coroutines, on an engine from the
+// worker's pool, and its root panics.
+var injectedPanic = harness.Kernel{Make: func(pool *harness.Runner, cfg rws.Config) (*rws.Engine, func(*rws.Ctx)) {
+	return pool.Engine(cfg), func(*rws.Ctx) { panic("serve: injected kernel panic") }
+}}
 
-func (wl *workload) maker() harness.Maker {
-	if wl.mk == nil {
-		mk, ok := harness.WorkloadMaker(wl.alg, wl.n)
-		if !ok {
-			// Unreachable after validation.
-			panic(fmt.Sprintf("serve: unknown alg %q", wl.alg))
-		}
-		wl.mk = mk
-	}
-	return wl.mk
-}
-
-// runOne performs a single simulated run on a pooled engine, recovering
-// panics. A keyed workload replays its trace from the server's cache,
-// recording it first on a miss: a serial walk of the kernel under the
-// request's Config, which stops at its first rejection. conncomp, and a
-// key whose recording was rejected, run the kernel on coroutines. A
-// kernel's panic while recording reaches the recover here with its own
-// value. An injected panic fires inside the recording when this run
-// records, and before the run otherwise. A panicking run quarantines its
-// engine, the recording's included: the engine is closed and never
-// recycled, so the pool replaces it with a fresh build on the next
-// checkout.
-func (w *worker) runOne(wl *workload, cfg rws.Config, injectPanic bool) (sum RunSummary, err error) {
-	var e *rws.Engine
-	defer func() {
-		if pv := recover(); pv != nil {
-			err = fmt.Errorf("%w: %v", errRunPanicked, pv)
-			w.s.stats.add(&w.s.stats.Panics, 1)
-			if e != nil {
-				w.s.quarantine(e)
-			}
-		}
-	}()
-	var tr *rws.Trace
-	if wl.key != "" {
-		var ch harness.TraceChange
-		tr, ch = w.s.traces.Trace(wl.key, cfg, func(rc rws.Config, limit int64) (*rws.Trace, error) {
-			var root func(*rws.Ctx)
-			e, root = wl.maker()(&w.pool, rc)
-			if injectPanic {
-				injectPanic = false
-				root = func(*rws.Ctx) { panic("serve: injected kernel panic while recording") }
-			}
-			t, err := e.Record(root, limit)
-			w.pool.Recycle(e)
-			e = nil
-			return t, err
-		})
-		w.s.stats.addTraceChange(ch)
-	}
-	var root func(*rws.Ctx)
-	if tr != nil {
-		e = w.pool.Engine(cfg)
-	} else {
-		e, root = wl.maker()(&w.pool, cfg)
+// runOne performs a single simulated run through the server's trace cache
+// (harness.TraceCache.Run): a keyed kernel replays its trace, recorded on a
+// miss, and conncomp and rejected keys run on coroutines. It counts what
+// the cache changed, and a run that returned a Result as a simulation. A
+// run that panicked, recording or running, had its engine closed by Run,
+// never recycled, so the pool replaces it with a fresh build on the next
+// checkout: it counts as a panic and a quarantine and returns
+// errRunPanicked.
+func (w *worker) runOne(k harness.Kernel, cfg rws.Config) (RunSummary, error) {
+	res, ch, err := w.s.traces.Run(&w.pool, k, cfg)
+	w.s.stats.addTraceChange(ch)
+	if err != nil {
+		w.s.stats.add(&w.s.stats.Panics, 1)
+		w.s.stats.add(&w.s.stats.Quarantined, 1)
+		return RunSummary{}, fmt.Errorf("%w: %v", errRunPanicked, err)
 	}
 	w.s.stats.add(&w.s.stats.Simulations, 1)
-	if injectPanic {
-		panic("serve: injected engine panic")
-	}
-	var res rws.Result
-	if tr != nil {
-		w.s.stats.add(&w.s.stats.Replays, 1)
-		res = e.Replay(tr)
-	} else {
-		res = e.RunLean(root)
-	}
-	sum = summarize(cfg.Seed, res)
-	w.pool.Recycle(e)
-	return sum, nil
-}
-
-// quarantine retires a poisoned engine instead of recycling it: Close stops
-// every strand coroutine, including those a panicked run left suspended.
-func (s *Server) quarantine(e *rws.Engine) {
-	s.stats.add(&s.stats.Quarantined, 1)
-	e.Close()
+	return summarize(cfg.Seed, res), nil
 }
 
 // sleepCtx sleeps for d unless ctx ends first; false means interrupted.
