@@ -98,68 +98,46 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "simulation workers, each with its own engine pool (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 64, "bounded work-queue depth; a full queue sheds load with typed 503s")
-		rate       = flag.Float64("rate", 0, "admission budget in requests/sec (0 = unlimited)")
-		burst      = flag.Int("burst", 0, "admission burst size (defaults to 1 when -rate is set)")
-		cacheN     = flag.Int("cache", 1024, "LRU result-cache entries (-1 disables caching)")
-		attempts   = flag.Int("attempts", 3, "attempt budget per request around panicking runs")
-		backoff    = flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (doubled per retry)")
-		deadline   = flag.Duration("deadline", 0, "default per-request deadline when the request carries none (0 = none)")
-		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight requests before hard-cancelling")
-		maxN       = flag.Int("max-n", 2048, "largest accepted problem size")
-		maxP       = flag.Int("max-p", 128, "largest accepted simulated processor count")
-		maxRuns    = flag.Int("max-runs", 64, "widest accepted seed sweep")
-		maxBody    = flag.Int64("max-body", 1<<20, "largest accepted request body in bytes (typed 413 beyond)")
+	// Each flag writes its Config field directly and shows serve's own
+	// default, so no default is restated here.
+	cfg := serve.DefaultConfig()
+	addr := flag.String("addr", ":8080", "listen address")
+	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "simulation workers, each with its own engine pool (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "bounded work-queue depth; a full queue sheds load with typed 503s")
+	flag.Float64Var(&cfg.Rate, "rate", cfg.Rate, "admission budget in requests/sec (0 = unlimited)")
+	flag.IntVar(&cfg.Burst, "burst", cfg.Burst, "admission burst size (defaults to 1 when -rate is set)")
+	flag.IntVar(&cfg.CacheEntries, "cache", cfg.CacheEntries, "LRU result-cache entries (-1 disables caching)")
+	flag.IntVar(&cfg.MaxAttempts, "attempts", cfg.MaxAttempts, "attempt budget per request around panicking runs")
+	flag.DurationVar(&cfg.RetryBackoff, "backoff", cfg.RetryBackoff, "base retry backoff (doubled per retry)")
+	flag.DurationVar(&cfg.DefaultDeadline, "deadline", cfg.DefaultDeadline, "default per-request deadline when the request carries none (0 = none)")
+	flag.DurationVar(&cfg.DrainGrace, "drain-grace", cfg.DrainGrace, "how long shutdown waits for in-flight requests before hard-cancelling")
+	flag.IntVar(&cfg.Limits.MaxN, "max-n", cfg.Limits.MaxN, "largest accepted problem size")
+	flag.IntVar(&cfg.Limits.MaxP, "max-p", cfg.Limits.MaxP, "largest accepted simulated processor count")
+	flag.IntVar(&cfg.Limits.MaxRuns, "max-runs", cfg.Limits.MaxRuns, "widest accepted seed sweep")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "largest accepted request body in bytes (typed 413 beyond)")
 
-		journalDir    = flag.String("journal-dir", "", "durable batch-job journal directory (empty = batch jobs die with the process)")
-		warmCache     = flag.Bool("warm-cache", false, "load journaled row results into the result cache at startup")
-		journalMaxAge = flag.Duration("journal-max-age", 0, "evict completed batch jobs whose journal is idle this long (0 = never)")
-		quarAfter     = flag.Int("quarantine-after", 3, "circuit-break a request key after it panics on this many distinct engines (-1 = off)")
-		maxBatchRows  = flag.Int("max-batch-rows", 4096, "largest row grid one batch spec may expand to")
-		maxBatchJobs  = flag.Int("max-batch-jobs", 64, "completed batch jobs retained in memory and on the journal (-1 = unbounded)")
-		batchParallel = flag.Int("batch-parallel", 0, "batch rows in flight at once per job (0 = workers)")
-		traceBuffer   = flag.Int("trace-buffer", 256, "completed attempt timelines retained for GET /tracez (-1 disables the ring)")
+	flag.StringVar(&cfg.JournalDir, "journal-dir", cfg.JournalDir, "durable batch-job journal directory (empty = batch jobs die with the process)")
+	flag.BoolVar(&cfg.WarmCache, "warm-cache", cfg.WarmCache, "load journaled row results into the result cache at startup")
+	flag.DurationVar(&cfg.JournalMaxAge, "journal-max-age", cfg.JournalMaxAge, "evict completed batch jobs whose journal is idle this long (0 = never)")
+	flag.IntVar(&cfg.QuarantineAfter, "quarantine-after", cfg.QuarantineAfter, "circuit-break a request key after it panics on this many distinct engines (-1 = off)")
+	flag.IntVar(&cfg.MaxBatchRows, "max-batch-rows", cfg.MaxBatchRows, "largest row grid one batch spec may expand to")
+	flag.IntVar(&cfg.MaxBatchJobs, "max-batch-jobs", cfg.MaxBatchJobs, "completed batch jobs retained in memory and on the journal (-1 = unbounded)")
+	flag.IntVar(&cfg.BatchParallel, "batch-parallel", cfg.BatchParallel, "batch rows in flight at once per job (0 = workers)")
+	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", cfg.TraceBuffer, "completed attempt timelines retained for GET /tracez (-1 disables the ring)")
 
-		nodeID      = flag.String("node-id", "", "node identity in GET /corpus export headers (empty = random per process)")
-		peers       = flag.String("peers", "", "comma-separated sibling rwsimd nodes (host:port or URL) whose verified corpus warms the result cache at startup (never delays serving)")
-		peerTimeout = flag.Duration("peer-timeout", 10*time.Second, "per-peer corpus transfer bound, connect and read included")
+	flag.StringVar(&cfg.NodeID, "node-id", cfg.NodeID, "node identity in GET /corpus export headers (empty = random per process)")
+	peers := flag.String("peers", "", "comma-separated sibling rwsimd nodes (host:port or URL) whose verified corpus warms the result cache at startup (never delays serving)")
+	flag.DurationVar(&cfg.PeerTimeout, "peer-timeout", cfg.PeerTimeout, "per-peer corpus transfer bound, connect and read included")
 
-		injPanic   = flag.Int("inject-panic-every", 0, "chaos: panic the first attempt of every Nth request key (0 = off)")
-		injStall   = flag.Int("inject-stall-every", 0, "chaos: stall the first attempt of every Nth request key (0 = off)")
-		injDelay   = flag.Int("inject-delay-every", 0, "chaos: delay the first attempt of every Nth request key (0 = off)")
-		injDelayBy = flag.Duration("inject-delay", 50*time.Millisecond, "chaos: how long -inject-delay-every delays an attempt")
-	)
+	injPanic := flag.Int("inject-panic-every", 0, "chaos: panic the first attempt of every Nth request key (0 = off)")
+	injStall := flag.Int("inject-stall-every", 0, "chaos: stall the first attempt of every Nth request key (0 = off)")
+	injDelay := flag.Int("inject-delay-every", 0, "chaos: delay the first attempt of every Nth request key (0 = off)")
+	injDelayBy := flag.Duration("inject-delay", 50*time.Millisecond, "chaos: how long -inject-delay-every delays an attempt")
 	flag.Parse()
 
-	cfg := serve.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		Rate:            *rate,
-		Burst:           *burst,
-		CacheEntries:    *cacheN,
-		MaxAttempts:     *attempts,
-		RetryBackoff:    *backoff,
-		DefaultDeadline: *deadline,
-		DrainGrace:      *drainGrace,
-		Limits:          serve.Limits{MaxN: *maxN, MaxP: *maxP, MaxRuns: *maxRuns},
-		MaxBodyBytes:    *maxBody,
-		JournalDir:      *journalDir,
-		WarmCache:       *warmCache,
-		JournalMaxAge:   *journalMaxAge,
-		QuarantineAfter: *quarAfter,
-		MaxBatchRows:    *maxBatchRows,
-		MaxBatchJobs:    *maxBatchJobs,
-		BatchParallel:   *batchParallel,
-		TraceBuffer:     *traceBuffer,
-		NodeID:          *nodeID,
-		Peers:           splitPeers(*peers),
-		PeerTimeout:     *peerTimeout,
-		Injector:        buildInjector(*injPanic, *injStall, *injDelay, *injDelayBy),
-		Logf:            log.Printf,
-	}
+	cfg.Peers = splitPeers(*peers)
+	cfg.Injector = buildInjector(*injPanic, *injStall, *injDelay, *injDelayBy)
+	cfg.Logf = log.Printf
 	if cfg.Injector != nil {
 		log.Printf("rwsimd: CHAOS MODE — fault injection active (panic=1/%d stall=1/%d delay=1/%d by %s)",
 			*injPanic, *injStall, *injDelay, *injDelayBy)
@@ -173,7 +151,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("rwsimd: listening on %s (workers=%d queue=%d rate=%g cache=%d)",
-		*addr, *workers, *queue, *rate, *cacheN)
+		*addr, cfg.Workers, cfg.QueueDepth, cfg.Rate, cfg.CacheEntries)
 
 	select {
 	case s := <-sig:
@@ -185,7 +163,7 @@ func main() {
 	// Drain first so /healthz flips to 503 and /simulate sheds with typed
 	// rejections while the listener winds down in-flight connections.
 	srv.Drain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainGrace+5*time.Second)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.DrainGrace+5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("rwsimd: HTTP shutdown: %v", err)

@@ -141,6 +141,9 @@
 //     budget). Slabs, free lists, deque ring buffers, the clock heap and
 //     the suspended strand coroutines all survive; a reset engine is
 //     persistent and must be released with Close when retired.
+//   - Each layer has one initialization path: rws.NewEngine, machine.New,
+//     cache.New and mem.New build an empty value and call its own Reset,
+//     so a fresh engine and a reset one run the same set-up code.
 //   - machine.Machine.Reset(params) resets coherence state by *generation
 //     stamp*: cache-index and directory pages carry the generation they were
 //     last valid in, a reset bumps the counter in O(1), and a stale page is
@@ -157,7 +160,8 @@
 //
 // Reused runs are bit-for-bit identical to fresh-engine runs — goldens
 // (TestGoldenDeterminismReused), a randomized heterogeneous-sequence
-// differential (TestEngineReuseMatchesFresh) and FuzzEngineReuse pin this —
+// differential (TestEngineReuseMatchesFresh) and FuzzEngineReuse check that
+// no state of an earlier run leaks into the next —
 // and the steady state allocates ~4 times per run (ceiling 10, enforced by
 // scripts/bench.sh and CI on BenchmarkStealHeavyReuse/BenchmarkForkJoinReuse).
 //

@@ -62,16 +62,11 @@ type Cache struct {
 	idxArena []int32
 }
 
-// New returns a cache holding at most capacity blocks.
+// New returns a cache holding at most capacity blocks: an empty Cache
+// brought up by Reset.
 func New(capacity int) *Cache {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cache: capacity %d", capacity))
-	}
-	c := &Cache{
-		capacity: capacity,
-		nodes:    make([]node, capacity+1),
-	}
-	c.reset()
+	c := &Cache{}
+	c.Reset(capacity)
 	return c
 }
 
@@ -79,7 +74,8 @@ func New(capacity int) *Cache {
 // capacity. The recency nodes are rebuilt and the block index is invalidated
 // in O(1) by bumping the index generation; materialized index pages are kept
 // and lazily re-zeroed on first touch, so a reused cache allocates nothing
-// in steady state.
+// in steady state. Reset must also work on an empty Cache: New is Reset on
+// one.
 func (c *Cache) Reset(capacity int) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity %d", capacity))
@@ -174,9 +170,6 @@ func (c *Cache) unlink(n int32) {
 	c.nodes[nd.prev].next = nd.next
 	c.nodes[nd.next].prev = nd.prev
 }
-
-// Capacity reports the maximum number of resident blocks (M/B).
-func (c *Cache) Capacity() int { return c.capacity }
 
 // Len reports the current number of resident blocks.
 func (c *Cache) Len() int { return c.size }

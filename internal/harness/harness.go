@@ -185,9 +185,11 @@ func Lookup(id string) (Experiment, bool) {
 // of constructing a fresh rws.Engine (machine, caches, coherence directory,
 // memory pages, strand coroutines) for every one of the thousands of runs an
 // experiment sweep performs, poolRun and the Makers draw engines from the
-// pool — a pooled engine is Reset in place to the run's Config, which is
-// bit-for-bit equivalent to fresh construction (the rws reuse differentials
-// pin that) but reuses all the backing structures and suspended coroutines.
+// pool — a pooled engine is Reset in place to the run's Config. Fresh
+// construction runs that same Reset on an empty engine, so the two agree
+// bit for bit (the rws reuse differentials check that no earlier run leaks
+// through), but Reset reuses all the backing structures and suspended
+// coroutines.
 // One pooled engine serves recordings, trace replays and coroutine runs.
 //
 // The pool is safe for concurrent use; engines checked out by different

@@ -11,6 +11,7 @@ import (
 	"rwsfs/internal/alg/matmul"
 	"rwsfs/internal/alg/prefix"
 	"rwsfs/internal/alg/sorthbp"
+	"rwsfs/internal/analysis"
 	"rwsfs/internal/harness"
 	"rwsfs/internal/layout"
 	"rwsfs/internal/machine"
@@ -39,7 +40,7 @@ func TestLemma43PerTaskBlockDelayTreeAlgorithm(t *testing.T) {
 		res := e.Run(prefix.Build(prefix.Config{Chunk: 1}, in, out, n))
 
 		ht := 2 * log2(n) // down-pass + up-pass
-		bound := int64(min(cfg.Machine.B, ht))
+		bound := int64(analysis.TreeBlockDelay(ht, cfg.Machine.B))
 		// Constant slack: e accesses per variable, two passes, join flags.
 		allowed := 6*bound + 16
 		for _, a := range res.StackAudits {
@@ -69,7 +70,7 @@ func TestLemma44PerTaskBlockDelayHBP(t *testing.T) {
 			t.Fatal("wrong product")
 		}
 		for _, au := range res.StackAudits {
-			y := min64(int64(2*cfg.Machine.B), max64(au.KernelAccesses, 1))
+			y := int64(analysis.YBoundLinear(int(max(au.KernelAccesses, 1)), cfg.Machine.B, 2))
 			allowed := 6*y + 16
 			if au.MaxBlockMoves > allowed {
 				t.Errorf("seed %d task %d (stolen=%v, |τ|≈%d): block moved %d times > Y-bound slack %d",
@@ -262,25 +263,4 @@ func log2(n int) int {
 		l++
 	}
 	return l
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -62,15 +62,11 @@ type directory struct {
 	ownerArena []int16
 }
 
-func newDirectory(p int) *directory {
-	return &directory{w: (p + 63) / 64}
-}
-
-// reset prepares the directory for another run on p processors. When the
-// bitset width is unchanged the materialized pages are kept and invalidated
-// by the generation bump (revalidated lazily, see dirPage.gen); a width
-// change makes the flat bits layout incompatible, so the pages are dropped
-// and rebuilt on demand (the leftover arena chunks are stride-free and stay).
+// reset prepares the directory, empty or used, for a run on p processors.
+// When the bitset width is unchanged the materialized pages are kept and
+// invalidated by the generation bump (revalidated lazily, see dirPage.gen);
+// a width change makes the flat bits layout incompatible, so the pages are
+// dropped and rebuilt on demand (leftover arena chunks are stride-free).
 func (d *directory) reset(p int, trackOwner bool) {
 	if w := (p + 63) / 64; w != d.w {
 		d.w = w

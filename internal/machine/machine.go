@@ -168,40 +168,16 @@ type Machine struct {
 	retiredWriteMax int64              // max writes over retired (dead) variables
 }
 
-// New builds a machine from params, validating them.
+// New builds a machine from params, validating them. Past the memory, its
+// allocator and an empty directory, Reset does all the set-up.
 func New(pr Params) (*Machine, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
 	memory := mem.New(pr.B)
-	m := &Machine{
-		Params: pr,
-		Mem:    memory,
-		Alloc:  mem.NewAllocator(memory),
-		caches: make([]*cache.Cache, pr.P),
-		dir:    newDirectory(pr.P),
-		Proc:   make([]ProcCounters, pr.P),
-	}
-	for i := range m.caches {
-		m.caches[i] = cache.New(pr.M / pr.B)
-	}
-	if !pr.Topology.Flat() {
-		m.socketBuf = make([]int16, pr.P)
-		m.socketOf = m.socketBuf
-		for p := range m.socketOf {
-			m.socketOf[p] = int16(pr.Topology.SocketOf(p, pr.P))
-		}
-		m.remoteCost = pr.Topology.remoteCost(pr.CostMiss)
-		m.dir.trackOwner = true
-	}
-	if pr.Topology.StealPriced() {
-		m.stealPriced = true
-		m.stealLocal = pr.Topology.CostSteal
-		m.stealRemote = pr.Topology.stealRemoteCost()
-	}
-	if pr.TrackWrites {
-		m.writeBuf = make(map[mem.Addr]int64)
-		m.writeCounts = m.writeBuf
+	m := &Machine{Mem: memory, Alloc: mem.NewAllocator(memory), dir: &directory{}}
+	if err := m.Reset(pr); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -220,9 +196,9 @@ func MustNew(pr Params) *Machine {
 // move to a free list and are re-zeroed on next touch, cache recency nodes
 // and the coherence directory are invalidated by generation bumps (stale
 // pages revalidated lazily), and the per-processor counter and cache slices
-// are regrown in place. A reset machine is observationally identical to
-// New(pr) — the engine's reuse differential tests hold it to bit-for-bit
-// equality. On an invalid pr the machine is left untouched.
+// are regrown in place. New sets a machine up through Reset, so a reset
+// machine equals New(pr) by construction. On an invalid pr the machine is
+// left untouched.
 func (m *Machine) Reset(pr Params) error {
 	if err := pr.Validate(); err != nil {
 		return err
@@ -411,9 +387,6 @@ func (m *Machine) invalidateOthers(p int, bid mem.BlockID) {
 	}
 	m.Proc[p].InvalidationsSent += sent
 }
-
-// Cache exposes processor p's cache for tests.
-func (m *Machine) Cache(p int) *cache.Cache { return m.caches[p] }
 
 // Add adds every counter of c to t's.
 func (t *ProcCounters) Add(c *ProcCounters) {

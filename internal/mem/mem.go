@@ -59,19 +59,16 @@ type Memory struct {
 // New returns an empty memory whose blocks hold blockWords words each.
 // blockWords must be a power of two.
 func New(blockWords int) *Memory {
-	if blockWords <= 0 || blockWords&(blockWords-1) != 0 {
-		panic(fmt.Sprintf("mem: block size %d is not a positive power of two", blockWords))
-	}
-	return &Memory{
-		blockWords: blockWords,
-		lastPage:   -1,
-	}
+	m := &Memory{}
+	m.Reset(blockWords)
+	return m
 }
 
 // Reset empties the memory for another run: every materialized page moves to
 // the free list (to be re-zeroed on its next use) and the block size is
 // re-set. Directory nodes are kept, so a reused memory re-materializes its
-// working set without allocating.
+// working set without allocating. Reset must also work on a zero Memory:
+// New is Reset on one.
 func (m *Memory) Reset(blockWords int) {
 	if blockWords <= 0 || blockWords&(blockWords-1) != 0 {
 		panic(fmt.Sprintf("mem: block size %d is not a positive power of two", blockWords))

@@ -275,10 +275,3 @@ func (c *Ctx) ForkNHint(k int, hint func(lo, hi int) int, body func(i int, c *Ct
 	}
 	c.forkRange(0, k, hint, body)
 }
-
-// SeqStep charges one O(1) node plus w ticks of work: convenience for
-// sequencing nodes that do a fixed amount of in-cache computation.
-func (c *Ctx) SeqStep(w machine.Tick) {
-	c.Node()
-	c.Work(w)
-}

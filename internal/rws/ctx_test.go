@@ -67,7 +67,6 @@ func TestCtxAccessors(t *testing.T) {
 		if c.Mem() == nil {
 			t.Error("Mem() nil")
 		}
-		c.SeqStep(10)
 	})
 }
 

@@ -27,7 +27,7 @@ type Config struct {
 	// count S, so experiments sweep S directly via this knob. Once it is
 	// spent, idle processors park (see Parking in the package comment).
 	StealBudget int64
-	// RootStackWords sizes the root task's execution stack (default 1<<16).
+	// RootStackWords sizes the root task's stack (0: defaultRootStackWords).
 	RootStackWords int
 	// AuditStackBlocks enables the per-task block-delay audit of Lemmas
 	// 4.3/4.4: for every task, the maximum number of moves of any single
@@ -42,13 +42,16 @@ type Config struct {
 	DisableFastPath bool
 }
 
+// defaultRootStackWords sizes the root stack of a Config that leaves it 0.
+const defaultRootStackWords = 1 << 16
+
 // DefaultConfig returns a Config over machine.DefaultParams(p).
 func DefaultConfig(p int) Config {
 	return Config{
 		Machine:        machine.DefaultParams(p),
 		Seed:           1,
 		StealBudget:    -1,
-		RootStackWords: 1 << 16,
+		RootStackWords: defaultRootStackWords,
 	}
 }
 
@@ -214,52 +217,32 @@ type Engine struct {
 	stolenSizes []int64
 }
 
-// NewEngine builds the simulated machine for cfg.
+// NewEngine builds an engine for cfg: it creates the objects Reset works
+// on and lets Reset set everything else, so a new engine is a reset one.
+// Unlike Reset, it leaves the engine single-use, needing no Close.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.RootStackWords <= 0 {
-		cfg.RootStackWords = 1 << 16
-	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
-	sched := newClockHeap(cfg.Machine.P)
 	e := &Engine{
-		cfg:         cfg,
-		mach:        m,
-		pool:        exec.NewPool(m.Alloc),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		sched:       sched,
-		clock:       sched.clock,
-		running:     make([]*strand, cfg.Machine.P),
-		deques:      make([]deque, cfg.Machine.P),
-		fastPath:    !cfg.DisableFastPath,
-		stealPriced: m.StealPriced(),
-		consecFail:  make([]int32, cfg.Machine.P),
-		stealBudget: cfg.StealBudget,
-		policy:      cfg.Policy,
-	}
-	if e.policy == nil {
-		e.policy = Uniform{}
+		mach:  m,
+		pool:  exec.NewPool(m.Alloc),
+		rng:   rand.New(rand.NewSource(0)), // Reset seeds it
+		sched: &clockHeap{},
+		// Pre-size the metadata free lists past typical peak live counts
+		// so recycling never regrows them mid-run.
+		jcFree:     make([]*joinCell, 0, slabLen),
+		spFree:     make([]*spawn, 0, slabLen),
+		strandFree: make([]*strand, 0, slabLen),
+		taskFree:   make([]*Task, 0, slabLen),
+		allStrands: make([]*strand, 0, slabLen),
 	}
 	e.view = PolicyView{e: e}
-	if cfg.StealBudget >= 0 {
-		// One entry per stolen task; tightly budgeted runs never regrow the
-		// slice. Capped so an effectively-unlimited budget does not reserve
-		// gigabytes upfront.
-		e.stolenSizes = make([]int64, 0, min(cfg.StealBudget, 1<<16))
+	if err := e.Reset(cfg); err != nil {
+		return nil, err
 	}
-	// Pre-size the metadata free lists past typical peak live counts so
-	// recycling never regrows them mid-run.
-	e.jcFree = make([]*joinCell, 0, slabLen)
-	e.spFree = make([]*spawn, 0, slabLen)
-	e.strandFree = make([]*strand, 0, slabLen)
-	e.taskFree = make([]*Task, 0, slabLen)
-	e.allStrands = make([]*strand, 0, slabLen)
-	if cfg.AuditStackBlocks {
-		e.audit = newAuditor()
-		m.OnTransfer = e.audit.observe
-	}
+	e.persistent = false
 	return e, nil
 }
 
@@ -283,9 +266,10 @@ func MustNewEngine(cfg Config) *Engine {
 // structure alive: metadata slabs and free lists, deque ring buffers, the
 // clock heap, simulated memory pages (recycled through the mem free list),
 // cache and directory pages (invalidated by generation stamps, revalidated
-// lazily), exec stack structs, and the suspended strand coroutines. A reset
-// engine produces Results bit-for-bit identical to a fresh NewEngine(cfg) —
-// the reuse differential tests and FuzzEngineReuse hold it to that.
+// lazily), exec stack structs, and the suspended strand coroutines. It is
+// all of NewEngine's set-up, so a reset engine returns what NewEngine(cfg)
+// returns; the reuse differentials and FuzzEngineReuse check what a previous
+// run leaves behind.
 //
 // Reset marks the engine persistent: subsequent Runs leave the strand
 // coroutines suspended in their job loops instead of stopping them, so
@@ -301,7 +285,7 @@ func (e *Engine) Reset(cfg Config) error {
 		return ErrEngineClosed
 	}
 	if cfg.RootStackWords <= 0 {
-		cfg.RootStackWords = 1 << 16
+		cfg.RootStackWords = defaultRootStackWords
 	}
 	if err := e.mach.Reset(cfg.Machine); err != nil {
 		return err
@@ -363,7 +347,8 @@ func (e *Engine) Reset(cfg Config) error {
 	// The previous Result owns the old StolenKernelSizes backing, so a fresh
 	// slice is the one steady-state allocation a reused run keeps. Its
 	// capacity carries over from the last run (collect normalizes empty
-	// slices to nil, so capacity never shows through).
+	// slices to nil, so capacity never shows through). A budgeted run gets
+	// one entry per steal, capped for an effectively unlimited budget.
 	presize := cap(e.stolenSizes)
 	if cfg.StealBudget >= 0 && int64(presize) < cfg.StealBudget {
 		presize = int(min(cfg.StealBudget, 1<<16))

@@ -15,12 +15,6 @@ type clockHeap struct {
 	pos   []int32 // pos[p] = heap slot of processor p
 }
 
-func newClockHeap(p int) *clockHeap {
-	h := &clockHeap{}
-	h.reset(p)
-	return h
-}
-
 // reset restores the heap to the all-clocks-zero start state for p
 // processors, reusing the backing arrays when they are large enough.
 func (h *clockHeap) reset(p int) {

@@ -13,7 +13,8 @@ import (
 func TestClockHeapMatchesLinearScan(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8, 64, 100} {
 		rng := rand.New(rand.NewSource(int64(p)))
-		h := newClockHeap(p)
+		h := &clockHeap{}
+		h.reset(p)
 		for i := 0; i < 10_000; i++ {
 			best := 0
 			for q := 1; q < p; q++ {

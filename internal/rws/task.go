@@ -147,10 +147,14 @@
 // structures — slabs, ring buffers, memory pages, cache/directory pages
 // (generation-stamped, revalidated lazily), and the suspended strand
 // coroutines — so back-to-back runs allocate almost nothing and start no
-// coroutines in steady state. Reused runs are bit-for-bit identical to
-// fresh-engine runs under arbitrary config changes between runs; the golden
-// replay, the randomized reuse differential and FuzzEngineReuse enforce
-// that. A Reset engine is persistent and must be released with Close.
+// coroutines in steady state. Reset is also the only initialization:
+// NewEngine, machine.New, cache.New and mem.New each build an empty value
+// and call its Reset, so a fresh engine is set up by the code that resets
+// a used one. Reused runs are bit-for-bit identical to fresh-engine runs
+// under arbitrary config changes between runs; the golden replay, the
+// randomized reuse differential and FuzzEngineReuse check what a previous
+// run could leave behind. A Reset engine is persistent and must be released
+// with Close; NewEngine's is single-use.
 package rws
 
 import (

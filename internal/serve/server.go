@@ -202,6 +202,14 @@ type Config struct {
 	now func() time.Time
 }
 
+// DefaultConfig returns the values New gives a zero Config, except
+// Workers and BatchParallel: they stay 0, which New derives from GOMAXPROCS.
+func DefaultConfig() Config {
+	c := Config{}.withDefaults()
+	c.Workers, c.BatchParallel = 0, 0
+	return c
+}
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
