@@ -2,15 +2,13 @@ package rwsfs
 
 // One benchmark per reproduction experiment (see harness.All). Each
 // benchmark executes the experiment's full parameter sweep at Quick scale per
-// iteration and reports the headline measured quantity as a custom metric, so
+// iteration, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every table's data. Custom metrics:
-//
-//	steals/op       successful steals in the sweep's unlimited-budget run
-//	blockMiss/op    invalidation-induced (false-sharing) misses
-//	checksFailed/op shape-check failures (must be 0)
+// regenerates every table's data. Each reports one custom metric,
+// checksFailed/op, the shape checks that failed (must be 0); the ablation
+// benchmarks (ablation_bench_test.go) report steals/op and blockMiss/op.
 import (
 	"testing"
 

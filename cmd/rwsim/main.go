@@ -152,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer pool.Close()
 	e, root := mk(&pool, cfg)
 	res := e.Run(root)
-	report(stdout, *alg, *n, res, *policyName)
+	report(stdout, *alg, *n, res, e.Stats(), *policyName)
 	pool.Recycle(e)
 
 	if *seq && *p > 1 {
@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func report(w io.Writer, alg string, n int, r rws.Result, policy string) {
+func report(w io.Writer, alg string, n int, r rws.Result, st rws.Stats, policy string) {
 	fmt.Fprintf(w, "algorithm %s, n=%d, p=%d, B=%d, M=%d, b=%d, s=%d, seed-dependent schedule\n",
 		alg, n, r.Params.P, r.Params.B, r.Params.M, r.Params.CostMiss, r.Params.CostSteal)
 	rows := [][2]string{
@@ -187,7 +187,7 @@ func report(w io.Writer, alg string, n int, r rws.Result, policy string) {
 		{"block transfers:", fmt.Sprint(r.BlockTransfersTotal)},
 		{"max transfers/block:", fmt.Sprint(r.BlockTransfersMax)},
 		{"root stack peak:", fmt.Sprint(r.RootStackPeak)},
-		{"stacks created/reused:", fmt.Sprintf("%d/%d", r.StacksCreated, r.StacksReused)},
+		{"stacks created/reused:", fmt.Sprintf("%d/%d", st.StacksCreated, st.StacksReused)},
 	}
 	// The policy/topology/steal-pricing rows appear only off the defaults,
 	// keeping the paper-configuration output byte-identical to earlier

@@ -154,15 +154,15 @@
 //     addresses match a fresh run exactly.
 //   - harness.Runner pools reset engines under the experiment sweeps: every
 //     builder draws from the pool, so a full E01–E21 sweep constructs about
-//     one engine per worker instead of one per run. Result.PerProc snapshots
-//     are skipped on the sweep path (Engine.RunLean); callers that want
-//     counters use Engine.CopyCounters with a buffer they own.
+//     one engine per worker instead of one per run. A Result holds only the
+//     simulated outcome; callers that want per-processor counters or the
+//     engine's own bookkeeping read Engine.CopyCounters and Engine.Stats.
 //
 // Reused runs are bit-for-bit identical to fresh-engine runs — goldens
 // (TestGoldenDeterminismReused), a randomized heterogeneous-sequence
 // differential (TestEngineReuseMatchesFresh) and FuzzEngineReuse check that
 // no state of an earlier run leaks into the next —
-// and the steady state allocates ~4 times per run (ceiling 10, enforced by
+// and the steady state allocates 3 times per run (ceiling 10, enforced by
 // scripts/bench.sh and CI on BenchmarkStealHeavyReuse/BenchmarkForkJoinReuse).
 //
 // # Running rwsimd (simulation as a service)

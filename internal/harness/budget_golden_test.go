@@ -2,10 +2,14 @@ package harness
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,12 +40,42 @@ var budgetGoldenMachines = []struct {
 	}},
 }
 
-// budgetGoldenLines runs the budgeted grid and returns one line per case:
-// its key, Makespan, Steals, FailedSteals, and the SHA-256 of the full
-// Result's %+v, PerProc and StolenKernelSizes included. prefix, fft,
-// sort-col and matmul-la run on coroutines and replay their recording;
-// conncomp, whose op stream depends on the schedule, only runs.
-func budgetGoldenLines(t *testing.T) []string {
+// budgetGolden is the budgeted grid as a table: the column names, and per
+// case its key and one value per column.
+type budgetGolden struct {
+	cols []string
+	keys []string
+	rows [][]string
+}
+
+// budgetGoldenColumns names the golden's columns: every rws.Result field
+// in declaration order, so that a new field gets its own column, then
+// PerProc, the engine's per-processor counters.
+func budgetGoldenColumns() []string {
+	rt := reflect.TypeFor[rws.Result]()
+	var cols []string
+	for i := range rt.NumField() {
+		cols = append(cols, rt.Field(i).Name)
+	}
+	return append(cols, "PerProc")
+}
+
+// budgetGoldenCell writes one value: an integer in decimal, anything else
+// as the first 16 hex digits of the SHA-256 of its %+v.
+func budgetGoldenCell(v reflect.Value) string {
+	if v.CanInt() {
+		return strconv.FormatInt(v.Int(), 10)
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v.Interface())))
+	return hex.EncodeToString(sum[:8])
+}
+
+// budgetGoldenGrid runs the budgeted grid, one case per kernel, machine,
+// P, budget and policy. prefix, fft, sort-col and matmul-la also replay
+// their recording, which must equal the run in its Result, per-processor
+// counters and Stats; conncomp, whose op stream depends on the schedule,
+// only runs.
+func budgetGoldenGrid(t *testing.T) budgetGolden {
 	kernels := []struct {
 		name   string
 		n      int
@@ -52,11 +86,7 @@ func budgetGoldenLines(t *testing.T) []string {
 	}
 	var pool Runner
 	defer pool.Close()
-	var lines []string
-	line := func(key string, res rws.Result) {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))
-		lines = append(lines, fmt.Sprintf("%s %d %d %d %x", key, res.Makespan, res.Steals, res.FailedSteals, sum))
-	}
+	g := budgetGolden{cols: budgetGoldenColumns()}
 	for _, k := range kernels {
 		mk, ok := WorkloadMaker(k.name, k.n)
 		if !ok {
@@ -84,41 +114,86 @@ func budgetGoldenLines(t *testing.T) []string {
 						cfg.Policy = pol
 						key := fmt.Sprintf("%s/%s/p%d/b%d/%s", k.name, m.name, p, budget, pol.Name())
 						e, root := mk(&pool, cfg)
-						line(key+"/run", e.Run(root))
+						run := outcomeOf(e, e.Run(root))
 						pool.Recycle(e)
-						if tr == nil {
-							continue
+						if tr != nil {
+							e = pool.Engine(cfg)
+							replay := outcomeOf(e, e.Replay(tr))
+							pool.Recycle(e)
+							if !reflect.DeepEqual(run, replay) {
+								t.Fatalf("%s: replay diverged from Run:\nrun:    %+v\nreplay: %+v", key, run, replay)
+							}
 						}
-						e = pool.Engine(cfg)
-						res := e.Replay(tr)
-						res.PerProc = e.CopyCounters(nil)
-						line(key+"/replay", res)
-						pool.Recycle(e)
+						res := reflect.ValueOf(run.Result)
+						row := make([]string, 0, len(g.cols))
+						for i := range res.NumField() {
+							row = append(row, budgetGoldenCell(res.Field(i)))
+						}
+						g.keys = append(g.keys, key)
+						g.rows = append(g.rows, append(row, budgetGoldenCell(reflect.ValueOf(run.PerProc))))
 					}
 				}
 			}
 		}
 	}
-	return lines
+	return g
+}
+
+func (g budgetGolden) String() string {
+	var b strings.Builder
+	b.WriteString("# One case a line. Integers are decimal; any other value is the first\n")
+	b.WriteString("# 16 hex digits of the SHA-256 of its %+v.\n")
+	b.WriteString("key " + strings.Join(g.cols, " ") + "\n")
+	for i, k := range g.keys {
+		b.WriteString(k + " " + strings.Join(g.rows[i], " ") + "\n")
+	}
+	return b.String()
+}
+
+// parseBudgetGolden reads a golden file: comment lines, the header that
+// names the columns, and one line per case.
+func parseBudgetGolden(data string) (budgetGolden, error) {
+	var g budgetGolden
+	for _, l := range strings.Split(data, "\n") {
+		if l == "" || l[0] == '#' {
+			continue
+		}
+		f := strings.Fields(l)
+		if g.cols == nil {
+			if f[0] != "key" {
+				return g, fmt.Errorf("header %q does not start with key", l)
+			}
+			g.cols = f[1:]
+			continue
+		}
+		if len(f) != len(g.cols)+1 {
+			return g, fmt.Errorf("%s: %d values for %d columns", f[0], len(f)-1, len(g.cols))
+		}
+		g.keys, g.rows = append(g.keys, f[0]), append(g.rows, f[1:])
+	}
+	return g, nil
 }
 
 // TestBudgetedGolden holds steal-budgeted runs and replays to a golden
-// file generated before idle processors whose budget is spent stopped
-// spinning: the full Results, every failed steal and per-processor counter
-// included, must not move. go test ./internal/harness -run
-// TestBudgetedGolden -update-budget-golden rewrites the file; regenerate
-// it only for a change meant to alter simulated results.
+// file whose values were first recorded before idle processors whose
+// budget is spent stopped spinning: every Result field and the
+// per-processor counters, each in a column of its own, must not move.
+// Columns are compared by name, so a field added to or removed from Result
+// fails only its own column, and the failure says whether every shared
+// column still matched. go test ./internal/harness -run TestBudgetedGolden
+// -update-budget-golden rewrites the file; regenerate it only once every
+// shared column matched, and only for a change that adds or removes a
+// field or is meant to alter simulated results.
 func TestBudgetedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("budgeted golden grid skipped in -short mode")
 	}
-	got := budgetGoldenLines(t)
+	got := budgetGoldenGrid(t)
 	if *updateBudgetGolden {
 		if err := os.MkdirAll(filepath.Dir(budgetGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		body := "# key Makespan Steals FailedSteals sha256(%+v of the Result)\n" + strings.Join(got, "\n") + "\n"
-		if err := os.WriteFile(budgetGoldenPath, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(budgetGoldenPath, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -127,24 +202,42 @@ func TestBudgetedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	for _, l := range strings.Split(string(data), "\n") {
-		if l != "" && l[0] != '#' {
-			want = append(want, l)
-		}
+	want, err := parseBudgetGolden(string(data))
+	if err != nil {
+		t.Fatalf("%s: %v", budgetGoldenPath, err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d cases, golden has %d", len(got), len(want))
+	if !slices.Equal(got.keys, want.keys) {
+		t.Fatalf("the grid's %d cases are not the %d cases of %s", len(got.keys), len(want.keys), budgetGoldenPath)
 	}
 	bad := 0
-	for i := range got {
-		if got[i] != want[i] {
-			if bad++; bad <= 10 {
-				t.Errorf("case %d:\ngot  %s\nwant %s", i, got[i], want[i])
+	for wc, col := range want.cols {
+		gc := slices.Index(got.cols, col)
+		if gc < 0 {
+			continue
+		}
+		for i, key := range got.keys {
+			if got.rows[i][gc] != want.rows[i][wc] {
+				if bad++; bad <= 10 {
+					t.Errorf("%s %s = %s, golden %s", key, col, got.rows[i][gc], want.rows[i][wc])
+				}
 			}
 		}
 	}
+	shared := "every shared column matched"
 	if bad > 0 {
-		t.Fatalf("%d of %d cases diverged from %s", bad, len(got), budgetGoldenPath)
+		shared = fmt.Sprintf("%d shared values diverged", bad)
+	}
+	for _, col := range want.cols {
+		if !slices.Contains(got.cols, col) {
+			t.Errorf("column %s is in %s but not in this tree; %s", col, budgetGoldenPath, shared)
+		}
+	}
+	for _, col := range got.cols {
+		if !slices.Contains(want.cols, col) {
+			t.Errorf("column %s is in this tree but not in %s; %s", col, budgetGoldenPath, shared)
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%s over %d cases of %s", shared, len(got.keys), budgetGoldenPath)
 	}
 }

@@ -691,7 +691,7 @@ func E15(s Scale) Table {
 		avgS := float64(sm.Steals) / float64(runs)
 		avgSpan := float64(sm.Makespan) / float64(runs)
 		extra := sm.Totals.CacheMisses - runs*seq.Totals.CacheMisses
-		cond := (math.Max(float64(extra)/float64(runs), 0) + avgS*float64(base.Machine.B)) / q
+		cond := analysis.SpeedupOptimalCondition(math.Max(float64(extra)/float64(runs), 0), avgS, q, costs(base.Machine))
 		sp := float64(seq.Makespan) / avgSpan
 		eff := sp / float64(p)
 		effs = append(effs, eff)

@@ -226,9 +226,9 @@ func (r *Runner) Engine(cfg rws.Config) *rws.Engine {
 	return e
 }
 
-// Recycle returns an engine to the pool after its Run completed. The
-// engine's Result (and anything read from its Machine) must be fully
-// consumed or copied first: the next checkout Resets the simulated memory.
+// Recycle returns an engine to the pool after its Run completed. Read what
+// the caller needs from its Machine, CopyCounters or Stats first: the next
+// checkout Resets them.
 func (r *Runner) Recycle(e *rws.Engine) {
 	r.mu.Lock()
 	r.free = append(r.free, e)

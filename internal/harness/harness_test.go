@@ -238,7 +238,7 @@ func TestCheckSizeMatchesMakers(t *testing.T) {
 				}()
 				mk, _ := WorkloadMaker(alg, n)
 				e, root := mk(&pool, rws.DefaultConfig(2))
-				e.RunLean(root)
+				e.Run(root)
 				pool.Recycle(e)
 				return false
 			}()

@@ -45,11 +45,24 @@ func randomReplayConfig(rng *rand.Rand, b int, pol rws.StealPolicy) rws.Config {
 	return cfg
 }
 
+// runOutcome is a run's Result with the per-processor counters and Stats
+// that its engine holds until the next Reset.
+type runOutcome struct {
+	rws.Result
+	PerProc []machine.ProcCounters
+	Stats   rws.Stats
+}
+
+// outcomeOf reads engine e's last run, whose Result is res.
+func outcomeOf(e *rws.Engine, res rws.Result) runOutcome {
+	return runOutcome{res, e.CopyCounters(nil), e.Stats()}
+}
+
 // TestReplayMatchesRun holds replay to the coroutine engine on every
 // race-free registered workload, keyed by its registry name and size: one
 // recording per (workload, B), replayed under random configurations
 // through the same pooled engines the coroutine runs use. Every replay
-// must equal RunLean.
+// must equal Run in its Result, per-processor counters and Stats.
 func TestReplayMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pols := rws.Policies()
@@ -74,14 +87,14 @@ func TestReplayMatchesRun(t *testing.T) {
 			for i := 0; i < 2*len(pols); i++ {
 				cfg := randomReplayConfig(rng, b, pols[i%len(pols)])
 				e, root := k.Make(&pool, cfg)
-				want := e.RunLean(root)
+				want := outcomeOf(e, e.Run(root))
 				pool.Recycle(e)
 				e = pool.Engine(cfg)
-				got := e.Replay(tr)
+				got := outcomeOf(e, e.Replay(tr))
 				pool.Recycle(e)
 				runs++
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s B=%d P=%d %s %+v budget %d: replay diverged from RunLean:\nrun:    %+v\nreplay: %+v",
+					t.Fatalf("%s B=%d P=%d %s %+v budget %d: replay diverged from Run:\nrun:    %+v\nreplay: %+v",
 						name, b, cfg.Machine.P, cfg.Policy.Name(), cfg.Machine.Topology, cfg.StealBudget, want, got)
 				}
 			}
@@ -111,7 +124,7 @@ func TestConnCompReplayDiverges(t *testing.T) {
 		cfg := rws.DefaultConfig(2)
 		cfg.Seed = seed
 		e, root := mk(&pool, cfg)
-		want := e.RunLean(root)
+		want := e.Run(root)
 		pool.Recycle(e)
 		e = pool.Engine(cfg)
 		got := e.Replay(tr)
@@ -182,7 +195,7 @@ func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
 	}}
 	cfg := rws.DefaultConfig(4)
 	e, root := k.Make(&enginePool, cfg)
-	want := e.RunLean(root)
+	want := e.Run(root)
 	enginePool.Recycle(e)
 	var c TraceCache
 	for i, wantCh := range []TraceChange{{Recorded: true, Rejected: true, Bytes: rejectedBytes}, {}} {
@@ -191,7 +204,7 @@ func TestRejectedRecordingRunsOnCoroutines(t *testing.T) {
 			t.Fatalf("call %d: %+v, %v; want %+v: a kernel that accesses memory allocated during the run must be rejected once and run on coroutines", i, ch, err, wantCh)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("call %d: fallback diverged from RunLean:\nrun: %+v\nRun: %+v", i, want, got)
+			t.Fatalf("call %d: fallback diverged from Engine.Run:\nEngine.Run: %+v\nRun:        %+v", i, want, got)
 		}
 	}
 }

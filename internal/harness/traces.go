@@ -81,8 +81,8 @@ func (c *TraceCache) limit() int64 {
 // its Result and what the call changed in the cache. A kernel with a key
 // replays its trace, recorded on a miss by rws.Engine.Record under the
 // cache's budget; a kernel without a key (conncomp), or whose recording
-// was rejected, runs on coroutines through k.Make and RunLean, with a
-// bit-identical Result. If the recording or the run panics, Run closes
+// was rejected, runs on coroutines through k.Make and rws.Engine.Run, with
+// a bit-identical Result. If the recording or the run panics, Run closes
 // that engine, never recycling it, and returns the panic value as an
 // error; the TraceChange still reports what the cache changed.
 func (c *TraceCache) Run(pool *Runner, k Kernel, cfg rws.Config) (res rws.Result, ch TraceChange, err error) {
@@ -111,7 +111,7 @@ func (c *TraceCache) Run(pool *Runner, k Kernel, cfg rws.Config) (res rws.Result
 		res, ch.Replayed = e.Replay(tr), true
 	} else {
 		e, root = k.Make(pool, cfg)
-		res = e.RunLean(root)
+		res = e.Run(root)
 	}
 	pool.Recycle(e) // res is fully materialized: recycling cannot clobber it
 	return res, ch, nil

@@ -286,7 +286,7 @@ func forkWrites(out mem.Addr, fail int) func(*rws.Ctx) {
 // records it. Run returns the panic as an error and closes the recording
 // engine, so the pool's next checkout builds a new one; the cache holds
 // nothing for the key, and the next Run records, replays and equals
-// RunLean.
+// Engine.Run.
 func TestTraceCacheRunPanicWhileRecording(t *testing.T) {
 	var pool Runner
 	defer pool.Close()
@@ -322,10 +322,10 @@ func TestTraceCacheRunPanicWhileRecording(t *testing.T) {
 		t.Fatalf("the next checkout built %d engines, want 1", b-built)
 	}
 	e, root := k.Make(&pool, cfg)
-	want := e.RunLean(root)
+	want := e.Run(root)
 	pool.Recycle(e)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("replay after the panic diverged from RunLean:\nrun: %+v\nRun: %+v", want, got)
+		t.Fatalf("replay after the panic diverged from Engine.Run:\nEngine.Run: %+v\nRun:        %+v", want, got)
 	}
 }
 

@@ -254,8 +254,9 @@ func BenchmarkBudgetSpentReplayReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.Replay(tr)
-		spun += e.idleSpun
-		settled += e.idleSettled
+		st := e.Stats()
+		spun += st.IdleSpun
+		settled += st.IdleSettled
 	}
 	for s := int64(1); s <= 32; s++ {
 		iter(s)
@@ -270,14 +271,11 @@ func BenchmarkBudgetSpentReplayReuse(b *testing.B) {
 	b.ReportMetric(float64(settled)/float64(b.N), "idle_settled/op")
 }
 
-// handoffCount reads the engine's strand-to-strand handoff counter.
-func (e *Engine) handoffCount() int64 { return e.handoffs }
-
 // BenchmarkHandoff times strand interleavings: four processors run leaves
 // that alternate one tick of work with a timed read, so their clocks cross
 // constantly and the running strand hands over to another every few
-// charges. It reports wall time per handoff (ns/handoff, from the engine's
-// handoff counter) and handoffs/op. The per-handoff figure includes the
+// charges. It reports wall time per handoff (ns/handoff, from
+// Engine.Stats) and handoffs/op. The per-handoff figure includes the
 // simulated work between handoffs, so it bounds the switch cost from above.
 func BenchmarkHandoff(b *testing.B) {
 	cfg := DefaultConfig(4)
@@ -297,7 +295,7 @@ func BenchmarkHandoff(b *testing.B) {
 				}
 			})
 		})
-		return e.handoffCount()
+		return e.Stats().Handoffs
 	}
 	iter(999) // warm the pools
 	b.ReportAllocs()
@@ -333,7 +331,7 @@ func BenchmarkHandoffReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.Replay(tr)
-		return e.handoffCount()
+		return e.Stats().Handoffs
 	}
 	iter(999) // warm the pools
 	b.ReportAllocs()

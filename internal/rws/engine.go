@@ -55,17 +55,17 @@ func DefaultConfig(p int) Config {
 	}
 }
 
-// Result summarizes one run.
+// Result summarizes one run: the simulated outcome only. Per-processor
+// counters are read with Engine.CopyCounters, and the engine's own
+// bookkeeping with Engine.Stats.
 type Result struct {
 	Params   machine.Params
 	Makespan machine.Tick
 	Totals   machine.ProcCounters
-	PerProc  []machine.ProcCounters
 
 	Steals       int64 // successful steals S
 	FailedSteals int64 // failed attempts, parked processors' settled ones too
 	Spawns       int64 // stealable tasks created
-	TasksStolen  int64 // == Steals
 	Usurpations  int64
 	// SpawnsMigrated counts queued tasks a multi-take policy (StealHalf)
 	// moved to the thief's deque beyond the one that started executing;
@@ -86,19 +86,25 @@ type Result struct {
 	StolenKernelSizes []int64
 
 	RootStackPeak int64 // peak words on the root task's stack (space checks)
-	StacksCreated int   // fresh stack regions allocated
-	StacksReused  int   // regions recycled from the pool
-	// StrandsLaunched is the peak number of strands simultaneously checked
-	// out of the strand pool. On a single-use engine that is exactly the
-	// coroutines created (one is created precisely when the free list is
-	// empty); a Reset engine keeps its coroutines across runs, so the peak
-	// is reported instead of the cross-run creation total to keep reused
-	// Results bit-identical to fresh ones.
-	StrandsLaunched int
 
 	// StackAudits holds the per-task Lemma 4.3/4.4 block-delay audit when
 	// Config.AuditStackBlocks was set.
 	StackAudits []StackAudit
+}
+
+// Stats is the engine's own bookkeeping for its last run: what the run
+// cost the simulator, not what it simulated. A replay leaves the same
+// Stats as the coroutine run of its recording.
+type Stats struct {
+	StacksCreated int // fresh stack regions allocated
+	StacksReused  int // regions recycled from the pool
+	// Handoffs counts passes from one strand to another, each a stop for
+	// the driver to resume the next strand.
+	Handoffs int64
+	// IdleSpun counts idle steps executed, pops and steal attempts, and
+	// IdleSettled the attempts settleParked charged instead; their sum is
+	// what an engine that never parks spins.
+	IdleSpun, IdleSettled int64
 }
 
 // Engine runs fork-join computations under simulated RWS. Create with
@@ -152,15 +158,8 @@ type Engine struct {
 	// processor it happened on; Run re-raises it.
 	fault     any
 	faultProc int
-	// handoffs counts passes from one strand to another, each a stop for
-	// the driver to resume the next strand. Not a Result field: the handoff
-	// benchmarks read it, and the golden replay test compares run and
-	// replay on it.
-	handoffs int64
-	// idleSpun counts idle steps executed, pops and steal attempts, and
-	// idleSettled the attempts settleParked charged instead; their sum is
-	// what an engine that never parks spins. Not Result fields either.
-	idleSpun, idleSettled int64
+	// stats is the engine's bookkeeping for the current run (see Stats).
+	stats Stats
 
 	// trace is the stream a Replay interprets, with segs its table of
 	// kernel segment bases, indexed by Alloc op. trace is nil on a
@@ -191,11 +190,6 @@ type Engine struct {
 	strandSlab []strand
 	allStrands []*strand // every launched strand, for shutdown
 
-	// strandsOut / strandPeak track how many strands are checked out of the
-	// pool right now and at most; on a single-use engine the peak equals
-	// len(allStrands) exactly (see Result.StrandsLaunched).
-	strandsOut int
-	strandPeak int
 	// persistent keeps the strand coroutines suspended after Run instead of
 	// stopping them, so the next Reset+Run reuses them. Set by Reset; a
 	// persistent engine must be released with Close.
@@ -331,7 +325,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.done = false
 	e.finishTime = 0
 	e.taskSeq = 0
-	e.handoffs, e.idleSpun, e.idleSettled = 0, 0, 0
+	e.stats = Stats{}
 	e.trace = nil
 	if e.root != nil {
 		e.putTask(e.root)
@@ -358,7 +352,6 @@ func (e *Engine) Reset(cfg Config) error {
 	} else {
 		e.stolenSizes = nil
 	}
-	e.strandsOut, e.strandPeak = 0, 0
 	if e.strandsShut {
 		// A previous non-persistent Run stopped the pooled coroutines; drop
 		// the dead strands so newStrand creates fresh ones.
@@ -392,30 +385,24 @@ func (e *Engine) Close() {
 // input arrays before Run and to read outputs after it.
 func (e *Engine) Machine() *machine.Machine { return e.mach }
 
-// Run executes root as the original task under RWS and returns the metrics.
-// An Engine runs once per configuration: a second Run requires a Reset in
-// between (which may re-apply the same Config).
+// Run executes root as the original task under RWS and returns the
+// simulated outcome; CopyCounters and Stats read the run's per-processor
+// counters and the engine's bookkeeping until the next Reset. An Engine
+// runs once per configuration: a second Run requires a Reset in between
+// (which may re-apply the same Config).
 func (e *Engine) Run(rootFn func(*Ctx)) Result {
-	return e.run(rootFn, true)
-}
-
-// RunLean is Run for sweep drivers that retain many Results: it skips the
-// per-processor counters snapshot (Result.PerProc is nil), so collecting a
-// reused engine's Result does not allocate a fresh slice per run. Callers
-// that want the engine's last per-processor counters use CopyCounters with
-// a buffer they own.
-func (e *Engine) RunLean(rootFn func(*Ctx)) Result {
-	return e.run(rootFn, false)
-}
-
-func (e *Engine) run(rootFn func(*Ctx), perProc bool) Result {
 	e.checkFresh("Run")
 	e.execute(e.cfg.RootStackWords, strandJob{fn: rootFn})
 	if !e.persistent {
 		e.shutdown()
 	}
-	return e.collect(perProc)
+	return e.collect()
 }
+
+// RunLean is Run. It is kept only because the benchmark module (bench/)
+// compiles against it; a change to the benchmark may switch bench/ to Run
+// and delete it.
+func (e *Engine) RunLean(rootFn func(*Ctx)) Result { return e.Run(rootFn) }
 
 // checkFresh panics unless the engine may start a computation: it is not
 // closed, and it was not run since it was built or Reset.
@@ -523,7 +510,7 @@ func (e *Engine) idleStep(p int) {
 	} else {
 		e.stealAttempt(p)
 	}
-	e.idleSpun++
+	e.stats.IdleSpun++
 	e.sched.fix(p)
 }
 
@@ -554,7 +541,7 @@ func (e *Engine) settleParked() {
 		e.mach.Proc[p].StealsFail += n
 		e.mach.Proc[p].StealTicks += machine.Tick(n) * f
 		e.failed += n
-		e.idleSettled += n
+		e.stats.IdleSettled += n
 	}
 }
 
@@ -731,10 +718,6 @@ func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 	t.liveStrands++
 	job.task = t
 	st.job = job
-	e.strandsOut++
-	if e.strandsOut > e.strandPeak {
-		e.strandPeak = e.strandsOut
-	}
 	return st
 }
 
@@ -742,7 +725,6 @@ func (e *Engine) newStrand(t *Task, job strandJob) *strand {
 // to its job loop.
 func (e *Engine) putStrand(st *strand) {
 	st.task = nil
-	e.strandsOut--
 	e.strandFree = append(e.strandFree, st)
 }
 
@@ -836,7 +818,7 @@ func (e *Engine) finishStrand(st *strand, jc *joinCell) {
 		return
 	}
 	if e.next = e.nextStrand(); e.next != st {
-		e.handoffs++
+		e.stats.Handoffs++
 	}
 }
 
@@ -922,22 +904,25 @@ func (e *Engine) popBottomIf(p int, sp *spawn) bool {
 	return false
 }
 
-// CopyCounters appends a snapshot of the per-processor counters to buf
-// (which may be nil) and returns the extended slice: the caller-supplied-
-// buffer variant of the Result.PerProc export, for loops that sample
-// counters without a fresh allocation per run.
+// CopyCounters appends the last run's per-processor counters to buf
+// (which may be nil) and returns the extended slice; Result.Totals is
+// their sum. A caller that samples every run reuses one buffer.
 func (e *Engine) CopyCounters(buf []machine.ProcCounters) []machine.ProcCounters {
 	return append(buf, e.mach.Proc...)
 }
 
-func (e *Engine) collect(perProc bool) Result {
+// Stats returns the engine's bookkeeping for its last run, which a Reset
+// zeroes.
+func (e *Engine) Stats() Stats { return e.stats }
+
+func (e *Engine) collect() Result {
 	var audits []StackAudit
 	if e.audit != nil {
 		e.audit.finishAll()
 		audits = e.audit.results
 	}
 	total, maxPer := e.mach.BlockTransfers()
-	created, reused := e.pool.Stats()
+	e.stats.StacksCreated, e.stats.StacksReused = e.pool.Stats()
 	sizes := e.stolenSizes
 	if len(sizes) == 0 {
 		// A budgeted engine pre-sizes the slice; normalizing the no-steal
@@ -945,19 +930,13 @@ func (e *Engine) collect(perProc bool) Result {
 		// backing was provisioned (fresh construction or Reset carry-over).
 		sizes = nil
 	}
-	var per []machine.ProcCounters
-	if perProc {
-		per = e.CopyCounters(nil)
-	}
-	res := Result{
+	return Result{
 		Params:              e.mach.Params,
 		Makespan:            e.finishTime,
 		Totals:              e.mach.Totals(),
-		PerProc:             per,
 		Steals:              e.steals,
 		FailedSteals:        e.failed,
 		Spawns:              e.spawns,
-		TasksStolen:         e.steals,
 		Usurpations:         e.usurpations,
 		SpawnsMigrated:      e.migrated,
 		InlinePops:          e.inlinePops,
@@ -967,10 +946,6 @@ func (e *Engine) collect(perProc bool) Result {
 		MaxWriteCount:       e.mach.MaxWriteCount(),
 		StolenKernelSizes:   sizes,
 		RootStackPeak:       int64(e.root.stack.Peak()),
-		StacksCreated:       created,
-		StacksReused:        reused,
-		StrandsLaunched:     e.strandPeak,
 		StackAudits:         audits,
 	}
-	return res
 }

@@ -23,6 +23,33 @@ func leafSquares(out mem.Addr, k int) func(*Ctx) {
 	}
 }
 
+// outcome is everything a run leaves to compare: its Result, the
+// per-processor counters and the engine's Stats.
+type outcome struct {
+	Result
+	PerProc []machine.ProcCounters
+	Stats   Stats
+}
+
+// outcomeOf reads engine e's last run, whose Result is res.
+func outcomeOf(e *Engine, res Result) outcome {
+	return outcome{res, e.CopyCounters(nil), e.Stats()}
+}
+
+// withoutHandoffs drops the handoff count, which DisableFastPath changes by
+// design: lockstep strands hand over after every timed request.
+func (o outcome) withoutHandoffs() outcome {
+	o.Stats.Handoffs = 0
+	return o
+}
+
+// withoutIdle drops the idle steps spun and settled, which parking moves
+// from one count to the other.
+func (o outcome) withoutIdle() outcome {
+	o.Stats.IdleSpun, o.Stats.IdleSettled = 0, 0
+	return o
+}
+
 func runSquares(t *testing.T, cfg Config, k int) (Result, *Engine) {
 	t.Helper()
 	e := MustNewEngine(cfg)
@@ -69,10 +96,10 @@ func TestParallelRunStealsAndCorrectness(t *testing.T) {
 func TestDeterminismSameSeed(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Seed = 42
-	a, _ := runSquares(t, cfg, 300)
-	b, _ := runSquares(t, cfg, 300)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different results:\n%+v\n%+v", a, b)
+	a, ea := runSquares(t, cfg, 300)
+	b, eb := runSquares(t, cfg, 300)
+	if oa, ob := outcomeOf(ea, a), outcomeOf(eb, b); !reflect.DeepEqual(oa, ob) {
+		t.Fatalf("same seed produced different results:\n%+v\n%+v", oa, ob)
 	}
 }
 
@@ -262,8 +289,8 @@ func TestPanicOnStolenStrandCloseStopsCoroutines(t *testing.T) {
 			e.Run(func(c *Ctx) {
 				c.ForkN(256, func(j int, c *Ctx) {
 					c.Work(5)
-					if c.s.task.stolen && e.strandsOut >= 3 {
-						panicProc, others = c.s.proc, e.strandsOut-1
+					if out := len(e.allStrands) - len(e.strandFree); c.s.task.stolen && out >= 3 {
+						panicProc, others = c.s.proc, out-1
 						panic("boom")
 					}
 					c.StoreInt(out+mem.Addr(j), int64(j))

@@ -14,7 +14,7 @@ import (
 // executes an engine action and when*, never the simulated action sequence;
 // this is the test that holds it to that claim across every observable
 // metric, including the per-proc counters, the stolen-kernel sizes (order-
-// sensitive), and the stack audits.
+// sensitive), the stack audits, and every Stats count but the handoffs.
 func TestFastPathDifferential(t *testing.T) {
 	type workload struct {
 		name  string
@@ -82,12 +82,12 @@ func TestFastPathDifferential(t *testing.T) {
 	for _, w := range cases {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
-			run := func(disable bool) Result {
+			run := func(disable bool) outcome {
 				cfg := w.cfg
 				cfg.DisableFastPath = disable
 				e := MustNewEngine(cfg)
 				base := e.Machine().Alloc.Alloc(w.words)
-				return e.Run(func(c *Ctx) { w.run(c, base) })
+				return outcomeOf(e, e.Run(func(c *Ctx) { w.run(c, base) })).withoutHandoffs()
 			}
 			fast := run(false)
 			slow := run(true)

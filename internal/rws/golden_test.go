@@ -379,7 +379,8 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // TestGoldenDeterminismReused replays every pinned golden case through ONE
 // engine, Reset between cases, and requires each Result to be bit-for-bit
-// equal to a fresh engine's. The golden sequence is deliberately
+// equal to a fresh engine's, with the same per-processor counters and
+// Stats. The golden sequence is deliberately
 // heterogeneous — different processor counts, policies, topologies and steal
 // pricing back to back — so any state leaking across Reset (stale coherence
 // pages, RNG position, counters, allocator high-water) shows up against the
@@ -396,7 +397,7 @@ func TestGoldenDeterminismReused(t *testing.T) {
 		cfg := g.cfg()
 		fresh := MustNewEngine(cfg)
 		fBase := fresh.Machine().Alloc.Alloc(g.words)
-		fRes := fresh.Run(func(c *Ctx) { g.workload(c, fBase) })
+		fo := outcomeOf(fresh, fresh.Run(func(c *Ctx) { g.workload(c, fBase) }))
 
 		if reused == nil {
 			reused = MustNewEngine(cfg)
@@ -405,14 +406,14 @@ func TestGoldenDeterminismReused(t *testing.T) {
 			t.Fatalf("%s: Reset: %v", g.name, err)
 		}
 		rBase := reused.Machine().Alloc.Alloc(g.words)
-		rRes := reused.Run(func(c *Ctx) { g.workload(c, rBase) })
+		ro := outcomeOf(reused, reused.Run(func(c *Ctx) { g.workload(c, rBase) }))
 
-		if !reflect.DeepEqual(fRes, rRes) {
-			t.Errorf("%s: reused engine diverged from fresh:\nfresh:  %+v\nreused: %+v", g.name, fRes, rRes)
+		if !reflect.DeepEqual(fo, ro) {
+			t.Errorf("%s: reused engine diverged from fresh:\nfresh:  %+v\nreused: %+v", g.name, fo, ro)
 		}
-		if rRes.Makespan != g.makespan || rRes.Totals != g.totals {
+		if ro.Makespan != g.makespan || ro.Totals != g.totals {
 			t.Errorf("%s: reused engine diverged from pinned golden: makespan %d (want %d), totals %+v (want %+v)",
-				g.name, rRes.Makespan, g.makespan, rRes.Totals, g.totals)
+				g.name, ro.Makespan, g.makespan, ro.Totals, g.totals)
 		}
 	}
 }
@@ -426,12 +427,12 @@ func TestUniformExplicitMatchesDefault(t *testing.T) {
 	for _, g := range goldenCases() {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			run := func(pol StealPolicy) Result {
+			run := func(pol StealPolicy) outcome {
 				cfg := g.cfg()
 				cfg.Policy = pol
 				e := MustNewEngine(cfg)
 				base := e.Machine().Alloc.Alloc(g.words)
-				return e.Run(func(c *Ctx) { g.workload(c, base) })
+				return outcomeOf(e, e.Run(func(c *Ctx) { g.workload(c, base) }))
 			}
 			def := run(nil)
 			uni := run(Uniform{})

@@ -71,7 +71,7 @@ func randomInvariantConfig(rng *rand.Rand) invariantConfig {
 //     priced attempts × configured costs exactly — local attempts at
 //     Topology.CostSteal, cross-socket attempts (RemoteSteals) at the
 //     effective remote price — and is identically zero when pricing is off.
-func runInvariantCase(t *testing.T, ic invariantConfig, pol StealPolicy, disableFastPath bool) Result {
+func runInvariantCase(t *testing.T, ic invariantConfig, pol StealPolicy, disableFastPath bool) outcome {
 	t.Helper()
 	cfg := ic.cfg
 	cfg.Policy = pol
@@ -108,7 +108,7 @@ func runInvariantCase(t *testing.T, ic invariantConfig, pol StealPolicy, disable
 			func(c *Ctx) { rec(lo, cut, c) },
 			func(c *Ctx) { rec(cut, hi, c) })
 	}
-	res := e.Run(func(c *Ctx) { rec(0, ic.leaves, c) })
+	res := outcomeOf(e, e.Run(func(c *Ctx) { rec(0, ic.leaves, c) }))
 
 	if !monotone {
 		t.Errorf("%s: per-processor clock went backwards", pol.Name())
@@ -203,8 +203,9 @@ func sumCounters(per []machine.ProcCounters) machine.ProcCounters {
 // TestPolicyInvariants is the property suite of the policy layer: for
 // randomized configurations it runs every built-in policy under both the
 // run-ahead fast path and the DisableFastPath lockstep mode, checks the
-// scheduler invariants in each, and requires the two modes' Results to be
-// bit-for-bit equal per policy.
+// scheduler invariants in each, and requires the two modes' Results,
+// per-processor counters and Stats but the handoffs to be bit-for-bit equal
+// per policy.
 func TestPolicyInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260727))
 	iters := 18
@@ -214,8 +215,8 @@ func TestPolicyInvariants(t *testing.T) {
 	for iter := 0; iter < iters; iter++ {
 		ic := randomInvariantConfig(rng)
 		for _, pol := range Policies() {
-			fast := runInvariantCase(t, ic, pol, false)
-			slow := runInvariantCase(t, ic, pol, true)
+			fast := runInvariantCase(t, ic, pol, false).withoutHandoffs()
+			slow := runInvariantCase(t, ic, pol, true).withoutHandoffs()
 			if !reflect.DeepEqual(fast, slow) {
 				t.Errorf("iter %d %s: fast path diverged from lockstep:\nfast: %+v\nslow: %+v",
 					iter, pol.Name(), fast, slow)
@@ -251,10 +252,11 @@ func reuseWorkload(ic invariantConfig, out mem.Addr) func(*Ctx) {
 // TestEngineReuseMatchesFresh is the reuse differential: one engine is Reset
 // through sequences of heterogeneous configurations — processor counts,
 // block sizes, policies, topologies, steal pricing, budgets and fast-path
-// modes all varying between consecutive runs — and every run's Result must
-// be bit-for-bit equal to a fresh engine's under the identical Config,
-// including the simulated output values. This is the invariant that lets
-// harness.Runner pool engines across arbitrary experiment sweeps.
+// modes all varying between consecutive runs — and every run's Result,
+// per-processor counters and Stats must be bit-for-bit equal to a fresh
+// engine's under the identical Config, as must the simulated output
+// values. This is the invariant that lets harness.Runner pool engines
+// across arbitrary experiment sweeps.
 func TestEngineReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	rounds, runsPerRound := 6, 5
@@ -274,7 +276,7 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 
 			fresh := MustNewEngine(cfg)
 			fOut := fresh.Machine().Alloc.Alloc(ic.leaves)
-			fRes := fresh.Run(reuseWorkload(ic, fOut))
+			fo := outcomeOf(fresh, fresh.Run(reuseWorkload(ic, fOut)))
 
 			if reused == nil {
 				reused = MustNewEngine(cfg)
@@ -283,15 +285,15 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("round %d run %d: Reset: %v", round, ri, err)
 			}
 			rOut := reused.Machine().Alloc.Alloc(ic.leaves)
-			rRes := reused.Run(reuseWorkload(ic, rOut))
+			ro := outcomeOf(reused, reused.Run(reuseWorkload(ic, rOut)))
 
 			if fOut != rOut {
 				t.Fatalf("round %d run %d: allocator diverged: fresh base %d, reused base %d",
 					round, ri, fOut, rOut)
 			}
-			if !reflect.DeepEqual(fRes, rRes) {
+			if !reflect.DeepEqual(fo, ro) {
 				t.Fatalf("round %d run %d (%s, fastpath=%v): reused engine diverged from fresh:\nfresh:  %+v\nreused: %+v\nconfig: %+v",
-					round, ri, cfg.Policy.Name(), !cfg.DisableFastPath, fRes, rRes, cfg)
+					round, ri, cfg.Policy.Name(), !cfg.DisableFastPath, fo, ro, cfg)
 			}
 			for i := 0; i < ic.leaves; i++ {
 				f := fresh.Machine().Mem.LoadInt(fOut + mem.Addr(i))
@@ -301,11 +303,11 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 						round, ri, i, f, r, i)
 				}
 			}
-			// The caller-supplied-buffer counters export must match the
-			// Result's snapshot without allocating a fresh slice per call.
+			// CopyCounters into a caller's buffer must match the fresh
+			// engine's counters.
 			buf := make([]machine.ProcCounters, 0, cfg.Machine.P)
-			if got := reused.CopyCounters(buf); !reflect.DeepEqual(got, fRes.PerProc) {
-				t.Fatalf("round %d run %d: CopyCounters diverged from Result.PerProc", round, ri)
+			if got := reused.CopyCounters(buf); !reflect.DeepEqual(got, fo.PerProc) {
+				t.Fatalf("round %d run %d: CopyCounters into a buffer diverged from the fresh engine's", round, ri)
 			}
 		}
 		reused.Close()
@@ -315,8 +317,8 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 // TestEngineReuseSteadyStateAllocs pins the tentpole property: after warmup,
 // a Reset+Run cycle of a steal-heavy workload performs (almost) no heap
 // allocation. The ceiling of 10 allocs per cycle matches the CI benchmark
-// gate; the real steady state is ~2 (the Result's PerProc snapshot under
-// Run, plus the StolenKernelSizes handoff).
+// gate; the real steady state is 3: the cycle's two kernel closures, and
+// the StolenKernelSizes slice each Result takes with it.
 func TestEngineReuseSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(8)
 	e := MustNewEngine(cfg)

@@ -50,9 +50,10 @@ func spinningEngine(cfg Config) *Engine {
 
 // TestParkingMatchesSpinning holds parking to the engine that keeps
 // stepping: across random processor counts, budgets, policies, topologies
-// and both fast-path modes, by run and by replay, every Result and handoff
-// count must be equal, and the spun and settled steps of the parking engine
-// must add up to the spinning engine's idle steps.
+// and both fast-path modes, by run and by replay, every Result,
+// per-processor counter and Stats count but the idle steps must be equal,
+// and the spun and settled steps of the parking engine must add up to the
+// spinning engine's idle steps.
 func TestParkingMatchesSpinning(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pols := Policies()
@@ -70,30 +71,29 @@ func TestParkingMatchesSpinning(t *testing.T) {
 			cfg.Policy = pols[rng.Intn(len(pols))]
 			cfg.DisableFastPath = rng.Intn(2) == 0
 			for _, replay := range []bool{false, true} {
-				var res [2]Result
-				var engines [2]*Engine
+				var out [2]outcome
 				for j, e := range []*Engine{MustNewEngine(cfg), spinningEngine(cfg)} {
+					var res Result
 					if replay {
-						res[j] = e.Replay(tr)
+						res = e.Replay(tr)
 					} else {
 						base := e.Machine().Alloc.Alloc(g.words)
-						res[j] = e.Run(func(c *Ctx) { g.workload(c, base) })
+						res = e.Run(func(c *Ctx) { g.workload(c, base) })
 					}
-					engines[j] = e
+					out[j] = outcomeOf(e, res)
 				}
-				park, spin := engines[0], engines[1]
-				if !reflect.DeepEqual(res[0], res[1]) {
-					t.Fatalf("%s P=%d budget %d %s replay=%t: parking changed the Result:\nparked:   %+v\nspinning: %+v",
-						g.name, cfg.Machine.P, cfg.StealBudget, cfg.Policy.Name(), replay, res[0], res[1])
+				park, spin := out[0], out[1]
+				if !reflect.DeepEqual(park.withoutIdle(), spin.withoutIdle()) {
+					t.Fatalf("%s P=%d budget %d %s replay=%t: parking changed the run:\nparked:   %+v\nspinning: %+v",
+						g.name, cfg.Machine.P, cfg.StealBudget, cfg.Policy.Name(), replay, park, spin)
 				}
-				if park.handoffs != spin.handoffs || spin.idleSettled != 0 ||
-					park.idleSpun+park.idleSettled != spin.idleSpun {
-					t.Fatalf("%s P=%d budget %d %s replay=%t: handoffs %d/%d, idle steps spun+settled %d+%d, spinning %d+%d",
-						g.name, cfg.Machine.P, cfg.StealBudget, cfg.Policy.Name(), replay, park.handoffs, spin.handoffs,
-						park.idleSpun, park.idleSettled, spin.idleSpun, spin.idleSettled)
+				if ps, ss := park.Stats, spin.Stats; ss.IdleSettled != 0 || ps.IdleSpun+ps.IdleSettled != ss.IdleSpun {
+					t.Fatalf("%s P=%d budget %d %s replay=%t: idle steps spun+settled %d+%d, spinning %d+%d",
+						g.name, cfg.Machine.P, cfg.StealBudget, cfg.Policy.Name(), replay,
+						ps.IdleSpun, ps.IdleSettled, ss.IdleSpun, ss.IdleSettled)
 				}
 				runs++
-				if park.idleSettled > 0 {
+				if park.Stats.IdleSettled > 0 {
 					parked++
 				}
 			}
@@ -122,11 +122,12 @@ func TestBudgetSpentParks(t *testing.T) {
 	e := MustNewEngine(cfg)
 	base := e.Machine().Alloc.Alloc(g.words)
 	res := e.Run(func(c *Ctx) { g.workload(c, base) })
-	if e.idleSpun > int64(cfg.Machine.P-1) {
-		t.Errorf("spun %d idle steps, want at most %d", e.idleSpun, cfg.Machine.P-1)
+	st := e.Stats()
+	if st.IdleSpun > int64(cfg.Machine.P-1) {
+		t.Errorf("spun %d idle steps, want at most %d", st.IdleSpun, cfg.Machine.P-1)
 	}
-	if res.Makespan != 8990 || res.FailedSteals != 6293 || e.idleSettled != 6293 {
+	if res.Makespan != 8990 || res.FailedSteals != 6293 || st.IdleSettled != 6293 {
 		t.Errorf("makespan %d, FailedSteals %d, %d settled; the engine before parking made 8990, 6293, 6293",
-			res.Makespan, res.FailedSteals, e.idleSettled)
+			res.Makespan, res.FailedSteals, st.IdleSettled)
 	}
 }

@@ -42,7 +42,7 @@ func (e *Engine) handoff(st *strand) bool {
 	if next == st {
 		return false
 	}
-	e.handoffs++
+	e.stats.Handoffs++
 	e.next = next
 	return true
 }
@@ -196,7 +196,7 @@ func (e *Engine) decide(st *strand, f *frame) bool {
 		if !f.jc.childDone {
 			f.jc.parked = st
 			e.running[st.proc] = nil
-			e.handoffs++
+			e.stats.Handoffs++
 			e.next = e.nextStrand()
 			return st.pause(3)
 		}

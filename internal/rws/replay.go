@@ -9,8 +9,9 @@ import (
 )
 
 // Replay runs a recorded op stream under the engine's Config and returns
-// the Result the coroutine engine would return for the recorded kernel —
-// bit for bit, as RunLean: PerProc is nil. Call it on a new or Reset engine
+// the Result the coroutine engine's Run would return for the recorded
+// kernel, bit for bit; CopyCounters and Stats then read what they would
+// after that Run. Call it on a new or Reset engine
 // instead of allocating the kernel's inputs; Replay places the root stack
 // where the recording found it, with the recorded size, so the engine's
 // Machine must have the recorded block size. Replay executes no kernel
@@ -37,7 +38,7 @@ func (e *Engine) Replay(tr *Trace) Result {
 	e.trace = tr
 	e.execute(tr.rootStackWords, strandJob{lo: 0, hi: tr.n})
 	e.trace = nil
-	return e.collect(false)
+	return e.collect()
 }
 
 // opAddr resolves an access or placement op's address.

@@ -24,10 +24,10 @@ func recordAt(t *testing.T, cfg Config, words int, workload func(*Ctx, mem.Addr)
 
 // TestGoldenReplay records every golden and policy golden under its
 // Config, replays it under the same Config, and requires the pinned
-// values, a Result equal to RunLean's, and the same number of strand
-// handoffs and of idle steps spun and settled: the coroutine run and the
-// replay drive the same protocol steps, so they must stop at the same
-// points and park the same processors, which Result equality cannot see.
+// values, and a Result, per-processor counters and Stats equal to Run's:
+// the coroutine run and the replay drive the same protocol steps, so they
+// must stop at the same points (the handoffs) and park the same processors
+// (the idle steps spun and settled), which Result equality cannot see.
 func TestGoldenReplay(t *testing.T) {
 	for _, g := range append(goldenCases(), policyGoldenCases()...) {
 		g := g
@@ -35,6 +35,7 @@ func TestGoldenReplay(t *testing.T) {
 			tr := recordAt(t, g.cfg(), g.words, g.workload)
 			rep := MustNewEngine(g.cfg())
 			res := rep.Replay(tr)
+			replayed := outcomeOf(rep, res)
 			if res.Makespan != g.makespan || res.Totals != g.totals ||
 				res.Steals != g.steals || res.FailedSteals != g.failedSteals ||
 				res.Spawns != g.spawns || res.InlinePops != g.inlinePops || res.IdlePops != g.idlePops ||
@@ -48,15 +49,8 @@ func TestGoldenReplay(t *testing.T) {
 			}
 			e := MustNewEngine(g.cfg())
 			base := e.Machine().Alloc.Alloc(g.words)
-			if run := e.RunLean(func(c *Ctx) { g.workload(c, base) }); !reflect.DeepEqual(run, res) {
-				t.Errorf("replay diverged from RunLean:\nrun:    %+v\nreplay: %+v", run, res)
-			}
-			if e.handoffCount() != rep.handoffCount() {
-				t.Errorf("run made %d handoffs, replay %d", e.handoffCount(), rep.handoffCount())
-			}
-			if e.idleSpun != rep.idleSpun || e.idleSettled != rep.idleSettled {
-				t.Errorf("run spun %d idle steps and settled %d, replay %d and %d",
-					e.idleSpun, e.idleSettled, rep.idleSpun, rep.idleSettled)
+			if run := outcomeOf(e, e.Run(func(c *Ctx) { g.workload(c, base) })); !reflect.DeepEqual(run, replayed) {
+				t.Errorf("replay diverged from Run:\nrun:    %+v\nreplay: %+v", run, replayed)
 			}
 		})
 	}
@@ -64,14 +58,19 @@ func TestGoldenReplay(t *testing.T) {
 
 // TestReplayLockstep replays every golden with Config.DisableFastPath set:
 // the strands then re-enter the scheduler after every timed request, as
-// coroutine strands do, and the Result must not change.
+// coroutine strands do, and the Result, per-processor counters and Stats
+// but the handoffs must not change.
 func TestReplayLockstep(t *testing.T) {
+	replay := func(cfg Config, tr *Trace) outcome {
+		e := MustNewEngine(cfg)
+		return outcomeOf(e, e.Replay(tr)).withoutHandoffs()
+	}
 	for _, g := range append(goldenCases(), policyGoldenCases()...) {
 		tr := recordAt(t, g.cfg(), g.words, g.workload)
-		want := MustNewEngine(g.cfg()).Replay(tr)
+		want := replay(g.cfg(), tr)
 		cfg := g.cfg()
 		cfg.DisableFastPath = true
-		if got := MustNewEngine(cfg).Replay(tr); !reflect.DeepEqual(want, got) {
+		if got := replay(cfg, tr); !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: lockstep replay diverged:\nfast:     %+v\nlockstep: %+v", g.name, want, got)
 		}
 	}
@@ -243,9 +242,9 @@ func TestRecordIgnoresSchedule(t *testing.T) {
 						t.Fatalf("p=%d sockets=%d %s budget %d: trace of %d ops differs from the P = 1 trace of %d",
 							p, sockets, pol.Name(), budget, got.Len(), want.Len())
 					}
-					if len(e.allStrands) != 0 || e.handoffs != 0 {
+					if len(e.allStrands) != 0 || e.Stats().Handoffs != 0 {
 						t.Fatalf("p=%d sockets=%d %s budget %d: recording started %d strands and made %d handoffs",
-							p, sockets, pol.Name(), budget, len(e.allStrands), e.handoffs)
+							p, sockets, pol.Name(), budget, len(e.allStrands), e.Stats().Handoffs)
 					}
 					n++
 				}
@@ -258,7 +257,8 @@ func TestRecordIgnoresSchedule(t *testing.T) {
 // TestReplayAndRunShareStrands passes one engine's strand pool between the
 // two modes: a replay creates strands without coroutines, the coroutine run
 // after it gives them one, and Close stops only the coroutines that exist.
-// Every Result must equal a fresh engine's.
+// Every Result, with its per-processor counters and Stats, must equal a
+// fresh engine's.
 func TestReplayAndRunShareStrands(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Seed = 5
@@ -270,7 +270,7 @@ func TestReplayAndRunShareStrands(t *testing.T) {
 	}
 	fresh := MustNewEngine(cfg)
 	out := fresh.Machine().Alloc.Alloc(256)
-	want := fresh.RunLean(func(c *Ctx) { workload(c, out) })
+	want := outcomeOf(fresh, fresh.Run(func(c *Ctx) { workload(c, out) }))
 	tr := recordAt(t, cfg, 256, workload)
 
 	e := MustNewEngine(DefaultConfig(1))
@@ -279,14 +279,14 @@ func TestReplayAndRunShareStrands(t *testing.T) {
 		if err := e.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
-		var got Result
+		var res Result
 		if replay {
-			got = e.Replay(tr)
+			res = e.Replay(tr)
 		} else {
 			out := e.Machine().Alloc.Alloc(256)
-			got = e.RunLean(func(c *Ctx) { workload(c, out) })
+			res = e.Run(func(c *Ctx) { workload(c, out) })
 		}
-		if !reflect.DeepEqual(want, got) {
+		if got := outcomeOf(e, res); !reflect.DeepEqual(want, got) {
 			t.Fatalf("run %d (replay %v) diverged from a fresh engine:\nfresh: %+v\ngot:   %+v", i, replay, want, got)
 		}
 	}

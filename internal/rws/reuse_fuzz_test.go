@@ -14,7 +14,8 @@ import (
 // fast-path mode — and the whole sequence is run twice, once through fresh
 // engines and once through a single engine Reset between runs, which
 // alternates Run with Replay of the workload's recording. Every run's
-// Result, and every Run's simulated output, must be bit-for-bit equal
+// Result, per-processor counters and Stats, and every Run's simulated
+// output, must be bit-for-bit equal
 // across the two, so any state that leaks across Reset or between the two
 // modes (directory or cache pages from a stale generation, RNG position,
 // allocator high-water, pooled metadata and strands) is caught on
@@ -95,7 +96,7 @@ func FuzzEngineReuse(f *testing.F) {
 			}
 			fresh := MustNewEngine(cfg)
 			fOut := fresh.Machine().Alloc.Alloc(leaves)
-			fRes := fresh.Run(func(c *Ctx) { workload(c, fOut) })
+			fo := outcomeOf(fresh, fresh.Run(func(c *Ctx) { workload(c, fOut) }))
 
 			if reused == nil {
 				reused = MustNewEngine(cfg)
@@ -107,23 +108,22 @@ func FuzzEngineReuse(f *testing.F) {
 				// Odd runs replay the workload's recording instead, so the
 				// one engine's strands, pools and machine pass back and
 				// forth between coroutine runs and replays.
-				rRes := reused.Replay(recordAt(t, cfg, leaves, workload))
-				fRes.PerProc = nil
-				if !reflect.DeepEqual(fRes, rRes) {
+				ro := outcomeOf(reused, reused.Replay(recordAt(t, cfg, leaves, workload)))
+				if !reflect.DeepEqual(fo, ro) {
 					t.Fatalf("run %d (%s, p=%d): replay on the reused engine diverged from fresh:\nfresh:  %+v\nreplay: %+v",
-						r, pol.Name(), p, fRes, rRes)
+						r, pol.Name(), p, fo, ro)
 				}
 				continue
 			}
 			rOut := reused.Machine().Alloc.Alloc(leaves)
-			rRes := reused.Run(func(c *Ctx) { workload(c, rOut) })
+			ro := outcomeOf(reused, reused.Run(func(c *Ctx) { workload(c, rOut) }))
 
 			if fOut != rOut {
 				t.Fatalf("run %d: allocator diverged: fresh base %d, reused base %d", r, fOut, rOut)
 			}
-			if !reflect.DeepEqual(fRes, rRes) {
+			if !reflect.DeepEqual(fo, ro) {
 				t.Fatalf("run %d (%s, p=%d): reused engine diverged from fresh:\nfresh:  %+v\nreused: %+v",
-					r, pol.Name(), p, fRes, rRes)
+					r, pol.Name(), p, fo, ro)
 			}
 			for j := 0; j < leaves; j++ {
 				if got := reused.Machine().Mem.LoadInt(rOut + mem.Addr(j)); got != int64(j) {

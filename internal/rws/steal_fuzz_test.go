@@ -50,8 +50,10 @@ func fuzzByte(ops []byte, i int) byte {
 // shape. Each decoded configuration runs four ways — run-ahead fast path,
 // DisableFastPath lockstep, an engine that never parks idle processors
 // (spinningEngine), and a replay of the workload's recording made under
-// the same configuration — and must produce bit-for-bit equal Results,
-// legal victims only (never the thief), steals within the budget, and exact
+// the same configuration — and must produce bit-for-bit equal Results and
+// per-processor counters, the same Stats (less the handoffs against
+// lockstep, and with the idle steps settled by parking spun by the spinning
+// engine), legal victims only (never the thief), steals within the budget, and exact
 // steal-cost conservation. Seed corpus lives in
 // testdata/fuzz/FuzzStealPolicy; CI runs a short -fuzz pass on top of it.
 func FuzzStealPolicy(f *testing.F) {
@@ -105,31 +107,31 @@ func FuzzStealPolicy(f *testing.F) {
 				c.StoreInt(out+mem.Addr(j), int64(j))
 			})
 		}
-		run := func(e *Engine) Result {
+		run := func(e *Engine) outcome {
 			out := e.Machine().Alloc.Alloc(leaves)
-			return e.Run(func(c *Ctx) { workload(c, out) })
+			return outcomeOf(e, e.Run(func(c *Ctx) { workload(c, out) }))
 		}
 		fast := run(MustNewEngine(cfg))
 		lockstep := cfg
 		lockstep.DisableFastPath = true
 		slow := run(MustNewEngine(lockstep))
 		spun := run(spinningEngine(cfg))
-		replayed := MustNewEngine(cfg).Replay(recordAt(t, cfg, leaves, workload))
+		rep := MustNewEngine(cfg)
+		replayed := outcomeOf(rep, rep.Replay(recordAt(t, cfg, leaves, workload)))
 
 		if badVictims != 0 {
 			t.Fatalf("%s: %d illegal victims (thief or out of range) on p=%d %+v",
 				pol.Name(), badVictims, p, cfg.Machine.Topology)
 		}
-		if !reflect.DeepEqual(fast, slow) {
+		if !reflect.DeepEqual(fast.withoutHandoffs(), slow.withoutHandoffs()) {
 			t.Fatalf("%s: fast path diverged from lockstep:\nfast: %+v\nslow: %+v", pol.Name(), fast, slow)
 		}
-		if !reflect.DeepEqual(fast, spun) {
+		if !reflect.DeepEqual(fast.withoutIdle(), spun.withoutIdle()) ||
+			fast.Stats.IdleSpun+fast.Stats.IdleSettled != spun.Stats.IdleSpun {
 			t.Fatalf("%s: parking diverged from spinning:\nparked:   %+v\nspinning: %+v", pol.Name(), fast, spun)
 		}
-		lean := fast
-		lean.PerProc = nil
-		if !reflect.DeepEqual(lean, replayed) {
-			t.Fatalf("%s: replay diverged from the fast path:\nfast:   %+v\nreplay: %+v", pol.Name(), lean, replayed)
+		if !reflect.DeepEqual(fast, replayed) {
+			t.Fatalf("%s: replay diverged from the fast path:\nfast:   %+v\nreplay: %+v", pol.Name(), fast, replayed)
 		}
 		if budget >= 0 && fast.Steals > budget {
 			t.Fatalf("%s: %d steals exceed budget %d", pol.Name(), fast.Steals, budget)

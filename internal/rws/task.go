@@ -79,7 +79,7 @@
 // of Work and Node merged and runs of same-shaped single-word accesses at
 // a constant stride stored as one op. Engine.Replay interprets a trace
 // under any Config and returns the Result Run would, bit for bit, with the
-// same handoffs. Stack addresses are recorded as (segment, offset) pairs,
+// same Stats. Stack addresses are recorded as (segment, offset) pairs,
 // because a stolen task's stack lands wherever the schedule puts it;
 // replay resolves them through a per-run table of segment bases.
 //

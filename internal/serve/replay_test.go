@@ -20,7 +20,7 @@ var serveReplaySizes = map[string]int{
 }
 
 // inProcess runs a normalized request the way rwsimd did before it
-// replayed: WorkloadMaker, then RunLean on coroutines, one run per seed.
+// replayed: WorkloadMaker, then Run on coroutines, one run per seed.
 func inProcess(t *testing.T, pool *harness.Runner, r Request) []RunSummary {
 	t.Helper()
 	cfg, err := r.config()
@@ -36,7 +36,7 @@ func inProcess(t *testing.T, pool *harness.Runner, r Request) []RunSummary {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)
 		e, root := mk(pool, c)
-		out = append(out, summarize(c.Seed, e.RunLean(root)))
+		out = append(out, summarize(c.Seed, e.Run(root)))
 		pool.Recycle(e)
 	}
 	return out
@@ -57,14 +57,14 @@ func served(t *testing.T, s *Server, r Request) []RunSummary {
 	return runs
 }
 
-// TestServeReplayMatchesRunLean sends every registered workload to
+// TestServeReplayMatchesRun sends every registered workload to
 // /simulate from four concurrent clients, on both of the benchmark's
 // machines (uniform and flat; hierarchical on 2 sockets with remote miss
 // and steal prices), at budgets {-1, 0, 3} and p in {1, 2, 8}, less p = 1
 // on 2 sockets, which the machine rejects. Every
-// response must equal an in-process WorkloadMaker + RunLean. Each keyed
+// response must equal an in-process WorkloadMaker + Run. Each keyed
 // (alg, n, B) is recorded once and then replayed; conncomp never is.
-func TestServeReplayMatchesRunLean(t *testing.T) {
+func TestServeReplayMatchesRun(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	var reqs []Request
 	seed := int64(0)
@@ -128,7 +128,7 @@ func TestServeReplayMatchesRunLean(t *testing.T) {
 // TestServeReplayRejectsOverBudget sends matmul-ip at n = 256, whose trace
 // (about 3.2 MiB at B = 16) is past the budget: the recording is rejected,
 // the cache holds only the rejected key's charge, the response equals
-// RunLean, and the next request with the same (alg, n, B) runs on
+// Run, and the next request with the same (alg, n, B) runs on
 // coroutines without recording again.
 func TestServeReplayRejectsOverBudget(t *testing.T) {
 	if testing.Short() {
