@@ -70,10 +70,11 @@
 // corpora — run locally with
 //
 //	go test ./internal/rws/ -fuzz FuzzDeque -fuzztime 30s -run '^$'
+//	go test ./internal/rws/ -fuzz FuzzClockHeap -fuzztime 30s -run '^$'
 //	go test ./internal/rws/ -fuzz FuzzStealPolicy -fuzztime 30s -run '^$'
 //	go test ./internal/machine/ -fuzz FuzzDirectory -fuzztime 30s -run '^$'
 //
-// (CI runs all three for 10s plus a -race pass over ./internal/...).
+// (CI runs all four for 10s plus a -race pass over ./internal/...).
 //
 // # Simulator hot path
 //
@@ -84,7 +85,10 @@
 //   - internal/cache is an intrusive array-backed LRU: recency links are
 //     prev/next indices in a flat node slice and the block→node index is a
 //     paged dense array (pages carved from arena chunks), exploiting that
-//     mem.Allocator bump-allocates block IDs densely from zero.
+//     mem.Allocator bump-allocates block IDs densely from zero. A touch of
+//     the most-recently-used block is answered before the index lookup,
+//     each processor's cache sits inline in the machine, and internal/mem
+//     computes a block ID by a shift, B being a power of two.
 //   - internal/machine keeps coherence state in a per-block directory
 //     (sharer and lost bitsets, busy-until tick, transfer count) so a
 //     write's invalidation broadcast walks only actual sharers instead of
@@ -93,21 +97,24 @@
 //     steps (work, timed access, fork, join decision, join, finish) under
 //     an inline run-ahead engine: the running strand applies its own timed
 //     requests directly while its processor keeps the (clock, proc)
-//     minimum in the indexed clock min-heap, executes idle processors'
-//     steal attempts and deque pops itself, and stops for one driver loop
-//     that resumes the next strand. Two op sources drive the steps: Ctx
-//     calls from kernel code on strand coroutines (two coroutine switches
-//     per strand interleaving, zero everywhere else), and op cursors over
-//     a recorded trace. Once the steal budget is spent on a machine
-//     without steal pricing, an idle processor with an empty deque parks:
-//     it leaves the clock heap instead of spinning doomed attempts to the
-//     end of the run, and the engine charges those attempts in closed form
-//     after the run, bit for bit as if they had run. That settles 6.26M of
-//     the serial full sweep's 6.62M idle steps, nearly all in E01, E02,
-//     E04 and E06. Fork metadata (join cells, spawns, strand coroutines,
-//     stolen tasks and their stacks) is recycled through per-engine free
-//     lists fed by slab allocations, and ForkN trees fork leaf *ranges*
-//     instead of per-node closures, so the steady state allocates nothing.
+//     minimum, executes idle processors' steal attempts and deque pops
+//     itself, and stops for one driver loop that resumes the next strand.
+//     The minimum comes from a winner tree over one packed key per
+//     processor, clock<<16 | proc, so each check after a charge replays
+//     one leaf-to-root path of ⌈log2 P⌉ branch-free matches. Two op
+//     sources drive the steps: Ctx calls from kernel code on strand
+//     coroutines (two coroutine switches per strand interleaving, zero
+//     everywhere else), and op cursors over a recorded trace. Once the
+//     steal budget is spent on a machine without steal pricing, an idle
+//     processor with an empty deque parks: it leaves the scheduler instead
+//     of spinning doomed attempts to the end of the run, and the engine
+//     charges those attempts in closed form after the run, bit for bit as
+//     if they had run. That settles 6.26M of the serial full sweep's 6.62M
+//     idle steps, nearly all in E01, E02, E04 and E06. Fork metadata
+//     (join cells, spawns, strand coroutines, stolen tasks and their
+//     stacks) is recycled through per-engine free lists fed by slab
+//     allocations, and ForkN trees fork leaf *ranges* instead of per-node
+//     closures, so the steady state allocates nothing.
 //   - internal/harness replays race-free kernels: rws.Engine.Record walks a
 //     kernel once, serially and depth-first with no scheduler, and every
 //     later run of it at that block size interprets the recorded op
@@ -138,9 +145,9 @@
 //
 //   - rws.Engine.Reset(cfg) readies a finished engine for another Run under
 //     an arbitrarily different Config (P, policy, topology, pricing,
-//     budget). Slabs, free lists, deque ring buffers, the clock heap and
-//     the suspended strand coroutines all survive; a reset engine is
-//     persistent and must be released with Close when retired.
+//     budget). Slabs, free lists, deque ring buffers, the scheduler's
+//     tree and the suspended strand coroutines all survive; a reset engine
+//     is persistent and must be released with Close when retired.
 //   - Each layer has one initialization path: rws.NewEngine, machine.New,
 //     cache.New and mem.New build an empty value and call its own Reset,
 //     so a fresh engine and a reset one run the same set-up code.
@@ -224,7 +231,8 @@
 // (Config.DisableFastPath: the same protocol steps, re-entering the
 // scheduler after every request), and by golden determinism tests: same Config.Seed, same Result, before and after the
 // rewrites. scripts/bench.sh records the trajectory in BENCH_rws.json and
-// fails when a tracked benchmark regresses more than 25%.
+// fails when a tracked benchmark's median ns/op, alternated with the
+// parent commit's build, is more than 25% slower.
 //
 // ROADMAP.md holds the open work and CHANGES.md the history; bench/README.md
 // documents the end-to-end benchmark.

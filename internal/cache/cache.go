@@ -38,7 +38,8 @@ const idxArenaPages = 4
 
 // node is one LRU list entry. Index 0 is the sentinel of the circular
 // recency list (next = MRU, prev = LRU); indices 1..capacity are blocks.
-// Free nodes are chained through next.
+// Free nodes are chained through next. The sentinel's bid is -1, which no
+// block has, so reading the MRU node's bid needs no emptiness check.
 type node struct {
 	prev, next int32
 	bid        mem.BlockID
@@ -50,16 +51,23 @@ type Cache struct {
 	size     int
 	nodes    []node // len capacity+1; nodes[0] is the sentinel
 	free     int32  // head of the free-node chain; 0 when exhausted
-	// index maps BlockID → node index + paged lazily; entry 0 means absent.
-	// A page's entries are only meaningful while pageGen matches gen: Reset
-	// invalidates the whole index by bumping gen, and a stale page is
-	// re-zeroed lazily when next touched, so resetting costs O(capacity)
-	// rather than O(materialized index).
-	index   [][]int32
-	pageGen []uint32
-	gen     uint32
+	// index maps BlockID → node index, paged lazily; entry 0 means absent.
+	// A page's entries are only meaningful while its gen matches the
+	// cache's: Reset invalidates the whole index by bumping gen, and a
+	// stale page is re-zeroed lazily when next touched, so resetting costs
+	// O(capacity) rather than O(materialized index). A page never
+	// materialized has gen 0, which the cache's gen never is.
+	index []idxPage
+	gen   uint32
 	// idxArena is the chunk new index pages are carved from.
 	idxArena []int32
+}
+
+// idxPage is one page of the block index: the node indices of idxPageLen
+// consecutive block IDs, and the generation they belong to.
+type idxPage struct {
+	slots *[idxPageLen]int32
+	gen   uint32
 }
 
 // New returns a cache holding at most capacity blocks: an empty Cache
@@ -90,11 +98,19 @@ func (c *Cache) Reset(capacity int) {
 	}
 	c.reset()
 	c.gen++
+	if c.gen == 0 {
+		// The generation wrapped: mark every page stale by hand, since a
+		// stale page may carry any earlier gen, and restart at 1.
+		for i := range c.index {
+			c.index[i].gen = 0
+		}
+		c.gen = 1
+	}
 }
 
 // reset empties the recency list and rebuilds the free chain 1→2→…→capacity.
 func (c *Cache) reset() {
-	c.nodes[0].prev, c.nodes[0].next = 0, 0
+	c.nodes[0] = node{bid: -1}
 	for i := 1; i <= c.capacity; i++ {
 		c.nodes[i].next = int32(i) + 1
 	}
@@ -107,10 +123,10 @@ func (c *Cache) reset() {
 // over from before the last Reset (stale generation) reads as absent.
 func (c *Cache) lookup(b mem.BlockID) int32 {
 	pg := uint64(b) >> idxPageShift
-	if pg >= uint64(len(c.index)) || c.index[pg] == nil || c.pageGen[pg] != c.gen {
+	if pg >= uint64(len(c.index)) || c.index[pg].gen != c.gen {
 		return 0
 	}
-	return c.index[pg][uint64(b)&(idxPageLen-1)]
+	return c.index[pg].slots[uint64(b)&(idxPageLen-1)]
 }
 
 // slot returns the index cell for b, materializing its page — or, after a
@@ -118,25 +134,23 @@ func (c *Cache) lookup(b mem.BlockID) int32 {
 func (c *Cache) slot(b mem.BlockID) *int32 {
 	pg := uint64(b) >> idxPageShift
 	if pg >= uint64(len(c.index)) {
-		grown := make([][]int32, pg+1)
+		grown := make([]idxPage, pg+1)
 		copy(grown, c.index)
 		c.index = grown
-		grownGen := make([]uint32, pg+1)
-		copy(grownGen, c.pageGen)
-		c.pageGen = grownGen
 	}
-	switch {
-	case c.index[pg] == nil:
-		if len(c.idxArena) < idxPageLen {
-			c.idxArena = make([]int32, idxArenaPages*idxPageLen)
+	page := &c.index[pg]
+	if page.gen != c.gen {
+		if page.slots == nil {
+			if len(c.idxArena) < idxPageLen {
+				c.idxArena = make([]int32, idxArenaPages*idxPageLen)
+			}
+			page.slots, c.idxArena = (*[idxPageLen]int32)(c.idxArena), c.idxArena[idxPageLen:]
+		} else {
+			clear(page.slots[:])
 		}
-		c.index[pg], c.idxArena = c.idxArena[:idxPageLen:idxPageLen], c.idxArena[idxPageLen:]
-		c.pageGen[pg] = c.gen
-	case c.pageGen[pg] != c.gen:
-		clear(c.index[pg])
-		c.pageGen[pg] = c.gen
+		page.gen = c.gen
 	}
-	return &c.index[pg][uint64(b)&(idxPageLen-1)]
+	return &page.slots[uint64(b)&(idxPageLen-1)]
 }
 
 // moveToFront relinks node n as most-recently-used.
@@ -178,7 +192,12 @@ func (c *Cache) Len() int { return c.size }
 func (c *Cache) Contains(b mem.BlockID) bool { return c.lookup(b) != 0 }
 
 // Touch marks block b most-recently-used. It reports whether b was resident.
+// A run of accesses to one block finds it most-recently-used already, so
+// that case is answered before the index lookup.
 func (c *Cache) Touch(b mem.BlockID) bool {
+	if c.nodes[c.nodes[0].next].bid == b {
+		return true
+	}
 	n := c.lookup(b)
 	if n == 0 {
 		return false

@@ -193,3 +193,27 @@ func TestCacheReset(t *testing.T) {
 		t.Errorf("capacity-2 reset cache evicted (%d,%v), want (10,true)", v, ev)
 	}
 }
+
+// TestCacheResetGenerationWrap resets a cache across the wrap of its index
+// generation: pages stamped with any earlier generation, and pages never
+// materialized, must read as absent afterwards.
+func TestCacheResetGenerationWrap(t *testing.T) {
+	c := New(4)
+	c.Insert(1)
+	c.gen = ^uint32(0) - 1
+	c.Reset(4)
+	c.Insert(300) // a page stamped with the last generation before the wrap
+	c.Reset(4)
+	if c.gen == 0 {
+		t.Fatal("generation wrapped to 0, the mark of a page never materialized")
+	}
+	for _, b := range []mem.BlockID{1, 300, 5000} {
+		if c.Contains(b) || c.Touch(b) {
+			t.Errorf("block %d resident after a Reset across the generation wrap", b)
+		}
+	}
+	c.Insert(300)
+	if !c.Contains(300) || c.Len() != 1 {
+		t.Error("insert after the wrap broken")
+	}
+}

@@ -17,7 +17,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"rwsfs/internal/mem"
 )
@@ -116,42 +115,56 @@ func (s *Stack) Alloc(words int) Seg {
 		words, s.words-s.inUse, s.words))
 }
 
-// Free returns a segment to the stack, coalescing with neighbours.
+// Free returns a segment to the stack, coalescing with neighbours. The
+// common case is last-in-first-out: seg ends where a free span begins, and
+// that span grows down over it in place.
 func (s *Stack) Free(seg Seg) {
 	if seg.Words <= 0 {
 		panic("exec: Free of empty segment")
 	}
-	if seg.Base < s.base || seg.Base+mem.Addr(seg.Words) > s.base+mem.Addr(s.words) {
+	end := seg.Base + mem.Addr(seg.Words)
+	if seg.Base < s.base || end > s.base+mem.Addr(s.words) {
 		panic(fmt.Sprintf("exec: Free of segment [%d,%d) outside stack [%d,%d)",
-			seg.Base, seg.Base+mem.Addr(seg.Words), s.base, s.base+mem.Addr(s.words)))
+			seg.Base, end, s.base, s.base+mem.Addr(s.words)))
 	}
-	i := sort.Search(len(s.free), func(i int) bool { return s.free[i].base > seg.Base })
+	// i is the first free span above seg. A stack holds a handful of
+	// spans, so a scan beats a binary search.
+	i := 0
+	for i < len(s.free) && s.free[i].base <= seg.Base {
+		i++
+	}
 	// Overlap checks against neighbours guard double-frees.
+	joinsPrev := false
 	if i > 0 {
-		prev := s.free[i-1]
-		if prev.base+mem.Addr(prev.words) > seg.Base {
+		prevEnd := s.free[i-1].base + mem.Addr(s.free[i-1].words)
+		if prevEnd > seg.Base {
 			panic("exec: Free overlaps a free span (double free?)")
 		}
+		joinsPrev = prevEnd == seg.Base
 	}
+	joinsNext := false
 	if i < len(s.free) {
-		next := s.free[i]
-		if seg.Base+mem.Addr(seg.Words) > next.base {
+		if end > s.free[i].base {
 			panic("exec: Free overlaps a free span (double free?)")
 		}
-	}
-	s.free = append(s.free, span{})
-	copy(s.free[i+1:], s.free[i:])
-	s.free[i] = span{seg.Base, seg.Words}
-	// Coalesce with next, then with previous.
-	if i+1 < len(s.free) && s.free[i].base+mem.Addr(s.free[i].words) == s.free[i+1].base {
-		s.free[i].words += s.free[i+1].words
-		s.free = append(s.free[:i+1], s.free[i+2:]...)
-	}
-	if i > 0 && s.free[i-1].base+mem.Addr(s.free[i-1].words) == s.free[i].base {
-		s.free[i-1].words += s.free[i].words
-		s.free = append(s.free[:i], s.free[i+1:]...)
+		joinsNext = end == s.free[i].base
 	}
 	s.inUse -= seg.Words
+	switch {
+	case joinsNext:
+		s.free[i].base = seg.Base
+		s.free[i].words += seg.Words
+		if joinsPrev {
+			s.free[i-1].words += s.free[i].words
+			s.free = append(s.free[:i], s.free[i+1:]...)
+		}
+	case joinsPrev:
+		s.free[i-1].words += seg.Words
+	default:
+		s.free = append(s.free, span{})
+		copy(s.free[i+1:], s.free[i:])
+		s.free[i] = span{seg.Base, seg.Words}
+	}
 }
 
 // Reset frees everything, returning the stack to a single free span.

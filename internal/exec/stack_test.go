@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +128,72 @@ func TestLiveSegmentsDisjointProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestFreeSpansMatchWordMap checks the free list against a word-by-word
+// map after every Alloc and Free of random sequences that mix
+// last-in-first-out frees with frees out of order: it must list exactly the
+// maximal runs of free words, lowest first, and Alloc must take the lowest
+// run that fits.
+func TestFreeSpansMatchWordMap(t *testing.T) {
+	const words = 256
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		s := NewStack(64, words)
+		used := make([]bool, words)
+		var live []Seg
+		for step := 0; step < 100; step++ {
+			if len(live) > 0 && rng.Intn(2) == 0 {
+				i := len(live) - 1 // last in, first out
+				if rng.Intn(3) == 0 {
+					i = rng.Intn(len(live))
+				}
+				s.Free(live[i])
+				for w := live[i].Base; w < live[i].Base+mem.Addr(live[i].Words); w++ {
+					used[w-64] = false
+				}
+				live = append(live[:i], live[i+1:]...)
+			} else if n := rng.Intn(12) + 1; firstFit(used, n) >= 0 {
+				seg := s.Alloc(n)
+				if want := mem.Addr(64 + firstFit(used, n)); seg.Base != want {
+					t.Fatalf("round %d step %d: Alloc(%d) at %d, first fit %d", round, step, n, seg.Base, want)
+				}
+				for w := seg.Base; w < seg.Base+mem.Addr(seg.Words); w++ {
+					used[w-64] = true
+				}
+				live = append(live, seg)
+			}
+			var want []Seg
+			for w := 0; w < words; w++ {
+				if used[w] {
+					continue
+				}
+				if k := len(want); k > 0 && want[k-1].Base+mem.Addr(want[k-1].Words) == mem.Addr(64+w) {
+					want[k-1].Words++
+				} else {
+					want = append(want, Seg{Base: mem.Addr(64 + w), Words: 1})
+				}
+			}
+			if got := s.FreeSpans(); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+				t.Fatalf("round %d step %d: free spans %v, word map %v", round, step, got, want)
+			}
+		}
+	}
+}
+
+// firstFit returns the lowest index that starts n free words of used, or
+// -1 when no run is that long.
+func firstFit(used []bool, n int) int {
+	run := 0
+	for w, u := range used {
+		if run = run + 1; u {
+			run = 0
+		}
+		if run == n {
+			return w - n + 1
+		}
+	}
+	return -1
 }
 
 func TestResetRestoresFullSpan(t *testing.T) {

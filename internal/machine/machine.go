@@ -132,7 +132,7 @@ type Machine struct {
 	Mem   *mem.Memory
 	Alloc *mem.Allocator
 
-	caches []*cache.Cache
+	caches []cache.Cache
 	// dir is the per-block coherence directory: sharer/lost bitsets,
 	// busy-until ticks and transfer counts, in paged dense arrays. The sharer
 	// bits are kept in lockstep with cache residency: bit p of block b is set
@@ -210,16 +210,12 @@ func (m *Machine) Reset(pr Params) error {
 	if pr.P <= cap(m.caches) {
 		m.caches = m.caches[:pr.P]
 	} else {
-		grown := make([]*cache.Cache, pr.P)
+		grown := make([]cache.Cache, pr.P)
 		copy(grown, m.caches[:cap(m.caches)])
 		m.caches = grown
 	}
-	for i, c := range m.caches {
-		if c == nil {
-			m.caches[i] = cache.New(capBlocks)
-		} else {
-			c.Reset(capBlocks)
-		}
+	for i := range m.caches {
+		m.caches[i].Reset(capBlocks)
 	}
 	m.dir.reset(pr.P, !pr.Topology.Flat())
 	if pr.P <= cap(m.Proc) {

@@ -12,6 +12,7 @@ package mem
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Addr is a simulated memory address, in words.
@@ -42,6 +43,10 @@ const dirLen = 1 << dirShift
 // The zero value is not usable; call New.
 type Memory struct {
 	blockWords int
+	// blockShift is log2(blockWords): a block ID is an address shifted
+	// right by it. Shifts mask it with 63, which changes nothing and lets
+	// the compiler drop its check for shifts past 63.
+	blockShift uint
 	// dir is the two-level page table: dir[page>>dirShift][page&(dirLen-1)]
 	// is the page's word slice, nil until touched.
 	dir     [][][]uint64
@@ -74,6 +79,7 @@ func (m *Memory) Reset(blockWords int) {
 		panic(fmt.Sprintf("mem: block size %d is not a positive power of two", blockWords))
 	}
 	m.blockWords = blockWords
+	m.blockShift = uint(bits.TrailingZeros(uint(blockWords)))
 	for _, node := range m.dir {
 		if node == nil {
 			continue
@@ -97,20 +103,18 @@ func (m *Memory) Block(a Addr) BlockID {
 	if a < 0 {
 		panic(fmt.Sprintf("mem: negative address %d", a))
 	}
-	return BlockID(int64(a) / int64(m.blockWords))
+	return BlockID(a >> (m.blockShift & 63))
 }
 
 // BlockStart returns the first address of block b.
-func (m *Memory) BlockStart(b BlockID) Addr { return Addr(int64(b) * int64(m.blockWords)) }
+func (m *Memory) BlockStart(b BlockID) Addr { return Addr(b << (m.blockShift & 63)) }
 
 // BlocksSpanned returns how many distinct blocks the range [a, a+n) touches.
 func (m *Memory) BlocksSpanned(a Addr, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	first := int64(a) / int64(m.blockWords)
-	last := (int64(a) + int64(n) - 1) / int64(m.blockWords)
-	return int(last - first + 1)
+	return int(m.Block(a+Addr(n-1)) - m.Block(a) + 1)
 }
 
 func (m *Memory) word(a Addr) *uint64 {

@@ -65,6 +65,14 @@ func TestIntRoundTripProperty(t *testing.T) {
 	}
 }
 
+// blockSizes are the block sizes the arithmetic tests cover: every power
+// of two from 1 to 64 words.
+var blockSizes = []int{1, 2, 4, 8, 16, 32, 64}
+
+// TestBlockArithmetic checks Block, BlockStart and BlocksSpanned against
+// integer division by B, the definition BlockID = Addr / B, for every block
+// size, at fixed boundaries and at addresses past 2^32; a negative address
+// panics.
 func TestBlockArithmetic(t *testing.T) {
 	m := New(16)
 	if m.Block(0) != 0 || m.Block(15) != 0 || m.Block(16) != 1 {
@@ -79,24 +87,69 @@ func TestBlockArithmetic(t *testing.T) {
 	if m.BlocksSpanned(8, 16) != 2 {
 		t.Error("BlocksSpanned straddle wrong")
 	}
+	for _, b := range blockSizes {
+		m := New(b)
+		B := int64(b)
+		for _, base := range []int64{0, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 40, 1<<62 - 1} {
+			for d := int64(-2 * B); d <= 2*B; d++ {
+				a := base + d
+				if a < 0 {
+					continue
+				}
+				if got, want := m.Block(Addr(a)), BlockID(a/B); got != want {
+					t.Fatalf("B=%d: Block(%d) = %d, want %d", b, a, got, want)
+				}
+				if got, want := m.BlockStart(BlockID(a/B)), Addr(a/B*B); got != want {
+					t.Fatalf("B=%d: BlockStart(%d) = %d, want %d", b, a/B, got, want)
+				}
+				for _, n := range []int{-1, 0, 1, 2, b - 1, b, b + 1, 3 * b} {
+					want := 0
+					if n > 0 {
+						want = int((a+int64(n)-1)/B - a/B + 1)
+					}
+					if got := m.BlocksSpanned(Addr(a), n); got != want {
+						t.Fatalf("B=%d: BlocksSpanned(%d, %d) = %d, want %d", b, a, n, got, want)
+					}
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("B=%d: Block(-1) did not panic", b)
+				}
+			}()
+			m.Block(-1)
+		}()
+	}
 }
 
+// TestBlockSpanProperty checks BlocksSpanned against the distinct blocks a
+// range touches word by word, and Block against division, for every block
+// size at random addresses below 2^40.
 func TestBlockSpanProperty(t *testing.T) {
-	m := New(16)
-	f := func(a uint16, n uint8) bool {
-		if n == 0 {
-			return m.BlocksSpanned(Addr(a), 0) == 0
+	for _, b := range blockSizes {
+		m := New(b)
+		f := func(a uint64, n uint8) bool {
+			a %= 1 << 40
+			if n == 0 {
+				return m.BlocksSpanned(Addr(a), 0) == 0
+			}
+			spanned := m.BlocksSpanned(Addr(a), int(n))
+			// Must equal the count of distinct blocks touched word by word.
+			seen := map[BlockID]bool{}
+			for i := 0; i < int(n); i++ {
+				bid := m.Block(Addr(a) + Addr(i))
+				if bid != BlockID((a+uint64(i))/uint64(b)) {
+					return false
+				}
+				seen[bid] = true
+			}
+			return spanned == len(seen)
 		}
-		spanned := m.BlocksSpanned(Addr(a), int(n))
-		// Must equal the count of distinct blocks touched word by word.
-		seen := map[BlockID]bool{}
-		for i := 0; i < int(n); i++ {
-			seen[m.Block(Addr(a)+Addr(i))] = true
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("B=%d: %v", b, err)
 		}
-		return spanned == len(seen)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

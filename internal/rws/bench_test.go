@@ -156,7 +156,20 @@ func recordBench(b *testing.B, words int, kernel func(mem.Addr) func(*Ctx)) *Tra
 // workload's recording: the same runs, scheduler, pools and coherence
 // model, without strand coroutines or kernel code. It reports the trace's
 // size in trace_B; the allocs/op gates on Reuse$ cover it.
-func BenchmarkStealHeavyReplayReuse(b *testing.B) {
+func BenchmarkStealHeavyReplayReuse(b *testing.B) { benchStealHeavyReplay(b, 8) }
+
+// BenchmarkStealHeavyReplayP128 is BenchmarkStealHeavyReplayReuse at P =
+// 128, the top of rwsimd's default range (-max-p): most of the 128
+// processors are idle thieves, and every schedule check replays seven
+// matches of the scheduler's winner tree. Its name leaves it outside the
+// Reuse$ allocs/op ceiling: for hundreds of runs, some of the 128 caches
+// still meet stack blocks their lazily paged index has not seen, so its
+// allocs/op (2 to 18 measured) depend on the iteration count.
+func BenchmarkStealHeavyReplayP128(b *testing.B) { benchStealHeavyReplay(b, 128) }
+
+// benchStealHeavyReplay replays the steal-heavy kernel's recording at p
+// processors through one Reset engine.
+func benchStealHeavyReplay(b *testing.B, p int) {
 	tr := recordBench(b, 512, func(out mem.Addr) func(*Ctx) {
 		return func(c *Ctx) {
 			c.ForkN(512, func(j int, c *Ctx) {
@@ -165,7 +178,7 @@ func BenchmarkStealHeavyReplayReuse(b *testing.B) {
 			})
 		}
 	})
-	cfg := DefaultConfig(8)
+	cfg := DefaultConfig(p)
 	e := MustNewEngine(cfg)
 	defer e.Close()
 	iter := func(seed int64) float64 {

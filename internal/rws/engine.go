@@ -129,8 +129,9 @@ type Engine struct {
 	policy StealPolicy
 	view   PolicyView
 
-	// sched tracks per-processor clocks in an indexed min-heap so picking
-	// the next processor is O(log P); clock aliases sched's backing slice.
+	// sched tracks per-processor clocks in a winner tree, so picking the
+	// next processor is O(1) and re-ranking one O(log P); clock aliases
+	// sched's clocks.
 	sched   *clockHeap
 	clock   []machine.Tick
 	running []*strand
@@ -215,6 +216,9 @@ type Engine struct {
 // on and lets Reset set everything else, so a new engine is a reset one.
 // Unlike Reset, it leaves the engine single-use, needing no Close.
 func NewEngine(cfg Config) (*Engine, error) {
+	if err := checkProcs(cfg); err != nil {
+		return nil, err
+	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
@@ -238,6 +242,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.persistent = false
 	return e, nil
+}
+
+// checkProcs rejects a processor count the scheduler's keys cannot hold.
+func checkProcs(cfg Config) error {
+	if cfg.Machine.P > maxProcs {
+		return fmt.Errorf("rws: P=%d exceeds the scheduler's limit of %d processors", cfg.Machine.P, maxProcs)
+	}
+	return nil
 }
 
 // ErrEngineClosed is returned by Reset on an engine that was released with
@@ -280,6 +292,9 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	if cfg.RootStackWords <= 0 {
 		cfg.RootStackWords = defaultRootStackWords
+	}
+	if err := checkProcs(cfg); err != nil {
+		return err
 	}
 	if err := e.mach.Reset(cfg.Machine); err != nil {
 		return err

@@ -1,130 +1,115 @@
 package rws
 
-import "rwsfs/internal/machine"
+import (
+	"fmt"
 
-// clockHeap is an indexed binary min-heap over processor clocks, keyed
-// lexicographically by (clock, processor ID). The tie-break on processor ID
-// reproduces exactly the selection of the old O(P) linear scan ("first
-// processor with the minimum clock"), which matters for bit-for-bit
-// determinism: the scheduling order drives RNG consumption. Clocks only move
-// forward, so after stepping processor p a single siftDown of p restores the
-// heap in O(log P). A parked processor (Engine.idleStep) leaves the heap.
+	"rwsfs/internal/machine"
+)
+
+// clockHeap picks the processor that acts next: the one with the smallest
+// (clock, processor ID) key. The tie-break on processor ID reproduces
+// exactly the selection of the seed's O(P) linear scan ("first processor
+// with the minimum clock"), which matters for bit-for-bit determinism: the
+// scheduling order drives RNG consumption.
+//
+// It is a winner (tournament) tree over one key per processor, packed as
+// clock<<procBits | proc so that one unsigned comparison orders two keys.
+// The tree is a complete binary tree in an array: tree[n+p] is processor
+// p's leaf for n = P, and each internal node tree[i], 1 <= i < n, holds the
+// smaller key of its children tree[2i] and tree[2i+1], so tree[1] is the
+// winner. After a processor's clock changes, replaying its matches on the
+// path from its leaf to the root, at most ⌈log2 P⌉ of them, each a min of
+// two keys with no data-dependent branch, restores the tree. A parked
+// processor (Engine.idleStep) leaves the tree: its leaf becomes emptyKey,
+// which loses every match.
 type clockHeap struct {
 	clock []machine.Tick
-	heap  []int32 // heap[i] = processor at heap slot i
-	pos   []int32 // pos[p] = heap slot of processor p
+	tree  []uint64 // tree[0] is unused
+	gone  []int32  // removed processors, in removal order
 }
 
-// reset restores the heap to the all-clocks-zero start state for p
+// The key's fields: the processor ID in the low procBits bits, the clock
+// above them. maxProcs leaves the all-ones ID to emptyKey, so no key
+// equals it; NewEngine and Engine.Reset reject a larger P, and a clock past
+// maxClock panics when its key is built.
+const (
+	procBits = 16
+	procMask = 1<<procBits - 1
+	maxProcs = procMask
+	maxClock = 1<<(64-procBits) - 1
+	emptyKey = ^uint64(0)
+)
+
+// reset restores the tree to the all-clocks-zero start state for p
 // processors, reusing the backing arrays when they are large enough.
 func (h *clockHeap) reset(p int) {
 	if p <= cap(h.clock) {
 		h.clock = h.clock[:p]
-		h.heap = h.heap[:p]
-		h.pos = h.pos[:p]
+		h.tree = h.tree[:2*p]
 	} else {
 		h.clock = make([]machine.Tick, p)
-		h.heap = make([]int32, p)
-		h.pos = make([]int32, p)
+		h.tree = make([]uint64, 2*p)
+		h.gone = make([]int32, 0, p)
 	}
-	// All clocks start equal, so the identity arrangement is a valid heap
-	// with the (clock, proc) order.
-	for i := range h.heap {
-		h.clock[i] = 0
-		h.heap[i] = int32(i)
-		h.pos[i] = int32(i)
+	h.gone = h.gone[:0]
+	for q := range h.clock {
+		h.clock[q] = 0
+		h.tree[p+q] = uint64(q)
+	}
+	for i := p - 1; i >= 1; i-- {
+		h.tree[i] = min(h.tree[2*i], h.tree[2*i+1])
 	}
 }
 
-func (h *clockHeap) less(a, b int32) bool {
-	ca, cb := h.clock[a], h.clock[b]
-	return ca < cb || (ca == cb && a < b)
+// key returns the key of processor p at clock c.
+func key(c machine.Tick, p int) uint64 {
+	if uint64(c) > maxClock {
+		panic(errClockOverflow)
+	}
+	return uint64(c)<<procBits | uint64(p)
 }
+
+// errClockOverflow is the panic of a clock too large for a key.
+var errClockOverflow = fmt.Errorf("rws: a processor's clock passed the scheduler's limit of %d ticks", maxClock)
 
 // min returns the processor with the smallest (clock, ID) key.
-func (h *clockHeap) min() int { return int(h.heap[0]) }
+func (h *clockHeap) min() int { return int(h.tree[1] & procMask) }
 
-// remove takes processor p out of the heap for the rest of the run. Removed
-// processors wait past the heap's end, where removed lists them.
-func (h *clockHeap) remove(p int) {
-	i, last := h.pos[p], int32(len(h.heap)-1)
-	h.swap(i, last)
-	h.heap = h.heap[:last]
-	if i < last {
-		h.fix(int(h.heap[i]))
+// set gives processor p's leaf key k, replays p's matches up to the root
+// and returns the root's key, the winner's.
+func (h *clockHeap) set(p int, k uint64) uint64 {
+	t := h.tree
+	i := len(h.clock) + p
+	t[i] = k
+	for ; i > 1; i >>= 1 {
+		k = min(k, t[i^1])
+		t[i>>1] = k
 	}
+	return k
+}
+
+// remove takes processor p out of the tree for the rest of the run;
+// removed lists it from then on.
+func (h *clockHeap) remove(p int) {
+	h.set(p, emptyKey)
+	h.gone = append(h.gone, int32(p))
 }
 
 // removed returns the processors taken out since the last reset.
-func (h *clockHeap) removed() []int32 { return h.heap[len(h.heap):len(h.pos)] }
+func (h *clockHeap) removed() []int32 { return h.gone }
 
-// fix restores the heap after processor p's clock changed. Clocks are
-// monotone non-decreasing, so only a siftDown can be needed, but fix also
-// sifts up defensively so it stays correct for arbitrary key changes.
-func (h *clockHeap) fix(p int) {
-	i := h.pos[p]
-	if !h.siftDown(i) {
-		h.siftUp(i)
-	}
-}
+// fix restores the tree after processor p's clock changed.
+func (h *clockHeap) fix(p int) { h.set(p, key(h.clock[p], p)) }
 
-// rootStillMin restores heap order after the root processor's clock grew
-// (clocks only increase, so a siftDown suffices) and reports whether that
-// processor kept the minimum (clock, proc) key. The run-ahead fast path
-// calls this after every inline request: the executing strand's processor
-// is at the root by construction, and it may keep running exactly while it
-// remains the minimum. The still-min case is the hot one, so it is decided
-// with direct child comparisons before falling back to a full siftDown.
+// rootStillMin restores the tree after the winner's clock grew and reports
+// whether that processor kept the minimum (clock, proc) key. The run-ahead
+// fast path calls this after every inline request: the executing strand's
+// processor is the winner by construction, and it may keep running exactly
+// while it stays the winner.
 func (h *clockHeap) rootStillMin() bool {
-	n := int32(len(h.heap))
-	r := h.heap[0]
-	if 1 < n && h.less(h.heap[1], r) {
-		h.siftDown(0)
-		return false
-	}
-	if 2 < n && h.less(h.heap[2], r) {
-		h.siftDown(0)
-		return false
-	}
-	return true
-}
-
-func (h *clockHeap) swap(i, j int32) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-func (h *clockHeap) siftDown(i int32) bool {
-	n := int32(len(h.heap))
-	moved := false
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return moved
-		}
-		child := left
-		if right := left + 1; right < n && h.less(h.heap[right], h.heap[left]) {
-			child = right
-		}
-		if !h.less(h.heap[child], h.heap[i]) {
-			return moved
-		}
-		h.swap(i, child)
-		i = child
-		moved = true
-	}
-}
-
-func (h *clockHeap) siftUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.heap[i], h.heap[parent]) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
+	p := h.min()
+	k := key(h.clock[p], p)
+	return h.set(p, k) == k
 }
 
 // deque is a growable ring buffer of spawns: bottom (owner) end at tail,

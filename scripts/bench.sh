@@ -1,94 +1,145 @@
 #!/usr/bin/env bash
-# bench.sh — run the simulator hot-path microbenchmarks and record the
-# results in BENCH_rws.json, the repo's perf-trajectory file.
+# bench.sh — run the simulator hot-path microbenchmarks against the parent
+# commit and record the results in BENCH_rws.json, the repo's
+# perf-trajectory file.
 #
-# Usage: scripts/bench.sh [extra go-test args]
+# Usage: scripts/bench.sh [extra test-binary flags, e.g. -test.benchtime=200x]
 #
-# Runs `go test -bench=. -benchmem -count=3` on the two hot packages
+# Run it with the change under test uncommitted: the parent is HEAD. The
+# script exports HEAD with `git archive` into a temporary directory, builds
+# the parent's and the working tree's test binaries of the two hot packages
 # (internal/machine: coherence core; internal/rws: engine step loop,
-# fork-join throughput, steal-heavy workloads, and BenchmarkStealPriced —
-# the distance-priced steal path on a four-socket topology, tracked so
-# steal pricing stays a branch, not a tax) and keeps, per benchmark,
-# the best ns/op of the three runs (min is the right summary for noise on a
-# shared host). The JSON also carries the frozen sections of
-# scripts/bench_reference.json, copied verbatim: "seed_reference", the same
-# benchmarks measured against the pre-refactor seed implementation
-# (container/list LRU, map-based coherence state, O(P) clock scan,
-# slice-copy deques), recorded once in PR 1 so later PRs can see the
-# trajectory start, and "sweep_reference", the PR 4 binary's sweep time.
+# fork-join throughput, steal-heavy workloads, trace replay up to P = 128,
+# and BenchmarkStealPriced — the distance-priced steal path on a
+# four-socket topology, tracked so steal pricing stays a branch, not a
+# tax), and runs every benchmark of both for BENCH_COUNT rounds (default
+# 3), alternating which side goes first. On a tree with nothing
+# uncommitted, it compares HEAD with itself, which shows the guard's noise
+# floor.
+#
+# Regression guard: for each benchmark both sides have, the per-round
+# change/parent ns/op ratios are taken, and the script exits non-zero when
+# their median exceeds 1.25 (the new numbers are still recorded so the
+# regression is visible in the diff). Alternating the two builds in one
+# session, rather than comparing with the previous recording, keeps a slow
+# spell of a shared host from failing an untouched layer and a fast spell
+# from hiding a real regression. Set BENCH_ALLOW_REGRESSION=1 to downgrade
+# the failure to a warning.
+#
+# Allocation gate: the engine-reuse benchmarks (Benchmark*Reuse) measure the
+# steady state of the Reset lifecycle, whose whole point is zero-alloc
+# replication; their allocs/op, in every round, are additionally held to a
+# pinned ceiling (REUSE_ALLOC_CEILING, default 10). This guard is absolute,
+# not relative, so the zero-alloc property cannot erode one alloc at a time.
+#
+# The JSON records, per benchmark, the change's median ns/op, B/op and
+# allocs/op over the rounds, the parent's median ns/op and the median
+# ratio; "sweep_full_ms" and "parent_sweep_full_ms" are the medians of the
+# two builds' full experiment sweeps, alternated the same way. It also
+# carries the frozen sections of scripts/bench_reference.json, copied
+# verbatim: "seed_reference", the same benchmarks measured against the
+# pre-refactor seed implementation (container/list LRU, map-based coherence
+# state, O(P) clock scan, slice-copy deques), recorded once in PR 1 so later
+# PRs can see the trajectory start, and "sweep_reference", the PR 4
+# binary's sweep time.
 #
 # Host: the JSON records the CPU model, `nproc`, and BENCH_HOST, a free-text
 # description of the machine (e.g. "shared 2-vCPU KVM guest, noisy"). On a
 # shared guest, other tenants can change every timing by up to 2x in spells
-# of seconds to minutes (bench/README.md, Noise), so compare recordings
-# taken on one host, interleaved, and treat a single recording as a rough
-# trajectory point.
-#
-# Regression guard: after writing the new file, every benchmark that was
-# also tracked in the previous BENCH_rws.json is compared; if any ns/op
-# regressed more than 25%, the script exits non-zero (the new numbers are
-# still recorded so the regression is visible in the diff). Set
-# BENCH_ALLOW_REGRESSION=1 to downgrade the failure to a warning, e.g. when
-# a slower host is known to be the cause.
-#
-# Allocation gate: the engine-reuse benchmarks (Benchmark*Reuse) measure the
-# steady state of the Reset lifecycle, whose whole point is zero-alloc
-# replication; their allocs/op are additionally held to a pinned ceiling
-# (REUSE_ALLOC_CEILING, default 10). This guard is absolute, not relative,
-# so the zero-alloc property cannot erode one alloc at a time.
+# of seconds to minutes (bench/README.md, Noise); the alternation cancels
+# spells longer than a round, not shorter ones.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${BENCH_COUNT:-3}"
 OUT="BENCH_rws.json"
 REF="scripts/bench_reference.json"
+PKGS="internal/machine internal/rws"
 if [ ! -f "$REF" ]; then
     echo "bench.sh: $REF is missing; it holds the frozen seed and sweep references" >&2
     exit 1
 fi
-TMP="$(mktemp)"
-PREV="$(mktemp)"
-trap 'rm -f "$TMP" "$PREV"' EXIT
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
 
-if [ -f "$OUT" ]; then
-    cp "$OUT" "$PREV"
-else
-    : > "$PREV"
-fi
+BASE_REV="$(git rev-parse --short HEAD)"
+mkdir -p "$WORK/parent"
+git archive HEAD | tar -x -C "$WORK/parent"
+for pkg in $PKGS; do
+    name="$(basename "$pkg")"
+    (cd "$WORK/parent" && go test -c -o "$WORK/parent-$name.test" "./$pkg/")
+    go test -c -o "$WORK/change-$name.test" "./$pkg/"
+done
+(cd "$WORK/parent" && go build -o "$WORK/parent-experiments" ./cmd/experiments)
+go build -o "$WORK/change-experiments" ./cmd/experiments
 
-go test ./internal/machine/ ./internal/rws/ -run '^$' -bench . -benchmem \
-    -count="$COUNT" "$@" | tee "$TMP"
-
-# Wall-clock of the full experiment sweep, best of COUNT runs: the
-# end-to-end number the engine-reuse lifecycle and trace replay target.
-# Timed as the benchmark's sweep workload runs it, GOMAXPROCS=1 with -par 1:
-# at the default GOMAXPROCS a multi-core host would add E14's native timing
-# (about 90 ms) and a second P, which bench/run.sh's sweep runs neither.
-# Recorded alongside the microbenchmarks; sweep_reference freezes an
-# earlier binary's wall clock on the same class of host for trajectory.
-EXPBIN="$(mktemp)"
-go build -o "$EXPBIN" ./cmd/experiments
-SWEEP_MS=""
-if [ "$(date +%s%N)" != "$(date +%s)N" ]; then # BSD date lacks %N; record null there
-    for _ in $(seq "$COUNT"); do
-        t0=$(date +%s%N)
-        GOMAXPROCS=1 "$EXPBIN" -scale full -par 1 > /dev/null
-        t1=$(date +%s%N)
-        ms=$(( (t1 - t0) / 1000000 ))
-        if [ -z "$SWEEP_MS" ] || [ "$ms" -lt "$SWEEP_MS" ]; then SWEEP_MS=$ms; fi
+# run_side SIDE ROUND — every benchmark of SIDE's binaries, from the package
+# directories of SIDE's tree, appended to $WORK/SIDE.txt; a "round" line
+# separates the rounds for the awk below.
+run_side() {
+    local side="$1" round="$2" root="." pkg name
+    shift 2
+    [ "$side" = parent ] && root="$WORK/parent"
+    echo "round $round" >> "$WORK/$side.txt"
+    for pkg in $PKGS; do
+        name="$(basename "$pkg")"
+        (cd "$root/$pkg" && "$WORK/$side-$name.test" -test.run '^$' -test.bench . \
+            -test.benchmem -test.count 1 -test.timeout 30m "$@") | tee -a "$WORK/$side.txt"
     done
-    echo "full sweep wall clock: ${SWEEP_MS}ms (best of $COUNT)"
-else
-    GOMAXPROCS=1 "$EXPBIN" -scale full -par 1 > /dev/null # still smoke the sweep
-    echo "bench.sh: date lacks nanoseconds; sweep_full_ms recorded as null" >&2
-fi
-rm -f "$EXPBIN"
+}
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go version | awk '{print $3}')" \
-    -v sweepms="$SWEEP_MS" -v ref="$REF" -v nproc="$(getconf _NPROCESSORS_ONLN)" \
-    -v host="${BENCH_HOST:-unspecified}" '
+# sweep_ms SIDE — wall clock of one full experiment sweep by SIDE's binary,
+# as the benchmark's sweep workload runs it: GOMAXPROCS=1 with -par 1. At
+# the default GOMAXPROCS a multi-core host would add E14's native timing
+# (about 90 ms) and a second P, which bench/run.sh's sweep runs neither.
+sweep_ms() {
+    local t0 t1
+    t0=$(date +%s%N)
+    GOMAXPROCS=1 "$WORK/$1-experiments" -scale full -par 1 > /dev/null
+    t1=$(date +%s%N)
+    echo $(( (t1 - t0) / 1000000 ))
+}
+HAVE_NS=1
+if [ "$(date +%s%N)" = "$(date +%s)N" ]; then # BSD date lacks %N; record null there
+    HAVE_NS=0
+    echo "bench.sh: date lacks nanoseconds; the sweep times are recorded as null" >&2
+fi
+
+: > "$WORK/parent.txt"
+: > "$WORK/change.txt"
+: > "$WORK/sweeps.txt"
+for round in $(seq "$COUNT"); do
+    if [ $((round % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        echo "== round $round/$COUNT: $side ($([ "$side" = parent ] && echo "HEAD $BASE_REV" || echo "working tree"))"
+        run_side "$side" "$round" "$@"
+        if [ "$HAVE_NS" = 1 ]; then
+            ms="$(sweep_ms "$side")"
+            echo "full sweep: $ms ms"
+            echo "$side $ms" >> "$WORK/sweeps.txt"
+        else
+            GOMAXPROCS=1 "$WORK/$side-experiments" -scale full -par 1 > /dev/null # still smoke the sweep
+        fi
+    done
+done
+
+# The medians and the per-round ratios, one line per benchmark the change
+# has: key, change ns/op, B/op, allocs/op (medians), the largest allocs/op
+# of any round, then the parent's median ns/op and the median ratio, or
+# "-" for a benchmark the parent lacks.
+awk '
+function median(list,    n, v, i, j, t) {
+    n = split(list, v, " ")
+    for (i = 2; i <= n; i++) {
+        t = v[i] + 0
+        for (j = i - 1; j >= 1 && v[j] + 0 > t; j--) v[j + 1] = v[j]
+        v[j + 1] = t
+    }
+    return sprintf("%.10g", n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2)
+}
+FNR == 1 { side = (FILENAME ~ /parent\.txt$/) ? "parent" : "change" }
+/^round / { round = $2; next }
 /^pkg:/ { pkg = $2 }
-/^cpu:/ { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -100,12 +151,52 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go version | awk '{
     }
     if (ns == "") next
     key = pkg "." name
-    if (!(key in best_ns) || ns + 0 < best_ns[key] + 0) {
-        best_ns[key] = ns; best_b[key] = bytes; best_a[key] = allocs
-        pkg_of[key] = pkg; name_of[key] = name
+    nsof[side, key, round] = ns
+    if (side == "change") {
+        if (!(key in seen)) { order[++n] = key; seen[key] = 1 }
+        cns[key] = cns[key] " " ns; cb[key] = cb[key] " " bytes; ca[key] = ca[key] " " allocs
+        if (!(key in amax) || allocs + 0 > amax[key] + 0) amax[key] = allocs
+    } else {
+        pns[key] = pns[key] " " ns
     }
-    if (!(key in seen)) { order[++n] = key; seen[key] = 1 }
 }
+END {
+    for (i = 1; i <= n; i++) {
+        key = order[i]
+        ratios = ""
+        for (r = 1; r <= '"$COUNT"'; r++)
+            if ((("parent", key, r) in nsof) && (("change", key, r) in nsof) && nsof["parent", key, r] > 0)
+                ratios = ratios " " nsof["change", key, r] / nsof["parent", key, r]
+        printf "%s %s %s %s %s", key, median(cns[key]), (cb[key] ~ /[0-9]/ ? median(cb[key]) : "null"), \
+            (ca[key] ~ /[0-9]/ ? median(ca[key]) : "null"), (amax[key] == "" ? "null" : amax[key])
+        if (ratios != "") printf " %s %.4f\n", median(pns[key]), median(ratios)
+        else printf " - -\n"
+    }
+}' "$WORK/parent.txt" "$WORK/change.txt" > "$WORK/summary.txt"
+
+if [ ! -s "$WORK/summary.txt" ]; then
+    echo "bench.sh: parsed 0 benchmarks out of the test binaries' output (did the bench output format change?)" >&2
+    exit 1
+fi
+
+# sweep_median SIDE — the median of SIDE's sweep times.
+sweep_median() {
+    awk -v side="$1" '$1 == side {print $2}' "$WORK/sweeps.txt" | sort -n |
+        awk '{v[NR] = $1} END {print (NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2)}'
+}
+SWEEP_MS=null
+PARENT_SWEEP_MS=null
+if [ "$HAVE_NS" = 1 ]; then
+    SWEEP_MS=$(sweep_median change)
+    PARENT_SWEEP_MS=$(sweep_median parent)
+    echo "full sweep wall clock, median of $COUNT: ${SWEEP_MS} ms (HEAD $BASE_REV: ${PARENT_SWEEP_MS} ms)"
+fi
+
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go version | awk '{print $3}')" \
+    -v sweepms="$SWEEP_MS" -v psweepms="$PARENT_SWEEP_MS" -v ref="$REF" \
+    -v nproc="$(getconf _NPROCESSORS_ONLN)" -v host="${BENCH_HOST:-unspecified}" \
+    -v count="$COUNT" -v base="$BASE_REV" -v cpu="$(awk -F': ' '/^cpu:/ {print $2; exit}' "$WORK/change.txt")" '
+{ line[++n] = $0 }
 END {
     printf "{\n"
     printf "  \"generated\": \"%s\",\n", date
@@ -113,125 +204,48 @@ END {
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"nproc\": %s,\n", nproc
     printf "  \"host\": \"%s\",\n", host
-    printf "  \"count\": %s,\n", "'"$COUNT"'"
-    printf "  \"note\": \"best-of-count ns/op; seed_reference is the pre-refactor implementation; sweep_full_ms is the GOMAXPROCS=1 cmd/experiments -scale full -par 1 wall clock, as the benchmark sweep runs it, sweep_reference an earlier binary frozen for trajectory; both references come from scripts/bench_reference.json\",\n"
-    printf "  \"sweep_full_ms\": %s,\n", (sweepms == "" ? "null" : sweepms)
+    printf "  \"count\": %s,\n", count
+    printf "  \"parent\": \"%s\",\n", base
+    printf "  \"note\": \"medians over count rounds that alternate the working tree with its parent commit (HEAD, exported by git archive); ratio is the median of the per-round change/parent ns/op ratios, the quantity the 1.25 guard reads; seed_reference is the pre-refactor implementation; sweep_full_ms and parent_sweep_full_ms are the medians of the two builds GOMAXPROCS=1 cmd/experiments -scale full -par 1 wall clocks, as the benchmark sweep runs it, sweep_reference an earlier binary frozen for trajectory; both references come from scripts/bench_reference.json\",\n"
+    printf "  \"sweep_full_ms\": %s,\n", sweepms
+    printf "  \"parent_sweep_full_ms\": %s,\n", psweepms
     # The reference file is one JSON object: copy its members, i.e. every
     # line between its opening and closing brace.
     m = 0
-    while ((getline line < ref) > 0) refl[++m] = line
+    while ((getline l < ref) > 0) refl[++m] = l
     close(ref)
     for (i = 2; i < m; i++) printf "%s%s\n", refl[i], (i == m - 1 ? "," : "")
     printf "  \"benchmarks\": {\n"
     for (i = 1; i <= n; i++) {
-        key = order[i]
-        printf "    \"%s.%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-            pkg_of[key], name_of[key], best_ns[key], \
-            (best_b[key] == "" ? "null" : best_b[key]), \
-            (best_a[key] == "" ? "null" : best_a[key]), \
-            (i < n ? "," : "")
+        split(line[i], f, " ")
+        printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", f[1], f[2], f[3], f[4]
+        if (f[6] != "-") printf ", \"parent_ns_per_op\": %s, \"ratio\": %s", f[6], f[7]
+        printf "}%s\n", (i < n ? "," : "")
     }
     printf "  }\n}\n"
-}
-' "$TMP" > "$OUT"
-
+}' "$WORK/summary.txt" > "$OUT"
 echo "wrote $OUT"
 
-# count_benchmarks FILE — number of tracked entries in the "benchmarks"
-# section (seed_reference lines deliberately excluded). Used to distinguish
-# "nothing to compare" from "reference file is malformed": a reference that
-# parses to zero benchmarks must be a loud error, not a regression guard
-# that silently passes (or divides by zero on a bogus ns_per_op).
-count_benchmarks() {
-    awk '
-        /"benchmarks": \{/ { inb = 1; next }
-        inb && /^  \}/     { inb = 0 }
-        inb && /"ns_per_op":/ { c++ }
-        END { print c + 0 }
-    ' "$1"
+# Regression guard: the median per-round ratio of every benchmark both
+# sides have.
+awk '$7 != "-" && $7 + 0 > 1.25 {
+    printf "REGRESSION %s: %.4g -> %.4g ns/op, median change/parent ratio %.3f\n", $1, $6, $2, $7
+    bad = 1
+} END { exit bad }' "$WORK/summary.txt" || {
+    if [ "${BENCH_ALLOW_REGRESSION:-0}" = "1" ]; then
+        echo "bench.sh: regression tolerated (BENCH_ALLOW_REGRESSION=1)" >&2
+    else
+        echo "bench.sh: a benchmark's median ns/op ratio to HEAD $BASE_REV exceeds 1.25" >&2
+        exit 1
+    fi
 }
 
-if [ "$(count_benchmarks "$OUT")" -eq 0 ]; then
-    echo "bench.sh: parsed 0 benchmarks out of the go test output; $OUT is malformed (did the bench output format change?)" >&2
-    exit 1
-fi
-
-# Regression guard: compare the new ns/op against the previous recording for
-# every benchmark tracked in both files' "benchmarks" sections.
-if [ ! -s "$PREV" ]; then
-    echo "bench.sh: no previous $OUT; first recording, regression guard skipped" >&2
-elif [ "$(count_benchmarks "$PREV")" -eq 0 ]; then
-    echo "bench.sh: previous $OUT is malformed (0 tracked benchmarks parsed); refusing to skip the regression guard silently" >&2
-    echo "bench.sh: restore it from git, or delete it to re-seed the trajectory" >&2
-    exit 1
-else
-    awk '
-    function record(file, dest,    line, q2, key, rest, v) {
-        inbench = 0
-        while ((getline line < file) > 0) {
-            if (line ~ /"benchmarks": \{/) { inbench = 1; continue }
-            if (!inbench) continue
-            if (line ~ /^  \}/) break
-            if (line !~ /"ns_per_op":/) continue
-            rest = substr(line, index(line, "\"") + 1)
-            q2 = index(rest, "\"")
-            if (q2 <= 1) continue
-            key = substr(rest, 1, q2 - 1)
-            v = substr(line, index(line, "\"ns_per_op\": ") + 13)
-            sub(/[,}].*/, "", v)
-            dest[key] = v + 0
-        }
-        close(file)
-    }
-    BEGIN {
-        record(ARGV[1], old)
-        record(ARGV[2], new)
-        bad = 0
-        for (key in old) {
-            if (!(key in new)) continue
-            if (old[key] <= 0) {
-                # A zero/negative reference would divide by zero below; that
-                # is a malformed recording, not a perf signal.
-                printf "MALFORMED %s: previous ns_per_op %s is not positive\n", key, old[key]
-                exit 2
-            }
-            if (new[key] > old[key] * 1.25) {
-                printf "REGRESSION %s: %.4g -> %.4g ns/op (+%.0f%%)\n", \
-                    key, old[key], new[key], (new[key]/old[key] - 1) * 100
-                bad = 1
-            }
-        }
-        exit bad
-    }' "$PREV" "$OUT" || {
-        rc=$?
-        if [ "$rc" -eq 2 ]; then
-            echo "bench.sh: previous $OUT is malformed; restore it from git or delete it to re-seed" >&2
-            exit 1
-        fi
-        if [ "${BENCH_ALLOW_REGRESSION:-0}" = "1" ]; then
-            echo "bench.sh: regression tolerated (BENCH_ALLOW_REGRESSION=1)" >&2
-        else
-            echo "bench.sh: tracked benchmark regressed >25% vs previous $OUT" >&2
-            exit 1
-        fi
-    }
-fi
-
-# Absolute allocs/op ceiling on the engine-reuse benchmarks.
+# Absolute allocs/op ceiling on the engine-reuse benchmarks, in every round.
 CEILING="${REUSE_ALLOC_CEILING:-10}"
-awk -v ceiling="$CEILING" '
-    /Reuse"/ && /"allocs_per_op":/ {
-        key = $0
-        sub(/^ *"/, "", key); sub(/".*/, "", key)
-        v = $0
-        sub(/.*"allocs_per_op": /, "", v); sub(/[,}].*/, "", v)
-        if (v + 0 > ceiling) {
-            printf "ALLOC CEILING %s: %s allocs/op > %s\n", key, v, ceiling
-            bad = 1
-        }
-    }
-    END { exit bad }
-' "$OUT" || {
+awk -v ceiling="$CEILING" '$1 ~ /Reuse$/ && $5 != "null" && $5 + 0 > ceiling {
+    printf "ALLOC CEILING %s: %s allocs/op > %s\n", $1, $5, ceiling
+    bad = 1
+} END { exit bad }' "$WORK/summary.txt" || {
     echo "bench.sh: reuse benchmark exceeded the steady-state allocs/op ceiling ($CEILING)" >&2
     exit 1
 }
