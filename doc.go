@@ -82,17 +82,20 @@
 // machine.Machine.Access and the rws engine, so those layers are engineered
 // for allocation-free, cache-friendly steady state:
 //
-//   - internal/cache is an intrusive array-backed LRU: recency links are
-//     prev/next indices in a flat node slice and the block→node index is a
-//     paged dense array (pages carved from arena chunks), exploiting that
-//     mem.Allocator bump-allocates block IDs densely from zero. A touch of
-//     the most-recently-used block is answered before the index lookup,
-//     each processor's cache sits inline in the machine, and internal/mem
-//     computes a block ID by a shift, B being a power of two.
-//   - internal/machine keeps coherence state in a per-block directory
-//     (sharer and lost bitsets, busy-until tick, transfer count) so a
-//     write's invalidation broadcast walks only actual sharers instead of
-//     scanning all P caches.
+//   - internal/cache is only an intrusive array-backed LRU order: recency
+//     links are prev/next indices in a flat node slice, free nodes are
+//     chained through the same links, and each processor's cache sits
+//     inline in the machine. It keeps no block index. A touch of the
+//     most-recently-used block is answered before any lookup, and
+//     internal/mem computes a block ID by a shift, B being a power of two.
+//   - internal/machine keeps coherence state in a per-block directory, the
+//     machine's only block table: each block's node in every processor's
+//     LRU list, sharer and lost bitsets, busy-until tick and transfer
+//     count, in paged dense arrays (pages and node columns carved from
+//     arena chunks) that exploit mem.Allocator bump-allocating block IDs
+//     densely from zero. An access looks its block's record up once for
+//     the hit, the miss and the write's invalidation, and the invalidation
+//     broadcast walks only actual sharers instead of scanning all P caches.
 //   - internal/rws implements the scheduling protocol once, as resumable
 //     steps (work, timed access, fork, join decision, join, finish) under
 //     an inline run-ahead engine: the running strand applies its own timed
@@ -152,13 +155,16 @@
 //     cache.New and mem.New build an empty value and call its own Reset,
 //     so a fresh engine and a reset one run the same set-up code.
 //   - machine.Machine.Reset(params) resets coherence state by *generation
-//     stamp*: cache-index and directory pages carry the generation they were
-//     last valid in, a reset bumps the counter in O(1), and a stale page is
-//     re-zeroed lazily on first touch — no O(arena) zeroing, no
-//     reallocation. mem.Memory moves its value pages to a free list and
-//     re-zeroes them on next materialization; exec.Pool recycles Stack
-//     structs while letting regions re-allocate so created/reused stats and
-//     addresses match a fresh run exactly.
+//     stamp*: directory pages carry the generation they were last valid
+//     in, a reset bumps the counter in O(1) (marking every page stale by
+//     hand when it wraps), and a stale page is re-zeroed lazily on first
+//     touch, its node columns going to one free list that zeroes a column
+//     only when it hands it out again — no O(arena) zeroing, no
+//     reallocation; each cache relinks its recency list. mem.Memory moves
+//     its value pages to a free list and re-zeroes them on next
+//     materialization; exec.Pool recycles Stack structs while letting
+//     regions re-allocate so created/reused stats and addresses match a
+//     fresh run exactly.
 //   - harness.Runner pools reset engines under the experiment sweeps: every
 //     builder draws from the pool, so a full E01–E21 sweep constructs about
 //     one engine per worker instead of one per run. A Result holds only the

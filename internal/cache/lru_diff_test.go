@@ -98,52 +98,62 @@ func sameResident(t *testing.T, step int, got, want []mem.BlockID) {
 // TestLRUDifferential drives the intrusive LRU and the container/list
 // reference through the same long randomized operation stream and requires
 // identical observable behavior at every step: return values, membership,
-// length, and full MRU→LRU order.
+// length, the MRU block, and full MRU→LRU order. The intrusive LRU keeps no
+// block index, so the test keeps one (index, as the machine's directory
+// does) and passes nodes to Touch and Remove; an Insert of a resident block
+// is a touch of its node, and the reference's occasional Flush is a Reset.
 func TestLRUDifferential(t *testing.T) {
 	const ops = 20_000
 	for _, capacity := range []int{1, 2, 7, 64, 256} {
 		capacity := capacity
 		rng := rand.New(rand.NewSource(int64(100 + capacity)))
 		got := New(capacity)
+		ix := index{}
 		want := newRefLRU(capacity)
-		// Block universe ~3x capacity so inserts regularly evict, with a
-		// sparse far tail exercising paged-index growth.
+		// Block universe ~3x capacity so inserts regularly evict.
 		universe := 3*capacity + 2
-		randBlock := func() mem.BlockID {
-			if rng.Intn(16) == 0 {
-				return mem.BlockID(1_000_000 + rng.Intn(universe))
-			}
-			return mem.BlockID(rng.Intn(universe))
-		}
 		for i := 0; i < ops; i++ {
-			b := randBlock()
+			b := mem.BlockID(rng.Intn(universe))
+			n, resident := ix[b]
 			switch rng.Intn(10) {
 			case 0, 1, 2:
-				if g, w := got.Touch(b), want.Touch(b); g != w {
-					t.Fatalf("cap %d step %d: Touch(%d) = %v, reference %v", capacity, i, b, g, w)
+				if resident {
+					got.Touch(n)
+				}
+				if w := want.Touch(b); resident != w {
+					t.Fatalf("cap %d step %d: Touch(%d) resident = %v, reference %v", capacity, i, b, resident, w)
 				}
 			case 3, 4, 5, 6:
-				gv, ge := got.Insert(b)
+				gv, ge := ix.access(got, b)
 				wv, we := want.Insert(b)
 				if gv != wv || ge != we {
 					t.Fatalf("cap %d step %d: Insert(%d) = (%d, %v), reference (%d, %v)",
 						capacity, i, b, gv, ge, wv, we)
 				}
 			case 7, 8:
-				if g, w := got.Remove(b), want.Remove(b); g != w {
-					t.Fatalf("cap %d step %d: Remove(%d) = %v, reference %v", capacity, i, b, g, w)
+				ix.remove(got, b)
+				if w := want.Remove(b); resident != w {
+					t.Fatalf("cap %d step %d: Remove(%d) resident = %v, reference %v", capacity, i, b, resident, w)
 				}
 			case 9:
-				if g, w := got.Contains(b), want.Contains(b); g != w {
-					t.Fatalf("cap %d step %d: Contains(%d) = %v, reference %v", capacity, i, b, g, w)
+				if w := want.Contains(b); resident != w {
+					t.Fatalf("cap %d step %d: Contains(%d) = %v, reference %v", capacity, i, b, resident, w)
 				}
 				if rng.Intn(200) == 0 {
-					got.Flush()
+					got.Reset(capacity)
+					clear(ix)
 					want.Flush()
 				}
 			}
 			if got.Len() != want.Len() {
 				t.Fatalf("cap %d step %d: Len = %d, reference %d", capacity, i, got.Len(), want.Len())
+			}
+			wantMRU := mem.BlockID(-1)
+			if e := want.ll.Front(); e != nil {
+				wantMRU = e.Value.(mem.BlockID)
+			}
+			if got.MRU() != wantMRU {
+				t.Fatalf("cap %d step %d: MRU = %d, reference %d", capacity, i, got.MRU(), wantMRU)
 			}
 			if i%257 == 0 || i == ops-1 {
 				sameResident(t, i, got.Resident(), want.Resident())
@@ -152,20 +162,23 @@ func TestLRUDifferential(t *testing.T) {
 	}
 }
 
-// TestLRUNoSteadyStateAllocs verifies the point of the intrusive rewrite:
-// once the index pages for the working set exist, Touch/Insert/Remove do not
-// allocate.
+// TestLRUNoSteadyStateAllocs verifies the point of the intrusive list:
+// Touch, Insert (with and without an eviction) and Remove do not allocate.
 func TestLRUNoSteadyStateAllocs(t *testing.T) {
 	c := New(32)
 	for b := 0; b < 96; b++ {
 		c.Insert(mem.BlockID(b))
 	}
+	b := mem.BlockID(96)
 	avg := testing.AllocsPerRun(1000, func() {
-		c.Insert(mem.BlockID(17))
-		c.Touch(mem.BlockID(17))
-		c.Insert(mem.BlockID(95))
-		c.Remove(mem.BlockID(95))
-		c.Insert(mem.BlockID(95))
+		n, _, _ := c.Insert(b) // evicts: the cache is full
+		m, _, _ := c.Insert(b + 1)
+		c.Touch(n)
+		c.Remove(m)
+		c.Remove(n)
+		c.Insert(b + 2) // takes a free node
+		c.Insert(b + 3)
+		b += 4
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state ops allocate %v times per run, want 0", avg)

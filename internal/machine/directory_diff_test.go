@@ -3,6 +3,7 @@ package machine
 import (
 	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rwsfs/internal/mem"
@@ -62,6 +63,14 @@ func (c *refList) insert(b mem.BlockID) (victim mem.BlockID, evicted bool) {
 	}
 	c.index[b] = c.ll.PushFront(b)
 	return victim, evicted
+}
+
+func (c *refList) resident() []mem.BlockID {
+	out := make([]mem.BlockID, 0, c.ll.Len())
+	for e := c.ll.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(mem.BlockID))
+	}
+	return out
 }
 
 func (c *refList) remove(b mem.BlockID) bool {
@@ -156,7 +165,8 @@ func (r *refCoherence) invalidateOthers(p int, bid mem.BlockID) {
 // TestDirectoryDifferential runs the directory/bitset machine and the
 // map-based reference over identical randomized block traces (≥10k ops per
 // variant) and demands identical per-access delays, identical counters, and
-// a sharer bitset exactly matching cache residency at every checkpoint.
+// at every checkpoint the reference's recency orders, with node columns and
+// sharer bitsets exactly matching its residency (checkCoherenceState).
 func TestDirectoryDifferential(t *testing.T) {
 	variants := []struct {
 		name string
@@ -218,27 +228,40 @@ func TestDirectoryDifferential(t *testing.T) {
 	}
 }
 
-// checkCoherenceState cross-validates all three state representations: LRU
-// residency vs the reference caches, sharer bits vs residency, and lost bits
-// vs the reference invalidated maps.
+// checkCoherenceState cross-validates the machine against the reference:
+// each cache's MRU→LRU order against the reference list's; per processor
+// and block, the directory's node (nonzero ⟺ resident, distinct within a
+// cache) and sharer bit against the reference residency; and lost bits
+// against the reference invalidated maps.
 func checkCoherenceState(t *testing.T, step int, m *Machine, ref *refCoherence, nBlocks int) {
 	t.Helper()
 	for p := 0; p < m.P; p++ {
+		if got, want := m.caches[p].Resident(), ref.caches[p].resident(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: proc %d MRU→LRU order %v, reference %v", step, p, got, want)
+		}
+		nodes := make(map[int32]mem.BlockID)
 		for b := 0; b < nBlocks; b++ {
 			bid := mem.BlockID(b)
 			_, refRes := ref.caches[p].index[bid]
-			if got := m.caches[p].Contains(bid); got != refRes {
-				t.Fatalf("step %d: proc %d block %d resident = %v, reference %v", step, p, b, got, refRes)
-			}
 			r := m.dir.peek(bid)
-			sharer := false
-			lost := false
+			node := int32(0)
+			sharer, lost := false, false
 			if r.pg != nil {
-				sharer = r.sharers()[p>>6]&(1<<(uint(p)&63)) != 0
+				node = r.node(p)
+				sharer = r.sharerHas(p)
 				lost = r.lostHas(p)
 			}
-			if sharer != refRes {
-				t.Fatalf("step %d: proc %d block %d sharer bit = %v, residency %v", step, p, b, sharer, refRes)
+			if (node != 0) != refRes {
+				t.Fatalf("step %d: proc %d block %d node %d, reference residency %v", step, p, b, node, refRes)
+			}
+			if sharer != (node != 0) {
+				t.Fatalf("step %d: proc %d block %d sharer bit = %v, node %d", step, p, b, sharer, node)
+			}
+			if node != 0 {
+				if prev, dup := nodes[node]; dup {
+					t.Fatalf("step %d: proc %d blocks %d and %d share node %d", step, p, prev, b, node)
+				}
+				nodes[node] = bid
 			}
 			_, refLost := ref.invalidated[p][bid]
 			if lost != refLost {
@@ -246,6 +269,12 @@ func checkCoherenceState(t *testing.T, step int, m *Machine, ref *refCoherence, 
 			}
 		}
 	}
+}
+
+// resident reports whether bid is in p's cache, by the directory's node.
+func resident(m *Machine, p int, bid mem.BlockID) bool {
+	r := m.dir.peek(bid)
+	return r.pg != nil && r.node(p) != 0
 }
 
 // TestDirectoryWordBoundaryInvalidation pins the masked sharer-word walk in
@@ -272,7 +301,7 @@ func TestDirectoryWordBoundaryInvalidation(t *testing.T) {
 		}
 		for _, q := range sharerSet {
 			wantRes := q == writer
-			if got := m.caches[q].Contains(0); got != wantRes {
+			if got := resident(m, q, 0); got != wantRes {
 				t.Fatalf("writer %d: proc %d residency = %v, want %v", writer, q, got, wantRes)
 			}
 			r := m.dir.peek(0)

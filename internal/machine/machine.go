@@ -11,16 +11,19 @@
 //
 // # Coherence representation
 //
-// Coherence state lives in a per-block *directory* (see directory.go) rather
-// than per-processor maps: each block record carries a sharer bitset (which
-// caches hold a copy), a lost bitset (which processors have a pending
-// invalidation-induced miss), the FIFO-arbitration busy-until tick, and the
-// Definition 4.1 transfer count. Because mem.Allocator hands out addresses
-// with a bump pointer, block IDs are dense integers from zero, so the
-// directory is a lazily-materialized paged dense array — two loads per
-// lookup, no hashing, no steady-state allocation. A write's invalidation
-// broadcast iterates the sharer bitset, making it O(actual sharers) instead
-// of an O(P) scan over every cache.
+// Coherence state lives in a per-block *directory* (see directory.go), the
+// machine's only block table. Each block record carries the block's node in
+// every processor's cache.Cache recency list (0 = not resident there), a
+// sharer bitset mirroring those nodes, a lost bitset (which processors have
+// a pending invalidation-induced miss), the FIFO-arbitration busy-until
+// tick, and the Definition 4.1 transfer count; a cache.Cache is only the LRU
+// order of its nodes. Because mem.Allocator hands out addresses with a bump
+// pointer, block IDs are dense integers from zero, so the directory is a
+// lazily-materialized paged dense array — no hashing and no steady-state
+// allocation. An access looks its block's record up once
+// and serves the hit, the miss and the write's invalidation from it; the
+// invalidation broadcast iterates the sharer bitset, making it O(actual
+// sharers) instead of an O(P) scan over every cache.
 //
 // On a non-flat Topology the directory additionally records each block's
 // last owner (fetcher or writer); a transfer whose owner sits in another
@@ -132,12 +135,12 @@ type Machine struct {
 	Mem   *mem.Memory
 	Alloc *mem.Allocator
 
+	// caches holds each processor's LRU order; which blocks are resident,
+	// and at which node, is the directory's to say.
 	caches []cache.Cache
-	// dir is the per-block coherence directory: sharer/lost bitsets,
-	// busy-until ticks and transfer counts, in paged dense arrays. The sharer
-	// bits are kept in lockstep with cache residency: bit p of block b is set
-	// iff caches[p].Contains(b).
-	dir *directory
+	// dir is the per-block coherence directory: node columns, sharer/lost
+	// bitsets, busy-until ticks and transfer counts, in paged dense arrays.
+	dir directory
 
 	Proc []ProcCounters
 
@@ -168,14 +171,14 @@ type Machine struct {
 	retiredWriteMax int64              // max writes over retired (dead) variables
 }
 
-// New builds a machine from params, validating them. Past the memory, its
-// allocator and an empty directory, Reset does all the set-up.
+// New builds a machine from params, validating them. Past the memory and
+// its allocator, Reset does all the set-up (a zero directory is empty).
 func New(pr Params) (*Machine, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
 	memory := mem.New(pr.B)
-	m := &Machine{Mem: memory, Alloc: mem.NewAllocator(memory), dir: &directory{}}
+	m := &Machine{Mem: memory, Alloc: mem.NewAllocator(memory)}
 	if err := m.Reset(pr); err != nil {
 		return nil, err
 	}
@@ -192,13 +195,13 @@ func MustNew(pr Params) *Machine {
 }
 
 // Reset reinitializes the machine for another run under pr, reusing every
-// backing structure a fresh machine would have to allocate: memory pages
-// move to a free list and are re-zeroed on next touch, cache recency nodes
-// and the coherence directory are invalidated by generation bumps (stale
-// pages revalidated lazily), and the per-processor counter and cache slices
-// are regrown in place. New sets a machine up through Reset, so a reset
-// machine equals New(pr) by construction. On an invalid pr the machine is
-// left untouched.
+// backing structure a fresh machine would have to allocate: memory pages move
+// to a free list and are re-zeroed on next touch, cache recency lists are
+// rebuilt in place, the coherence directory is invalidated by a generation
+// bump (stale pages revalidated lazily), and the per-processor counter and
+// cache slices are regrown in place. New sets a machine up through Reset, so
+// a reset machine equals New(pr) by construction. On an invalid pr the
+// machine is left untouched.
 func (m *Machine) Reset(pr Params) error {
 	if err := pr.Validate(); err != nil {
 		return err
@@ -299,15 +302,26 @@ func (m *Machine) AccessRange(p int, a mem.Addr, n int, write bool, now Tick) Ti
 // accessBlock is the coherence core: one processor touches one block.
 func (m *Machine) accessBlock(p int, bid mem.BlockID, write bool, now Tick) Tick {
 	c := &m.Proc[p]
-	if m.caches[p].Touch(bid) {
+	cp := &m.caches[p]
+	if cp.MRU() == bid && !write {
+		return 0
+	}
+	// One lookup serves the hit, the miss and the write's invalidation. A
+	// resident block's page is current, so peek finds it; entry
+	// materializes the page of a block that is resident nowhere.
+	r := m.dir.peek(bid)
+	if r.pg == nil {
+		r = m.dir.entry(bid)
+	}
+	if n := r.node(p); n != 0 {
 		// Hit. A write still invalidates remote copies (upgrade).
+		cp.Touch(n)
 		if write {
-			m.invalidateOthers(p, bid)
+			m.invalidateOthers(p, r)
 		}
 		return 0
 	}
 	// Miss: classify against the lost bitset (pending invalidation marker).
-	r := m.dir.entry(bid)
 	if r.lostHas(p) {
 		c.BlockMisses++
 		r.clearLost(p)
@@ -340,23 +354,21 @@ func (m *Machine) accessBlock(p int, bid mem.BlockID, write bool, now Tick) Tick
 	if m.OnTransfer != nil {
 		m.OnTransfer(bid)
 	}
-	if victim, ev := m.caches[p].Insert(bid); ev {
-		// Natural eviction drops p from the victim's sharer set; no lost
-		// marker, so the victim's next access by p is a plain cache miss.
-		m.dir.clearSharerOf(victim, p)
+	n, victim, evicted := cp.Insert(bid)
+	if evicted {
+		m.dir.peek(victim).evict(p)
 	}
-	r.setSharer(p)
+	m.dir.admit(r, p, n)
 	if write {
-		m.invalidateOthers(p, bid)
+		m.invalidateOthers(p, r)
 	}
 	return delay
 }
 
-// invalidateOthers removes every remote copy of bid after a write by p,
-// walking the sharer bitset so the cost is O(actual sharers), not O(P).
+// invalidateOthers removes every remote copy of r's block after a write by
+// p, walking the sharer bitset so the cost is O(actual sharers), not O(P).
 // Each victim gains a lost-bit (its next access is a block miss).
-func (m *Machine) invalidateOthers(p int, bid mem.BlockID) {
-	r := m.dir.entry(bid)
+func (m *Machine) invalidateOthers(p int, r dirRef) {
 	if m.socketOf != nil {
 		// A write makes p the block's exclusive owner: later fetches are
 		// served (and priced) from p's socket.
@@ -377,7 +389,9 @@ func (m *Machine) invalidateOthers(p int, bid mem.BlockID) {
 		for word != 0 {
 			q := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			m.caches[q].Remove(bid)
+			col := r.pg.nodes[q]
+			m.caches[q].Remove(col[r.i])
+			col[r.i] = 0
 			sent++
 		}
 	}
@@ -438,9 +452,9 @@ func (m *Machine) SocketSpan(p int) (lo, hi int) {
 }
 
 // SharesBlock reports whether processor p currently holds the block
-// containing a — the directory's sharer bit, kept in lockstep with cache
-// residency. Steal policies use it as the affinity signal: a sharer of a
-// task's blocks can run the task without re-fetching them.
+// containing a — the directory's sharer bit for p. Steal policies use it as
+// the affinity signal: a sharer of a task's blocks can run the task without
+// re-fetching them.
 func (m *Machine) SharesBlock(p int, a mem.Addr) bool {
 	r := m.dir.peek(m.Mem.Block(a))
 	return r.pg != nil && r.sharerHas(p)

@@ -289,3 +289,32 @@ func TestMachineResetMatchesFresh(t *testing.T) {
 		t.Errorf("Reset after failed Reset: %v", err)
 	}
 }
+
+// TestDirectoryResetGenerationWrap resets a machine across the wrap of its
+// directory generation: a page stamped in the generation before the wrap,
+// or in any earlier one, must read as absent afterwards — no transfers, no
+// sharer bit and no cached node left over from the old run.
+func TestDirectoryResetGenerationWrap(t *testing.T) {
+	pr := small(2)
+	m := MustNew(pr)
+	m.Access(0, 0, true, 0)
+	m.dir.gen = ^uint32(0)
+	for i := 0; i < 2; i++ {
+		if err := m.Reset(pr); err != nil {
+			t.Fatal(err)
+		}
+		if m.dir.gen == 0 {
+			t.Errorf("reset %d: generation 0, the mark of a stale page", i)
+		}
+		if total, _ := m.BlockTransfers(); total != 0 {
+			t.Errorf("reset %d: BlockTransfers = %d before any access, want 0", i, total)
+		}
+		if m.SharesBlock(0, 0) {
+			t.Errorf("reset %d: p0 shares block 0 before any access", i)
+		}
+	}
+	if d := m.Access(0, 0, false, 0); d != pr.CostMiss || m.Proc[0].CacheMisses != 1 {
+		t.Errorf("first access after the wrap: delay %d, %d cache misses; want a cold miss (%d, 1)",
+			d, m.Proc[0].CacheMisses, pr.CostMiss)
+	}
+}

@@ -143,13 +143,24 @@ func BenchmarkStealHeavyReuse(b *testing.B) {
 }
 
 // recordBench records a benchmark's kernel over words of input at P = 1.
-func recordBench(b *testing.B, words int, kernel func(mem.Addr) func(*Ctx)) *Trace {
+func recordBench(tb testing.TB, words int, kernel func(mem.Addr) func(*Ctx)) *Trace {
 	e := MustNewEngine(DefaultConfig(1))
 	tr, err := e.Record(kernel(e.Machine().Alloc.Alloc(words)), 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tr
+}
+
+// stealHeavyKernel is the steal-heavy workload over 512 words at out: 512
+// tiny leaves, each five ticks of work and one store.
+func stealHeavyKernel(out mem.Addr) func(*Ctx) {
+	return func(c *Ctx) {
+		c.ForkN(512, func(j int, c *Ctx) {
+			c.Work(5)
+			c.StoreInt(out+mem.Addr(j), int64(j))
+		})
+	}
 }
 
 // BenchmarkStealHeavyReplayReuse is BenchmarkStealHeavyReuse replaying the
@@ -162,22 +173,16 @@ func BenchmarkStealHeavyReplayReuse(b *testing.B) { benchStealHeavyReplay(b, 8) 
 // 128, the top of rwsimd's default range (-max-p): most of the 128
 // processors are idle thieves, and every schedule check replays seven
 // matches of the scheduler's winner tree. Its name leaves it outside the
-// Reuse$ allocs/op ceiling: for hundreds of runs, some of the 128 caches
-// still meet stack blocks their lazily paged index has not seen, so its
-// allocs/op (2 to 18 measured) depend on the iteration count.
+// Reuse$ allocs/op ceiling, but its steady state is the same one
+// allocation per run, the StolenKernelSizes slice: the directory's node
+// columns are recycled across Resets, so 128 caches stop allocating once
+// warm (TestReplayP128SteadyStateAllocs).
 func BenchmarkStealHeavyReplayP128(b *testing.B) { benchStealHeavyReplay(b, 128) }
 
 // benchStealHeavyReplay replays the steal-heavy kernel's recording at p
 // processors through one Reset engine.
 func benchStealHeavyReplay(b *testing.B, p int) {
-	tr := recordBench(b, 512, func(out mem.Addr) func(*Ctx) {
-		return func(c *Ctx) {
-			c.ForkN(512, func(j int, c *Ctx) {
-				c.Work(5)
-				c.StoreInt(out+mem.Addr(j), int64(j))
-			})
-		}
-	})
+	tr := recordBench(b, 512, stealHeavyKernel)
 	cfg := DefaultConfig(p)
 	e := MustNewEngine(cfg)
 	defer e.Close()

@@ -345,6 +345,32 @@ func TestEngineReuseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayP128SteadyStateAllocs pins the steady state of
+// BenchmarkStealHeavyReplayP128: once one P = 128 engine has replayed the
+// steal-heavy recording on 64 seeds, each run on a fresh seed allocates at
+// most once, the StolenKernelSizes slice its Result takes with it. Node
+// columns that 128 caches need for stacks at new addresses come from the
+// directory's free list, not from new allocations.
+func TestReplayP128SteadyStateAllocs(t *testing.T) {
+	tr := recordBench(t, 512, stealHeavyKernel)
+	cfg := DefaultConfig(128)
+	e := MustNewEngine(cfg)
+	defer e.Close()
+	run := func() {
+		cfg.Seed++
+		if err := e.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		e.Replay(tr)
+	}
+	for cfg.Seed = 0; cfg.Seed < 64; {
+		run()
+	}
+	if avg := testing.AllocsPerRun(100, run); avg > 1 {
+		t.Errorf("a warm P = 128 replay allocates %v times per run, want <= 1", avg)
+	}
+}
+
 // TestPolicyDisciplinesDiffer is the sanity complement of the invariant
 // suite: the policies are not all secretly Uniform. On a multi-socket
 // steal-heavy workload, each policy's schedule (and so its Result) should

@@ -112,32 +112,28 @@ func (Uniform) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 func (Uniform) Take(int) int { return 1 }
 
 // Localized biases victim selection toward the thief's own socket: with
-// probability (Bias-1)/Bias the victim is uniform over the thief's socket
-// peers, otherwise uniform over all other processors. The socket bias is
-// this repo's own modelling choice; the paper analyses uniform victims
-// only. Despite the name, it is not the localized work stealing of
-// Suksompong, Leiserson and Schardl, in which a free processor first tries
-// to steal back its own work. On a flat topology every processor is a
-// socket peer, so the policy degenerates to uniform selection (with a
-// different RNG consumption pattern than Uniform).
-type Localized struct {
-	// Bias is the locality denominator; values < 2 mean the default 4
-	// (steal locally 3 attempts in 4).
-	Bias int
-}
+// probability (localizedBias-1)/localizedBias, 3 in 4, the victim is uniform
+// over the thief's socket peers, otherwise uniform over all other
+// processors. The socket bias is this repo's own modelling choice; the paper
+// analyses uniform victims only. Despite the name, it is not the localized
+// work stealing of Suksompong, Leiserson and Schardl, in which a free
+// processor first tries to steal back its own work. On a flat topology every
+// processor is a socket peer, so the policy degenerates to uniform selection
+// (with a different RNG consumption pattern than Uniform).
+type Localized struct{}
+
+// localizedBias is Localized's locality denominator: one attempt in
+// localizedBias goes to a uniform victim.
+const localizedBias = 4
 
 // Name implements StealPolicy.
 func (Localized) Name() string { return "localized" }
 
 // Victim implements StealPolicy: socket-local with probability
-// (Bias-1)/Bias, uniform otherwise.
-func (l Localized) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
-	bias := l.Bias
-	if bias < 2 {
-		bias = 4
-	}
+// (localizedBias-1)/localizedBias, uniform otherwise.
+func (Localized) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 	lo, hi := view.SocketSpan(thief)
-	if peers := hi - lo - 1; peers > 0 && rng.Intn(bias) != 0 {
+	if peers := hi - lo - 1; peers > 0 && rng.Intn(localizedBias) != 0 {
 		w := lo + rng.Intn(peers)
 		if w >= thief {
 			w++
@@ -170,30 +166,25 @@ func (StealHalf) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 // Take implements StealPolicy: ceil(size/2) tasks per steal.
 func (StealHalf) Take(size int) int { return (size + 1) / 2 }
 
-// Affinity probes a few uniform victims and prefers one whose top task the
-// thief has coherence affinity for — the thief still caches the block of
-// the task's join flag, so executing the task re-uses resident data
-// instead of forcing transfers (cf. Gu, Napier & Sun on the cache
-// complexity of victim choice). If no probe shows affinity the first
-// probed victim is used, keeping the failure path close to uniform.
-type Affinity struct {
-	// Probes is the number of candidate victims examined; values < 1
-	// mean the default 2.
-	Probes int
-}
+// Affinity probes affinityProbes (2) uniform victims and prefers one whose
+// top task the thief has coherence affinity for — the thief still caches the
+// block of the task's join flag, so executing the task re-uses resident data
+// instead of forcing transfers (cf. Gu, Napier & Sun on the cache complexity
+// of victim choice). If no probe shows affinity the first probed victim is
+// used, keeping the failure path close to uniform.
+type Affinity struct{}
+
+// affinityProbes is the number of candidate victims Affinity examines.
+const affinityProbes = 2
 
 // Name implements StealPolicy.
 func (Affinity) Name() string { return "affinity" }
 
 // Victim implements StealPolicy: first probed victim with directory
 // affinity, else the first probe.
-func (a Affinity) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
-	probes := a.Probes
-	if probes < 1 {
-		probes = 2
-	}
+func (Affinity) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 	first := -1
-	for t := 0; t < probes; t++ {
+	for t := 0; t < affinityProbes; t++ {
 		w := uniformVictim(view, thief, rng)
 		if first < 0 {
 			first = w
@@ -209,20 +200,20 @@ func (a Affinity) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 func (Affinity) Take(int) int { return 1 }
 
 // Hierarchical probes strictly inside the thief's socket first and widens
-// only on sustained failure: after LocalProbes consecutive failed attempts
-// (the engine-tracked FailedStreak) the next probe targets a uniform victim
-// *outside* the socket, then the ladder restarts. Under distance-priced
-// stealing this keeps almost every attempt — successful or not — at the
-// cheap local price, paying the cross-interconnect premium only when the
-// local socket is demonstrably drained. The socket-first ladder is this
-// repo's own modelling choice, like Localized's bias. On a flat topology
-// every processor is a socket peer and the policy is draw-for-draw
+// only on sustained failure: after hierarchicalLocalProbes (3) consecutive
+// failed attempts (the engine-tracked FailedStreak) the next probe targets a
+// uniform victim *outside* the socket, then the ladder restarts. Under
+// distance-priced stealing this keeps almost every attempt — successful or
+// not — at the cheap local price, paying the cross-interconnect premium only
+// when the local socket is demonstrably drained. The socket-first ladder is
+// this repo's own modelling choice, like Localized's bias. On a flat
+// topology every processor is a socket peer and the policy is draw-for-draw
 // identical to Uniform.
-type Hierarchical struct {
-	// LocalProbes is how many consecutive failed attempts stay
-	// socket-local before one remote probe; values < 1 mean the default 3.
-	LocalProbes int
-}
+type Hierarchical struct{}
+
+// hierarchicalLocalProbes is how many consecutive failed attempts stay
+// socket-local before Hierarchical makes one remote probe.
+const hierarchicalLocalProbes = 3
 
 // Name implements StealPolicy.
 func (Hierarchical) Name() string { return "hierarchical" }
@@ -230,11 +221,8 @@ func (Hierarchical) Name() string { return "hierarchical" }
 // Victim implements StealPolicy: uniform over socket peers until the
 // failed-attempt streak earns a remote probe, then uniform over the other
 // sockets' processors.
-func (h Hierarchical) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
-	k := h.LocalProbes
-	if k < 1 {
-		k = 3
-	}
+func (Hierarchical) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
+	const k = hierarchicalLocalProbes
 	lo, hi := view.SocketSpan(thief)
 	peers := hi - lo - 1
 	outside := view.P() - (hi - lo)
@@ -260,34 +248,29 @@ func (h Hierarchical) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 // Take implements StealPolicy: one task per steal.
 func (Hierarchical) Take(int) int { return 1 }
 
-// LatencyAware scores a few uniformly probed candidates by the expected
-// cost of directing the attempt at them and picks the cheapest: a victim
-// with an empty deque wastes the whole attempt (worst), then lower
-// distance price wins (PolicyView.StealPrice — socket distance under
-// priced stealing, uniformly zero otherwise), then the deeper deque (a
-// stolen task from a deep deque amortizes the probe over more future local
-// work). Ties keep the earlier probe, so with pricing off and equal deques
-// the policy degenerates to Affinity-style first-probe selection.
-type LatencyAware struct {
-	// Probes is the number of candidate victims scored; values < 1 mean
-	// the default 3.
-	Probes int
-}
+// LatencyAware scores latencyAwareProbes (3) uniformly probed candidates by
+// the expected cost of directing the attempt at them and picks the cheapest:
+// a victim with an empty deque wastes the whole attempt (worst), then lower
+// distance price wins (PolicyView.StealPrice — socket distance under priced
+// stealing, uniformly zero otherwise), then the deeper deque (a stolen task
+// from a deep deque amortizes the probe over more future local work). Ties
+// keep the earlier probe, so with pricing off and equal deques the policy
+// degenerates to Affinity-style first-probe selection.
+type LatencyAware struct{}
+
+// latencyAwareProbes is the number of candidate victims LatencyAware scores.
+const latencyAwareProbes = 3
 
 // Name implements StealPolicy.
 func (LatencyAware) Name() string { return "latencyaware" }
 
 // Victim implements StealPolicy: cheapest expected-cost candidate of
-// Probes uniform draws.
-func (l LatencyAware) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
-	probes := l.Probes
-	if probes < 1 {
-		probes = 3
-	}
+// latencyAwareProbes uniform draws.
+func (LatencyAware) Victim(view *PolicyView, thief int, rng *rand.Rand) int {
 	best := -1
 	bestLen := 0
 	var bestPrice machine.Tick
-	for t := 0; t < probes; t++ {
+	for t := 0; t < latencyAwareProbes; t++ {
 		w := uniformVictim(view, thief, rng)
 		n := view.QueueLen(w)
 		price := view.StealPrice(thief, w)
@@ -318,8 +301,7 @@ func Policies() []StealPolicy {
 	return []StealPolicy{Uniform{}, Localized{}, StealHalf{}, Affinity{}, Hierarchical{}, LatencyAware{}}
 }
 
-// PolicyByName resolves a built-in policy (with default parameters) from
-// its Name; CLI flags use it.
+// PolicyByName resolves a built-in policy from its Name; CLI flags use it.
 func PolicyByName(name string) (StealPolicy, bool) {
 	for _, p := range Policies() {
 		if p.Name() == name {

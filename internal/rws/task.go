@@ -144,17 +144,18 @@
 // Engine.Reset extends the pooling across runs: after a completed Run, Reset
 // reinitializes every piece of per-run state (machine, clocks, deque
 // cursors, counters, RNG, free lists' contents) while keeping the backing
-// structures — slabs, ring buffers, memory pages, cache/directory pages
-// (generation-stamped, revalidated lazily), and the suspended strand
-// coroutines — so back-to-back runs allocate almost nothing and start no
-// coroutines in steady state. Reset is also the only initialization:
-// NewEngine, machine.New, cache.New and mem.New each build an empty value
-// and call its Reset, so a fresh engine is set up by the code that resets
-// a used one. Reused runs are bit-for-bit identical to fresh-engine runs
-// under arbitrary config changes between runs; the golden replay, the
-// randomized reuse differential and FuzzEngineReuse check what a previous
-// run could leave behind. A Reset engine is persistent and must be released
-// with Close; NewEngine's is single-use.
+// structures — slabs, ring buffers, memory pages, cache recency nodes,
+// directory pages (generation-stamped, revalidated lazily) and their node
+// columns, and the suspended strand coroutines — so back-to-back runs
+// allocate almost nothing and start no coroutines in steady state. Reset
+// is also the only initialization: NewEngine, machine.New, cache.New (an
+// empty LRU order; the directory holds its block index) and mem.New each
+// build an empty value and call its Reset, so a fresh engine is set up by
+// the code that resets a used one. Reused runs are bit-for-bit identical
+// to fresh-engine runs under arbitrary config changes between runs; the
+// golden replay, the randomized reuse differential and FuzzEngineReuse
+// check what a previous run could leave behind. A Reset engine is
+// persistent and must be released with Close; NewEngine's is single-use.
 package rws
 
 import (
