@@ -60,9 +60,10 @@
 // background, after the listener is up, so warm-up never delays serving —
 // and load every verified row into the result cache with source=peer
 // provenance. Each imported row must re-canonicalize to its advertised key
-// and its result bytes must round-trip json-canonically (the same round trip
-// -warm-cache applies), so a corrupt or adversarial peer can pollute nothing
-// (rejects land in the corpus_rejected_rows counter). Transfers are bounded by -peer-timeout,
+// and its result bytes must be exactly what json.Marshal writes for the
+// runs they hold (the same check -warm-cache applies), so a corrupt or
+// adversarial peer can pollute nothing (rejects land in the
+// corpus_rejected_rows counter). Transfers are bounded by -peer-timeout,
 // retried with capped exponential backoff, and fail over across peers; when
 // every peer is down the daemon simply cold-starts. The export stream is
 // checksummed end to end, so truncation and tampering are always detected.

@@ -222,7 +222,10 @@
 //     and doubles as a result corpus: -warm-cache loads journaled rows
 //     into the result cache at startup, so a restarted daemon serves its
 //     recorded corpus as cache hits (source=journal on the timeline)
-//     without recomputing anything.
+//     without recomputing anything. The restart decodes the journal and
+//     checks every row's result bytes on all CPUs (a one-pass scanner
+//     accepts exactly the bytes json.Marshal writes), then fills the
+//     cache in journal order.
 //
 // The serve.FaultInjector hook (wired to the -inject-panic-every /
 // -inject-stall-every / -inject-delay-every flags) deterministically

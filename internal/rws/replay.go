@@ -94,7 +94,7 @@ func (e *Engine) replayStrand(st *strand) {
 			if st.phase == 0 {
 				st.frames = append(st.frames, frame{})
 			}
-			right := strandJob{lo: int(o.y) + 1, hi: int(tr.at(int(o.y)).x)}
+			right := strandJob{lo: int(o.y) + 1, hi: int(o.y) + int(o.count())}
 			if e.fork(st, &st.frames[len(st.frames)-1], int(o.x), right) {
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rwsfs/internal/exec"
 	"rwsfs/internal/machine"
 	"rwsfs/internal/mem"
 )
@@ -124,6 +125,38 @@ func TestRecordRejects(t *testing.T) {
 			t.Log(err)
 		})
 	}
+}
+
+// TestRecordForkSpans: each fork op's count is its join's distance from
+// its pop-if, which is where a replayed fork ends its right side, in every
+// golden's trace; and a join too far past its pop-if for the count field
+// rejects the recording as not replayable. The long span is faked: the
+// trace claims the ops without holding them.
+func TestRecordForkSpans(t *testing.T) {
+	for _, g := range append(goldenCases(), policyGoldenCases()...) {
+		tr := recordAt(t, g.cfg(), g.words, g.workload)
+		forks := 0
+		for i := 0; i < tr.Len(); i++ {
+			if o := tr.at(i); o.code() == opFork {
+				forks++
+				if popIf := tr.at(int(o.y)); popIf.code() != opPopIf || int(o.y)+int(o.count()) != int(popIf.x) {
+					t.Fatalf("%s: fork op %d: pop-if at %d, count %d; its join is at %d", g.name, i, o.y, o.count(), popIf.x)
+				}
+			}
+		}
+		if forks == 0 {
+			t.Fatalf("%s: no fork in the trace", g.name)
+		}
+	}
+
+	r := &recorder{tr: &Trace{n: 2 + maxCount}, forks: []openFork{{fork: 0, popIf: 1}}}
+	defer func() {
+		if pv := recover(); pv != errRecordStopped || !errors.Is(r.err, ErrNotReplayable) {
+			t.Fatalf("join = panic %v, error %v; want errRecordStopped and ErrNotReplayable", pv, r.err)
+		}
+	}()
+	r.join(exec.Seg{})
+	t.Fatalf("a join %d ops past its pop-if was recorded", maxCount+1)
 }
 
 // TestRecordLimit holds a recording to its byte limit: a limit the trace

@@ -28,7 +28,7 @@ const (
 	opAlloc         // Alloc of x words, which becomes segment y
 	opFree          // Free of segment x, y words long
 	opPlace         // PlaceLocal of count words at address x, or at offset y of segment x
-	opFork          // a fork node with stack hint x; op y is its pop-if
+	opFork          // a fork node with stack hint x; op y is its pop-if, and its join lies count ops past that
 	opPopIf         // the join decision: run the right side inline, or skip to the join at op x
 	opJoin          // the join node
 )
@@ -142,12 +142,14 @@ type recorder struct {
 	stack *exec.Stack // the root stack the walk allocates on
 	mark  mem.Addr
 	limit int64 // the trace's byte limit; none when not positive
-	// forks holds, per open fork, the index of its fork op, replaced by
-	// that of its pop-if once the join decision passed.
-	forks []int
+	// forks holds, per open fork, the indexes of its fork op and, once
+	// the join decision passed, of its pop-if.
+	forks []openFork
 	// live holds the kernel's live segments, sorted by base.
 	live []liveSeg
 }
+
+type openFork struct{ fork, popIf int }
 
 type liveSeg struct {
 	base  mem.Addr
@@ -301,7 +303,7 @@ func (r *recorder) fork(hint int) exec.Seg {
 	if int64(hint) > math.MaxUint32 {
 		r.reject(ErrNotReplayable, fmt.Sprintf("a fork's stack hint is %d words", hint))
 	}
-	r.forks = append(r.forks, r.tr.n)
+	r.forks = append(r.forks, openFork{fork: r.tr.n})
 	r.push(op{k: opFork, x: uint32(max(hint, 0))})
 	return r.stack.Alloc(1)
 }
@@ -309,18 +311,25 @@ func (r *recorder) fork(hint int) exec.Seg {
 // popIf records the join decision; a serial walk always runs the right
 // side inline.
 func (r *recorder) popIf() {
-	top := len(r.forks) - 1
-	r.tr.at(r.forks[top]).y = uint32(r.tr.n)
-	r.forks[top] = r.tr.n
+	f := &r.forks[len(r.forks)-1]
+	r.tr.at(f.fork).y = uint32(r.tr.n)
+	f.popIf = r.tr.n
 	r.push(op{k: opPopIf})
 }
 
 // join records a fork's join and frees its join flag, as the engine's
-// join step does.
+// join step does. The pop-if names the join's position, and the fork op
+// its distance from the pop-if, so a replayed fork knows where its right
+// side ends without loading the pop-if.
 func (r *recorder) join(flag exec.Seg) {
-	top := len(r.forks) - 1
-	r.tr.at(r.forks[top]).x = uint32(r.tr.n)
-	r.forks = r.forks[:top]
+	f := r.forks[len(r.forks)-1]
+	span := r.tr.n - f.popIf
+	if span > maxCount {
+		r.reject(ErrNotReplayable, fmt.Sprintf("a fork's join lies %d ops past its pop-if", span))
+	}
+	r.tr.at(f.popIf).x = uint32(r.tr.n)
+	r.tr.at(f.fork).k |= uint32(span) << 8
+	r.forks = r.forks[:len(r.forks)-1]
 	r.push(op{k: opJoin})
 	r.stack.Free(flag)
 }

@@ -103,6 +103,19 @@ func rowRequest(spec *jobs.Spec, c jobs.Cell) Request {
 // Row validation reuses the /simulate limits, so a batch cannot smuggle in
 // work a single request would be rejected for.
 func expandRows(spec *jobs.Spec, lim Limits, maxRows int) ([]Request, error) {
+	cells, err := expandCells(spec, maxRows)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Request, len(cells))
+	if err := fillRows(spec, cells, rows, 0, len(rows), lim); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// expandCells normalizes and validates a spec and lists its grid cells.
+func expandCells(spec *jobs.Spec, maxRows int) ([]jobs.Cell, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -110,16 +123,21 @@ func expandRows(spec *jobs.Spec, lim Limits, maxRows int) ([]Request, error) {
 	if n := spec.RowCount(); n > maxRows {
 		return nil, fmt.Errorf("batch expands to %d rows, limit %d", n, maxRows)
 	}
-	cells := spec.Expand()
-	rows := make([]Request, len(cells))
-	for i, c := range cells {
+	return spec.Expand(), nil
+}
+
+// fillRows builds and validates rows[lo:hi] from the same cells and returns
+// the first invalid row's error.
+func fillRows(spec *jobs.Spec, cells []jobs.Cell, rows []Request, lo, hi int, lim Limits) error {
+	for i := lo; i < hi; i++ {
+		c := cells[i]
 		rows[i] = rowRequest(spec, c)
 		if err := rows[i].validate(lim); err != nil {
-			return nil, fmt.Errorf("row %d (alg=%s n=%d p=%d policy=%s sockets=%d seed=%d): %v",
+			return fmt.Errorf("row %d (alg=%s n=%d p=%d policy=%s sockets=%d seed=%d): %v",
 				i, c.Alg, c.N, c.P, c.Policy, c.Sockets, c.Seed, err)
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 func rowKeys(rows []Request) []string {
@@ -128,6 +146,113 @@ func rowKeys(rows []Request) []string {
 		keys[i] = rows[i].Key()
 	}
 	return keys
+}
+
+// journaledJob is one replayed job made ready to apply: its spec expanded,
+// as expandRows would, into rows and their keys, and, when gated, the
+// outcome of canonicalRuns for each journal row.
+type journaledJob struct {
+	spec jobs.Spec // normalized
+	rows []Request
+	keys []string
+	err  error // the spec no longer expands
+	// gated is index-aligned with the job's row records. A journal row
+	// (see prepareJournal) that passed the gate holds its payload; one that
+	// failed is rejected. Other records hold neither.
+	gated []gatedRow
+}
+
+type gatedRow struct {
+	p        *payload
+	rejected bool
+}
+
+// prepareUnit is the most rows or records one step of prepareJournal
+// takes, so that a large job splits across the CPUs too.
+const prepareUnit = 256
+
+// prepareJournal readies replayed jobs for resume and for the /corpus
+// export, on up to GOMAXPROCS goroutines: it expands each spec into rows and
+// keys and, when gate is set, passes each journal row through
+// storedPayload. A journal row is a RowOK record whose index lies in the
+// re-expanded grid and whose key equals the key the expansion computed —
+// the trust rule ApplyReplayed applies; records are checked against those
+// keys, never re-normalized and re-keyed. The result, index-aligned with
+// replayed, is what a job-by-job, row-by-row pass would compute; callers
+// then apply it in journal order.
+func (s *Server) prepareJournal(replayed []jobs.ReplayedJob, gate bool) []journaledJob {
+	out := make([]journaledJob, len(replayed))
+	cells := make([][]jobs.Cell, len(replayed))
+	jobs.ForEach(len(out), func(i int) {
+		pj := &out[i]
+		pj.spec = replayed[i].Spec
+		cells[i], pj.err = expandCells(&pj.spec, s.cfg.MaxBatchRows)
+		pj.rows = make([]Request, len(cells[i]))
+		pj.keys = make([]string, len(cells[i]))
+	})
+	// Units are listed job by job and row by row, so the first failing
+	// unit of a job holds the error expandRows would have returned.
+	errs := forEachUnit(len(out), func(i int) int { return len(cells[i]) }, func(i, lo, hi int) error {
+		pj := &out[i]
+		if err := fillRows(&pj.spec, cells[i], pj.rows, lo, hi, s.cfg.Limits); err != nil {
+			return err
+		}
+		for r := lo; r < hi; r++ {
+			pj.keys[r] = pj.rows[r].Key()
+		}
+		return nil
+	})
+	for _, e := range errs {
+		if e.err != nil && out[e.job].err == nil {
+			out[e.job].err = e.err
+		}
+	}
+	if !gate {
+		return out
+	}
+	for i := range out {
+		if out[i].err == nil {
+			out[i].gated = make([]gatedRow, len(replayed[i].Rows))
+		}
+	}
+	forEachUnit(len(out), func(i int) int { return len(out[i].gated) }, func(i, lo, hi int) error {
+		pj := &out[i]
+		for r := lo; r < hi; r++ {
+			rec := &replayed[i].Rows[r]
+			if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(pj.rows) || rec.Key != pj.keys[rec.Index] {
+				continue
+			}
+			p, err := storedPayload(corpusRow{Type: "row", Key: rec.Key, Request: wireRequest(pj.rows[rec.Index]), Result: rec.Result}, sourceJournal)
+			pj.gated[r] = gatedRow{p: p, rejected: err != nil}
+		}
+		return nil
+	})
+	return out
+}
+
+// unitErr is the error of one forEachUnit unit of job.
+type unitErr struct {
+	job int
+	err error
+}
+
+// forEachUnit splits [0, size(job)) of each of n jobs into units of at most
+// prepareUnit items, calls f on each through jobs.ForEach, and returns the
+// units' errors job by job, in item order.
+func forEachUnit(n int, size func(job int) int, f func(job, lo, hi int) error) []unitErr {
+	type unit struct{ job, lo, hi int }
+	var units []unit
+	for i := 0; i < n; i++ {
+		for lo, m := 0, size(i); lo < m; lo += prepareUnit {
+			units = append(units, unit{i, lo, min(lo+prepareUnit, m)})
+		}
+	}
+	errs := make([]unitErr, len(units))
+	jobs.ForEach(len(units), func(k int) {
+		u := units[k]
+		errs[k] = unitErr{u.job, f(u.job, u.lo, u.hi)}
+	})
+	return errs
 }
 
 // registerBatch indexes a job under its id and applies retention: if the
@@ -187,8 +312,12 @@ func (s *Server) batch(id string) (*batchEntry, bool) {
 // re-expanded (deterministically, so row indexes and keys line up), the
 // journal's terminal rows are applied — those are served as-is, never
 // recomputed — and jobs with rows still missing get a runner to finish
-// them. With WarmCache on, the job's journaled results (journalRows) go
+// them. With WarmCache on, the job's journal rows that pass the gate go
 // through the warm-up sink into the LRU result cache on the way through.
+// The expansion and the gate run first, for every job at once, on every CPU
+// (prepareJournal); everything else runs job by job and row by row in
+// journal order, so the cache, its LRU order, the counters and the log
+// read as they would from one pass.
 // Journals whose replay stopped at a corrupt line are rewritten from their
 // intact prefix before any append (appends landing after the corruption
 // would be invisible to every future replay), and finished jobs whose logs
@@ -203,30 +332,27 @@ func (s *Server) resumeJournaledJobs() {
 		s.cfg.Logf("serve: journal replay failed (jobs not resumed): %v", err)
 		return
 	}
-	for _, rj := range replayed {
-		spec := rj.Spec
-		rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
-		if err != nil {
-			s.cfg.Logf("serve: journal job %s: spec no longer expands (%v); leaving journal untouched", rj.ID, err)
+	prepared := s.prepareJournal(replayed, s.cfg.WarmCache)
+	for n, rj := range replayed {
+		pj := &prepared[n]
+		if pj.err != nil {
+			s.cfg.Logf("serve: journal job %s: spec no longer expands (%v); leaving journal untouched", rj.ID, pj.err)
 			continue
 		}
-		keys := rowKeys(rows)
-		job := jobs.NewJob(rj.ID, spec, keys)
+		job := jobs.NewJob(rj.ID, pj.spec, pj.keys)
 		applied := job.ApplyReplayed(rj.Rows)
-		e := &batchEntry{job: job, rows: rows}
-		for i := range rows {
+		e := &batchEntry{job: job, rows: pj.rows}
+		for i := range pj.rows {
 			if job.StatusOf(i).Terminal() {
 				e.setMeta(i, rowMeta{Source: sourceJournal})
 			}
 		}
-		if s.cfg.WarmCache {
-			for row := range journalRows(rows, keys, rj.Rows) {
-				p, err := storedPayload(row, sourceJournal)
-				if err != nil {
-					s.cfg.Logf("serve: warm-cache: job %s row %s: %v; skipped", rj.ID, row.Key, err)
-					continue
-				}
-				s.warm(p)
+		for r, g := range pj.gated {
+			switch {
+			case g.p != nil:
+				s.warm(g.p)
+			case g.rejected:
+				s.cfg.Logf("serve: warm-cache: job %s row %s: %v; skipped", rj.ID, rj.Rows[r].Key, errNotCanonical)
 			}
 		}
 		rtr := s.tracer.start(kindBatchResume)

@@ -10,12 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
+	"math"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
-
-	"rwsfs/internal/serve/jobs"
 )
 
 // Fleet corpus sharing. GET /corpus streams this node's verified result
@@ -82,32 +81,113 @@ func wireRequest(r Request) Request {
 	return r
 }
 
-// canonicalRuns decodes result bytes and confirms they re-marshal to the
-// exact same bytes — the round-trip gate stored bytes pass before they may
-// ever be served as a cache hit or exported.
+// runKeys holds, for each RunSummary field in order, the bytes json.Marshal
+// writes before its value: the opening brace or the comma, and the quoted
+// name from the field's json tag. They are read once, by reflection, so the
+// gate follows the struct; it scans every field as an int64
+// (TestRunSummaryFitsGate fails on a field that is not one, or whose tag is
+// not a bare name).
+var runKeys = func() [][]byte {
+	t := reflect.TypeFor[RunSummary]()
+	keys := make([][]byte, t.NumField())
+	for i := range keys {
+		keys[i] = []byte(`,"` + t.Field(i).Tag.Get("json") + `":`)
+	}
+	keys[0][0] = '{'
+	return keys
+}()
+
+// canonicalRuns is the gate stored result bytes pass before they may ever be
+// served as a cache hit or exported. It accepts exactly the bytes that
+// json.Marshal produces for some []RunSummary, and returns that slice, so
+// re-marshalling it gives back result byte for byte: null (a nil slice), []
+// (an empty one), or objects carrying every field once, in order, with no
+// whitespace anywhere and each value written as json.Marshal writes an
+// int64. It reads the bytes once and allocates only the slice it returns.
 func canonicalRuns(result []byte) ([]RunSummary, bool) {
+	switch string(result) {
+	case "null":
+		return nil, true
+	case "[]":
+		return []RunSummary{}, true
+	}
+	if len(result) == 0 || result[0] != '[' {
+		return nil, false
+	}
 	var runs []RunSummary
-	if err := json.Unmarshal(result, &runs); err != nil {
-		return nil, false
+	for b := result[1:]; ; {
+		runs = append(runs, RunSummary{})
+		v := reflect.ValueOf(&runs[len(runs)-1]).Elem()
+		for f, key := range runKeys {
+			if !bytes.HasPrefix(b, key) {
+				return nil, false
+			}
+			n, w, ok := scanInt64(b[len(key):])
+			if !ok {
+				return nil, false
+			}
+			v.Field(f).SetInt(n)
+			b = b[len(key)+w:]
+		}
+		switch {
+		case len(b) >= 2 && b[0] == '}' && b[1] == ',':
+			b = b[2:]
+		case len(b) == 2 && b[0] == '}' && b[1] == ']':
+			return runs, true
+		default:
+			return nil, false
+		}
 	}
-	canon, err := json.Marshal(runs)
-	if err != nil || !bytes.Equal(canon, result) {
-		return nil, false
+}
+
+// scanInt64 reads an integer the way json.Marshal writes an int64 from the
+// start of b, -?(0|[1-9][0-9]*) in int64's range and never -0, and returns it
+// with the number of bytes it took.
+func scanInt64(b []byte) (n int64, width int, ok bool) {
+	digits := b
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		digits = b[1:]
 	}
-	return runs, true
+	d := 0
+	for d < len(digits) && d < 20 && '0' <= digits[d] && digits[d] <= '9' {
+		d++
+	}
+	// An int64 has at most 19 digits, and any 19 digits fit a uint64.
+	if d == 0 || d > 19 || digits[0] == '0' && (d > 1 || neg) {
+		return 0, 0, false
+	}
+	var u uint64
+	for _, c := range digits[:d] {
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		if u > 1<<63 {
+			return 0, 0, false
+		}
+		return -int64(u), 1 + d, true // int64(1<<63) is MinInt64, its own negation
+	}
+	if u > math.MaxInt64 {
+		return 0, 0, false
+	}
+	return int64(u), d, true
 }
 
 // storedPayload turns a stored result row — a journaled row or a peer's
 // corpus row — into a cacheable payload marked with its source. The result
-// bytes must pass the canonicalRuns round trip, so a cache hit later serves
-// exactly the stored bytes and never an approximation of them.
+// bytes must pass canonicalRuns, so a cache hit later serves exactly the
+// stored bytes and never an approximation of them.
 func storedPayload(row corpusRow, source string) (*payload, error) {
 	runs, ok := canonicalRuns(row.Result)
 	if !ok {
-		return nil, errors.New("result bytes not canonical")
+		return nil, errNotCanonical
 	}
 	return &payload{Key: row.Key, Alg: row.Request.Alg, Runs: runs, warmSrc: source, req: row.Request}, nil
 }
+
+// errNotCanonical is storedPayload's error for result bytes that fail
+// canonicalRuns.
+var errNotCanonical = errors.New("result bytes not canonical")
 
 // warm is the one cache sink of warm-up, journal and peer alike. It refuses
 // rows once the server is stopping (no inserts after teardown begins) and
@@ -128,30 +208,11 @@ func (s *Server) warm(p *payload) bool {
 	return true
 }
 
-// journalRows is the one reader of journaled results, shared by -warm-cache
-// and the /corpus export. It yields a replayed job's RowOK records whose
-// index lies in the re-expanded grid and whose key equals the key the
-// expansion computed (keys, index-aligned with rows) — the trust rule
-// ApplyReplayed applies. Records are checked against those keys, never
-// re-normalized and re-keyed, and their result bytes are left to the
-// caller's round-trip gate.
-func journalRows(rows []Request, keys []string, recs []jobs.RowRecord) iter.Seq[corpusRow] {
-	return func(yield func(corpusRow) bool) {
-		for _, rec := range recs {
-			if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(rows) || rec.Key != keys[rec.Index] {
-				continue
-			}
-			if !yield(corpusRow{Type: "row", Key: rec.Key, Request: wireRequest(rows[rec.Index]), Result: rec.Result}) {
-				return
-			}
-		}
-	}
-}
-
-// corpusRows gathers the node's exportable corpus: every journaled row that
-// passes the round-trip gate, plus every live cache entry, deduplicated by
-// key and sorted so the export is deterministic. Rows are re-verified at
-// export time — a node never re-exports bytes it would not itself serve.
+// corpusRows gathers the node's exportable corpus: every journal row that
+// passes the gate (prepareJournal, as at a warm restart), plus every live
+// cache entry, deduplicated by key and sorted so the export is
+// deterministic. Rows are re-verified at export time — a node never
+// re-exports bytes it would not itself serve.
 func (s *Server) corpusRows() []corpusRow {
 	byKey := make(map[string]corpusRow)
 	if s.journal != nil {
@@ -159,15 +220,10 @@ func (s *Server) corpusRows() []corpusRow {
 		if err != nil {
 			s.cfg.Logf("serve: corpus export: journal replay failed (exporting cache only): %v", err)
 		}
-		for _, rj := range replayed {
-			spec := rj.Spec
-			rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
-			if err != nil {
-				continue
-			}
-			for row := range journalRows(rows, rowKeys(rows), rj.Rows) {
-				if _, ok := canonicalRuns(row.Result); ok {
-					byKey[row.Key] = row
+		for i, pj := range s.prepareJournal(replayed, true) {
+			for r, g := range pj.gated {
+				if g.p != nil {
+					byKey[g.p.Key] = corpusRow{Type: "row", Key: g.p.Key, Request: g.p.req, Result: replayed[i].Rows[r].Result}
 				}
 			}
 		}
@@ -375,8 +431,8 @@ func importCorpusStream(r io.Reader, lim Limits, insert func(*payload) bool) (co
 // verifyCorpusRow is the gate for rows from outside the program: the
 // request must normalize, validate against this node's limits, and
 // re-canonicalize to exactly the advertised key, and the result bytes must
-// pass storedPayload's round trip. Only then does the row become a cacheable
-// payload, marked source=peer.
+// pass canonicalRuns (storedPayload). Only then does the row become a
+// cacheable payload, marked source=peer.
 func verifyCorpusRow(rec corpusRow, lim Limits) (*payload, error) {
 	req := rec.Request
 	req.normalize()

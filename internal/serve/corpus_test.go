@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -409,7 +410,7 @@ func TestPeerWarmAdversarialRowsRejected(t *testing.T) {
 		case 1: // forged key
 			row.Key = strings.Repeat("ab", 32)
 		case 2: // non-canonical result bytes: an unknown field decodes fine
-			// but is dropped on re-marshal, so the round-trip gate trips
+			// but json.Marshal never writes it, so the gate refuses it
 			row.Result = json.RawMessage(strings.Replace(string(row.Result), "{", `{"zzz":0,`, 1))
 		}
 		tampered[i] = reencode(row)
@@ -511,7 +512,9 @@ func TestClosePeerWarmStopsCleanly(t *testing.T) {
 }
 
 // TestWarmCacheCapacitySkips: journal warm-up stops inserting at cache
-// capacity instead of churning evictions, and accounts the skips.
+// capacity instead of churning evictions, and accounts the skips: the
+// cache holds the first two journaled rows, in line order, the later one
+// most recently used.
 func TestWarmCacheCapacitySkips(t *testing.T) {
 	const spec = `{"algs":["prefix"],"ns":[64],"ps":[4],"seeds":[1,2,3]}`
 	dir := t.TempDir()
@@ -526,8 +529,13 @@ func TestWarmCacheCapacitySkips(t *testing.T) {
 	if st.CacheWarmed != 2 || st.WarmSkipped != 1 {
 		t.Fatalf("want 2 warmed + 1 skipped, got %+v", st)
 	}
-	if n := b.cache.Len(); n != 2 {
-		t.Fatalf("cache holds %d entries, want capacity 2", n)
+	rj := replayDir(t, dir)
+	var resident []string
+	for _, p := range b.cache.Snapshot() {
+		resident = append(resident, p.Key)
+	}
+	if want := []string{rj.Rows[1].Key, rj.Rows[0].Key}; !slices.Equal(resident, want) {
+		t.Fatalf("cache holds %q, want the first two journaled rows, most recent first: %q", resident, want)
 	}
 }
 

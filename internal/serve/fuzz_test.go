@@ -1,8 +1,53 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
+
+// sprintfKey is Request.Key as it was first written, with fmt.Sprintf. Keys
+// are journaled, so Key must keep hashing exactly these bytes.
+func sprintfKey(r *Request) string {
+	canon := fmt.Sprintf(
+		"alg=%s&n=%d&p=%d&seed=%d&runs=%d&B=%d&M=%d&miss=%d&steal=%d&fail=%d&policy=%s&sockets=%d&remote=%d&scost=%d&scostr=%d&budget=%d",
+		r.Alg, r.N, r.P, r.Seed, r.Runs, r.BlockWords, r.CacheWords,
+		r.CostMiss, r.CostSteal, r.CostFailSteal, r.Policy, r.Sockets,
+		r.CostMissRemote, r.StealCost, r.StealCostRemote, *r.Budget)
+	sum := sha256.Sum256([]byte(canon))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestRequestKeyMatchesSprintf holds Key to the fmt.Sprintf rendering over
+// random requests: every integer field drawn from random magnitudes and the
+// int64 extremes, and strings with separators, long and invalid UTF-8.
+func TestRequestKeyMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ints := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return []int64{0, -1, math.MaxInt64, math.MinInt64}[rng.Intn(4)]
+		case 1:
+			return -rng.Int63() >> rng.Intn(63)
+		}
+		return rng.Int63() >> rng.Intn(63)
+	}
+	strs := []string{"", "prefix", "uniform", "a&b=c", "\xff\xfe%d", "é", string(make([]byte, 300))}
+	for i := 0; i < 5000; i++ {
+		budget := ints()
+		r := Request{Alg: strs[rng.Intn(len(strs))], N: int(ints()), P: int(ints()), Seed: ints(),
+			Runs: int(ints()), BlockWords: int(ints()), CacheWords: int(ints()), CostMiss: ints(),
+			CostSteal: ints(), CostFailSteal: ints(), Policy: strs[rng.Intn(len(strs))],
+			Sockets: int(ints()), CostMissRemote: ints(), StealCost: ints(), StealCostRemote: ints(),
+			Budget: &budget}
+		if got, want := r.Key(), sprintfKey(&r); got != want {
+			t.Fatalf("Key(%+v) = %s, the fmt.Sprintf rendering hashes to %s", r, got, want)
+		}
+	}
+}
 
 // FuzzRequestKey fuzzes the canonical-keying invariants the whole robustness
 // stack leans on (cache, single-flight, hedging, journal resume):
@@ -72,6 +117,9 @@ func FuzzRequestKey(f *testing.F) {
 		}
 		if len(ka) != 64 {
 			t.Fatalf("key is not a hex SHA-256: %q", ka)
+		}
+		if want := sprintfKey(&a); ka != want {
+			t.Fatalf("Key(%+v) = %s, the fmt.Sprintf rendering hashes to %s", a, ka, want)
 		}
 
 		// Mutating a result-determining field must change the key.

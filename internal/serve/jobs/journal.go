@@ -9,8 +9,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -290,29 +292,80 @@ type ReplayedJob struct {
 // replayed row is always one that was fully fsync'd. Files whose spec
 // record is unreadable are skipped with a warning — the serving layer
 // recomputes from scratch rather than trusting a broken log.
+//
+// The files are decoded on up to GOMAXPROCS goroutines (ForEach). The jobs
+// come back in directory order, and each file's warnings reach Logf once
+// every file is decoded, file by file in that order and each file's in line
+// order: the same calls, in the same order, as a decode of one file after
+// another.
 func (j *Journal) Replay() ([]ReplayedJob, error) {
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: read journal dir: %w", err)
 	}
-	var out []ReplayedJob
+	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, journalExt) {
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, journalExt) {
+			names = append(names, name)
+		}
+	}
+	type logCall struct {
+		format string
+		args   []any
+	}
+	type replayed struct {
+		job  ReplayedJob
+		err  error
+		logs []logCall
+	}
+	res := make([]replayed, len(names))
+	ForEach(len(names), func(i int) {
+		r := &res[i]
+		r.job, r.err = j.replayOne(strings.TrimSuffix(names[i], journalExt), func(format string, args ...any) {
+			r.logs = append(r.logs, logCall{format, args})
+		})
+	})
+	var out []ReplayedJob
+	for i, r := range res {
+		for _, c := range r.logs {
+			j.logf(c.format, c.args...)
+		}
+		if r.err != nil {
+			j.logf("jobs: skipping journal %s: %v", names[i], r.err)
 			continue
 		}
-		id := strings.TrimSuffix(name, journalExt)
-		job, err := j.replayOne(id)
-		if err != nil {
-			j.logf("jobs: skipping journal %s: %v", name, err)
-			continue
-		}
-		out = append(out, job)
+		out = append(out, r.job)
 	}
 	return out, nil
 }
 
-func (j *Journal) replayOne(id string) (ReplayedJob, error) {
+// ForEach calls f(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
+// and returns once every call has. Replay decodes its files through it, and
+// the serving layer's warm-up prepares its units of rows.
+func ForEach(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// replayOne decodes job id's file, sending its warnings to logf.
+func (j *Journal) replayOne(id string, logf func(format string, args ...any)) (ReplayedJob, error) {
 	f, err := os.Open(j.path(id))
 	if err != nil {
 		return ReplayedJob{}, err
@@ -329,7 +382,7 @@ func (j *Journal) replayOne(id string) (ReplayedJob, error) {
 			// mid-write, before the fsync could have returned. Discard it.
 			if err == io.EOF {
 				if len(line) > 0 {
-					j.logf("jobs: journal %s: discarding torn final record", id)
+					logf("jobs: journal %s: discarding torn final record", id)
 				}
 				break
 			}
@@ -342,7 +395,7 @@ func (j *Journal) replayOne(id string) (ReplayedJob, error) {
 			// real corruption, not a torn tail: mark the job so the resume
 			// path rewrites the log before appending — appends landing after
 			// the corrupt line would be invisible to every future replay.
-			j.logf("jobs: journal %s: stopping replay at corrupt line %d: %v", id, lineNo, uerr)
+			logf("jobs: journal %s: stopping replay at corrupt line %d: %v", id, lineNo, uerr)
 			job.Corrupt = true
 			break
 		}
@@ -359,7 +412,7 @@ func (j *Journal) replayOne(id string) (ReplayedJob, error) {
 			continue
 		}
 		if rec.Type != "row" || !rec.Status.Terminal() {
-			j.logf("jobs: journal %s: ignoring unexpected %q record at line %d", id, rec.Type, lineNo)
+			logf("jobs: journal %s: ignoring unexpected %q record at line %d", id, rec.Type, lineNo)
 			continue
 		}
 		job.Rows = append(job.Rows, RowRecord{
@@ -461,7 +514,7 @@ func (j *Journal) Compact(id string) (reclaimed int64, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("jobs: compact journal: %w", err)
 	}
-	rj, err := j.replayOne(id)
+	rj, err := j.replayOne(id, j.logf)
 	if err != nil {
 		return 0, fmt.Errorf("jobs: compact journal %s: %w", id, err)
 	}

@@ -3,8 +3,11 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -541,5 +544,91 @@ func TestOpenJournalSweepsTempFiles(t *testing.T) {
 	replayed, err := j.Replay()
 	if err != nil || len(replayed) != 1 || len(replayed[0].Rows) != 1 {
 		t.Fatalf("journal damaged by sweep: %v (%d jobs)", err, len(replayed))
+	}
+}
+
+// TestJournalReplayParallelOrder: Replay decodes its files on several
+// goroutines, yet returns the jobs in directory order with each file's rows
+// in line order, and logs what a decode of one file after another logs:
+// file by file, and within a file line by line. Files cycle through an
+// ignored record then a torn tail, a corrupt line, and a missing spec.
+func TestJournalReplayParallelOrder(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	j.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	var wantIDs, wantLogs []string
+	wantRows := map[string][]int{}
+	for i := 0; i < 16; i++ {
+		id := fmt.Sprintf("job%02d", i)
+		path := filepath.Join(dir, id+journalExt)
+		if i%4 == 3 {
+			if err := os.WriteFile(path, []byte(`{"type":"row","index":0,"key":"k","status":"ok"}`+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantLogs = append(wantLogs, fmt.Sprintf(`jobs: skipping journal %s: first record is "row", want spec`, id+journalExt))
+			continue
+		}
+		log, err := j.Create(id, testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3+i; r++ {
+			if err := log.AppendRow(RowRecord{Index: (r * 7) % (3 + i), Key: fmt.Sprint("k", r), Status: RowOK, Result: json.RawMessage(`[]`)}); err != nil {
+				t.Fatal(err)
+			}
+			wantRows[id] = append(wantRows[id], (r*7)%(3+i))
+		}
+		log.Close()
+		var tail string
+		switch i % 4 {
+		case 0:
+			tail = `{"type":"row","index":1,"key":"k","status":"running"}` + "\n" + `{"type":"row","index":2`
+			wantLogs = append(wantLogs,
+				fmt.Sprintf(`jobs: journal %s: ignoring unexpected "row" record at line %d`, id, 5+i),
+				fmt.Sprintf("jobs: journal %s: discarding torn final record", id))
+		case 1:
+			tail = "garbage\n"
+			wantLogs = append(wantLogs, fmt.Sprintf("jobs: journal %s: stopping replay at corrupt line %d: ", id, 5+i))
+		}
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(tail)
+		f.Close()
+		wantIDs = append(wantIDs, id)
+	}
+
+	prev := runtime.GOMAXPROCS(4)
+	replayed, err := j.Replay()
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, rj := range replayed {
+		ids = append(ids, rj.ID)
+		var rows []int
+		for _, rec := range rj.Rows {
+			rows = append(rows, rec.Index)
+		}
+		if !slices.Equal(rows, wantRows[rj.ID]) {
+			t.Fatalf("job %s replayed rows %v, want %v", rj.ID, rows, wantRows[rj.ID])
+		}
+	}
+	if !slices.Equal(ids, wantIDs) {
+		t.Fatalf("replayed jobs %v, want %v", ids, wantIDs)
+	}
+	if len(logs) != len(wantLogs) {
+		t.Fatalf("logged %d lines, want %d:\n%s", len(logs), len(wantLogs), strings.Join(logs, "\n"))
+	}
+	for i := range logs {
+		if !strings.HasPrefix(logs[i], wantLogs[i]) {
+			t.Fatalf("log line %d = %q, want %q", i, logs[i], wantLogs[i])
+		}
 	}
 }

@@ -2,11 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -402,4 +411,241 @@ func TestJournalMaxAgeGCPeriodic(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("completed job %s never aged out", id)
+}
+
+// TestWarmCacheParallelMatchesJournalOrder: a warm restart prepares its
+// rows on every CPU, yet what it leaves behind is what one pass over
+// jobs.Journal.Replay's output, in directory and line order, computes:
+// cache_warmed, warm_skipped_rows, the resident keys in LRU order and the
+// warm-up log lines, at GOMAXPROCS 1 and 4 alike, over a journal of five
+// jobs of 300 rows, whose middle job holds one non-canonical row, into a
+// cache smaller than the corpus. The rows carry keys in the fmt.Sprintf
+// rendering (sprintfKey), the form journals on disk hold, so they must
+// resume. GET /corpus must then stream the bytes the export builds with
+// the round-trip gate: journal rows that pass it, then the cache, by key.
+func TestWarmCacheParallelMatchesJournalOrder(t *testing.T) {
+	const (
+		nJobs    = 5
+		capacity = 1000
+		badJob   = 2
+		badRow   = 7
+	)
+	lim := Limits{}.withDefaults()
+	rng := rand.New(rand.NewSource(29))
+	src := t.TempDir()
+	jr, err := jobs.OpenJournal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < nJobs; j++ {
+		spec := jobs.Spec{Algs: []string{"prefix", "fft"}, Ns: []int{64}, Ps: []int{4}}
+		for s := 0; s < 150; s++ {
+			spec.Seeds = append(spec.Seeds, int64(j*1000+s))
+		}
+		bad := -1
+		if j == badJob {
+			bad = badRow
+		}
+		journalSynthetic(t, jr, fmt.Sprintf("job%d", j), spec, rng, bad)
+	}
+
+	// One pass in directory and line order, with AddIfSpace's rule.
+	replayed, err := jr.Replay()
+	if err != nil || len(replayed) != nJobs {
+		t.Fatalf("replay: %v (%d jobs)", err, len(replayed))
+	}
+	var (
+		warmed, skipped int64
+		lru, warmLogs   []string
+	)
+	for _, rj := range replayed {
+		spec := rj.Spec
+		rows, err := expandRows(&spec, lim, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range rj.Rows {
+			if rec.Status != jobs.RowOK || rec.Key != sprintfKey(&rows[rec.Index]) {
+				t.Fatalf("job %s row %d: not a journal row", rj.ID, rec.Index)
+			}
+			if _, ok := roundTripRuns(rec.Result); !ok {
+				warmLogs = append(warmLogs, fmt.Sprintf("serve: warm-cache: job %s row %s: result bytes not canonical; skipped", rj.ID, rec.Key))
+				continue
+			}
+			if len(lru) == capacity {
+				skipped++
+				continue
+			}
+			lru = append([]string{rec.Key}, lru...)
+			warmed++
+		}
+	}
+	if len(warmLogs) != 1 || skipped == 0 {
+		t.Fatalf("the journal must hold one non-canonical row and outgrow the cache: %d, %d skipped", len(warmLogs), skipped)
+	}
+
+	var logsAt1 []string
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var logs []string
+			prev := runtime.GOMAXPROCS(procs)
+			s := newTestServer(t, Config{JournalDir: dir, WarmCache: true, CacheEntries: capacity, NodeID: "node-test",
+				Logf: func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					logs = append(logs, fmt.Sprintf(format, args...))
+				}})
+			runtime.GOMAXPROCS(prev)
+			mu.Lock()
+			startup := slices.Clone(logs)
+			mu.Unlock()
+
+			if st := s.Stats(); st.CacheWarmed != warmed || st.WarmSkipped != skipped {
+				t.Fatalf("cache_warmed %d, warm_skipped_rows %d; one pass gives %d, %d", st.CacheWarmed, st.WarmSkipped, warmed, skipped)
+			}
+			var resident []string
+			for _, p := range s.cache.Snapshot() {
+				resident = append(resident, p.Key)
+			}
+			if !slices.Equal(resident, lru) {
+				t.Fatalf("resident keys differ from one pass's LRU order (%d vs %d keys)", len(resident), len(lru))
+			}
+			var gotWarm []string
+			for _, l := range startup {
+				if strings.HasPrefix(l, "serve: warm-cache:") {
+					gotWarm = append(gotWarm, l)
+				}
+			}
+			if !slices.Equal(gotWarm, warmLogs) {
+				t.Fatalf("warm-up log lines %q, want %q", gotWarm, warmLogs)
+			}
+			if procs == 1 {
+				logsAt1 = startup
+			} else if !slices.Equal(startup, logsAt1) {
+				t.Fatalf("start-up log differs from GOMAXPROCS=1's:\n%s\nvs\n%s", strings.Join(startup, "\n"), strings.Join(logsAt1, "\n"))
+			}
+
+			if got, want := corpusBody(t, s), roundTripCorpus(t, s, replayed); !bytes.Equal(got, want) {
+				t.Fatalf("GET /corpus differs from the round-trip export (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// journalSynthetic journals every row of spec as job id, in a random order,
+// each with random runs under its sprintfKey key, and the runs of row bad
+// (when in range) in bytes that are valid JSON but not json.Marshal's.
+func journalSynthetic(t *testing.T, jr *jobs.Journal, id string, spec jobs.Spec, rng *rand.Rand, bad int) {
+	t.Helper()
+	rows, err := expandRows(&spec, Limits{}.withDefaults(), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := jr.Create(id, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for _, i := range rng.Perm(len(rows)) { // rows finish in any order
+		runs := make([]RunSummary, 1+rng.Intn(2))
+		for r := range runs {
+			runs[r] = RunSummary{Seed: rows[i].Seed + int64(r), Makespan: rng.Int63(), Steals: -rng.Int63n(5),
+				CacheMisses: math.MaxInt64, BlockMisses: math.MinInt64}
+		}
+		if i == bad {
+			runs[0].Steals = 0
+		}
+		result := mustJSON(t, runs)
+		if i == bad {
+			// Valid JSON, so the journal keeps it, but not json.Marshal's.
+			result = bytes.Replace(result, []byte(`"steals":0`), []byte(`"steals":-0`), 1)
+		}
+		if err := log.AppendRow(jobs.RowRecord{Index: i, Key: sprintfKey(&rows[i]), Status: jobs.RowOK, Result: result}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJournalResumeSpecNoLongerExpands: a journaled job whose rows this
+// node's limits now refuse is left alone, and the reason logged is the
+// first refused row's, as expandRows reports it, though the rows are
+// checked in parallel units and the first refused row (p = 8, row 300)
+// sits in the job's second unit, behind a unit of accepted rows.
+func TestJournalResumeSpecNoLongerExpands(t *testing.T) {
+	dir := t.TempDir()
+	jr, err := jobs.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := jobs.Spec{Algs: []string{"prefix"}, Ns: []int{64}, Ps: []int{4, 8, 16}}
+	for s := 0; s < 300; s++ {
+		spec.Seeds = append(spec.Seeds, int64(s))
+	}
+	journalSynthetic(t, jr, "narrowed", spec, rand.New(rand.NewSource(29)), -1)
+	lim := Limits{MaxP: 4}.withDefaults()
+	_, wantErr := expandRows(&spec, lim, 4096)
+	if wantErr == nil || !strings.HasPrefix(wantErr.Error(), "row 300 ") {
+		t.Fatalf("expandRows under MaxP 4: %v; want row 300 refused", wantErr)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	prev := runtime.GOMAXPROCS(4)
+	s := newTestServer(t, Config{JournalDir: dir, WarmCache: true, Limits: lim,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
+	runtime.GOMAXPROCS(prev)
+	want := fmt.Sprintf("serve: journal job narrowed: spec no longer expands (%v); leaving journal untouched", wantErr)
+	mu.Lock()
+	found := slices.Contains(logs, want)
+	mu.Unlock()
+	if !found {
+		t.Fatalf("log lacks %q:\n%s", want, strings.Join(logs, "\n"))
+	}
+	if st := s.Stats(); st.CacheWarmed != 0 || st.WarmSkipped != 0 {
+		t.Fatalf("rows of a job that no longer expands were warmed: %+v", st)
+	}
+	if rr := get(s, "/batch/narrowed"); rr.Code != http.StatusNotFound {
+		t.Fatalf("GET /batch/narrowed = %d, want 404", rr.Code)
+	}
+}
+
+// roundTripCorpus is the /corpus stream as the export built it with the
+// round-trip gate: each journal row whose result bytes pass roundTripRuns,
+// then every cache entry, by key, sorted.
+func roundTripCorpus(t *testing.T, s *Server, replayed []jobs.ReplayedJob) []byte {
+	t.Helper()
+	byKey := make(map[string]corpusRow)
+	for _, rj := range replayed {
+		spec := rj.Spec
+		rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range rj.Rows {
+			if _, ok := roundTripRuns(rec.Result); ok && rec.Status == jobs.RowOK && rec.Key == rows[rec.Index].Key() {
+				byKey[rec.Key] = corpusRow{Type: "row", Key: rec.Key, Request: wireRequest(rows[rec.Index]), Result: rec.Result}
+			}
+		}
+	}
+	for _, p := range s.cache.Snapshot() {
+		byKey[p.Key] = corpusRow{Type: "row", Key: p.Key, Request: wireRequest(p.req), Result: mustJSON(t, p.Runs)}
+	}
+	keys := slices.Sorted(maps.Keys(byKey))
+	var out, rowLines []byte
+	out = append(mustJSON(t, corpusHeader{Type: "header", Node: s.nodeID, Rows: len(keys)}), '\n')
+	for _, k := range keys {
+		rowLines = append(append(rowLines, mustJSON(t, byKey[k])...), '\n')
+	}
+	sum := sha256.Sum256(rowLines)
+	out = append(out, rowLines...)
+	return append(append(out, mustJSON(t, corpusTrailer{Type: "end", Rows: len(keys), Checksum: hex.EncodeToString(sum[:])})...), '\n')
 }

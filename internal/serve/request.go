@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"rwsfs/internal/harness"
 	"rwsfs/internal/machine"
@@ -191,19 +192,43 @@ func (r *Request) config() (rws.Config, error) {
 }
 
 // Key returns the canonical Config hash of a normalized request: SHA-256
-// over the canonical rendering of every result-determining field. Two
-// requests with the same key produce byte-equal results (determinism of the
-// engine plus deterministic workload inputs), which is what licenses the
-// single-flight dedup and the result cache. DeadlineMS is excluded: it
-// affects serving, never the simulated result.
+// over the canonical rendering of every result-determining field,
+//
+//	alg=…&n=…&p=…&seed=…&runs=…&B=…&M=…&miss=…&steal=…&fail=…&policy=…&sockets=…&remote=…&scost=…&scostr=…&budget=…
+//
+// with the strings as they are and the integers in decimal. Two requests
+// with the same key produce byte-equal results (determinism of the engine
+// plus deterministic workload inputs), which is what licenses the
+// single-flight dedup and the result cache; journaled rows carry these keys,
+// so the rendering never changes. DeadlineMS is excluded: it affects
+// serving, never the simulated result.
 func (r *Request) Key() string {
-	canon := fmt.Sprintf(
-		"alg=%s&n=%d&p=%d&seed=%d&runs=%d&B=%d&M=%d&miss=%d&steal=%d&fail=%d&policy=%s&sockets=%d&remote=%d&scost=%d&scostr=%d&budget=%d",
-		r.Alg, r.N, r.P, r.Seed, r.Runs, r.BlockWords, r.CacheWords,
-		r.CostMiss, r.CostSteal, r.CostFailSteal, r.Policy, r.Sockets,
-		r.CostMissRemote, r.StealCost, r.StealCostRemote, *r.Budget)
-	sum := sha256.Sum256([]byte(canon))
-	return hex.EncodeToString(sum[:])
+	var buf [192]byte
+	b := append(append(buf[:0], "alg="...), r.Alg...)
+	b = appendKeyInt(b, "&n=", int64(r.N))
+	b = appendKeyInt(b, "&p=", int64(r.P))
+	b = appendKeyInt(b, "&seed=", r.Seed)
+	b = appendKeyInt(b, "&runs=", int64(r.Runs))
+	b = appendKeyInt(b, "&B=", int64(r.BlockWords))
+	b = appendKeyInt(b, "&M=", int64(r.CacheWords))
+	b = appendKeyInt(b, "&miss=", r.CostMiss)
+	b = appendKeyInt(b, "&steal=", r.CostSteal)
+	b = appendKeyInt(b, "&fail=", r.CostFailSteal)
+	b = append(append(b, "&policy="...), r.Policy...)
+	b = appendKeyInt(b, "&sockets=", int64(r.Sockets))
+	b = appendKeyInt(b, "&remote=", r.CostMissRemote)
+	b = appendKeyInt(b, "&scost=", r.StealCost)
+	b = appendKeyInt(b, "&scostr=", r.StealCostRemote)
+	b = appendKeyInt(b, "&budget=", *r.Budget)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
+}
+
+// appendKeyInt appends one integer field of a key's canonical rendering.
+func appendKeyInt(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(b, name...), v, 10)
 }
 
 // RunSummary condenses one run's rws.Result into the wire form. The fields

@@ -55,6 +55,13 @@
 // The journal doubles as a result corpus: WarmCache loads journaled rows
 // into the LRU result cache at startup, so the restarted daemon serves its
 // recorded corpus as cache hits with source=journal timeline provenance.
+// A warm restart uses every CPU before /healthz answers: Journal.Replay
+// decodes the job files concurrently, and prepareJournal expands the specs,
+// keys the rows and passes each journaled result through canonicalRuns, a
+// one-pass scanner that accepts exactly json.Marshal's bytes, in units of
+// at most a few hundred rows. The jobs are then rebuilt and the cache
+// filled one row at a time in journal order, so the cache, its LRU order,
+// the counters and the log are those of a single pass.
 //
 // The corpus also travels between nodes. GET /corpus streams the node's
 // verified results (journal-backed OK rows plus live cache entries) as
@@ -136,7 +143,10 @@ type Config struct {
 	// /simulate's canonical SHA-256 keys and the journaled result bytes are
 	// exactly the cacheable runs payload, so a restarted daemon serves its
 	// recorded corpus as cache hits (timeline cache_hit events carry
-	// source=journal provenance) instead of recomputing it.
+	// source=journal provenance) instead of recomputing it. Rows whose
+	// bytes fail canonicalRuns are logged and skipped, and inserts stop at
+	// the cache's capacity. The replay and the checks run on every CPU;
+	// the inserts follow in journal order.
 	WarmCache bool
 	// JournalMaxAge, when positive, bounds how long a *completed* batch job
 	// outlives its last journal append: a startup sweep plus a periodic GC
@@ -177,8 +187,8 @@ type Config struct {
 	// with source=peer provenance. The warm-up runs in the background — it
 	// never delays serving — and every imported row passes the full
 	// verification gate (the request must re-canonicalize to the advertised
-	// key, the result bytes must round-trip canonically), so a corrupt or
-	// adversarial peer can pollute nothing.
+	// key, the result bytes must be exactly json.Marshal's for their runs),
+	// so a corrupt or adversarial peer can pollute nothing.
 	Peers []string
 	// PeerTimeout bounds one peer corpus transfer end to end, connect and
 	// read included (default 10s) — a stalled peer costs at most this long
