@@ -188,10 +188,13 @@
 // (same normalized request ⇒ byte-equal result) is load-bearing for the
 // whole serving layer:
 //
-//   - identical concurrent requests are deduplicated single-flight and
-//     completed results are served from an LRU cache keyed on the request's
-//     canonical Config hash — the serve tests assert cached, deduped and
-//     fresh responses are byte-identical across every registered policy;
+//   - one table keyed on the request's canonical Config hash both
+//     deduplicates identical concurrent requests (they follow one flight)
+//     and serves completed results from an LRU, and a result's runs are
+//     marshalled once, by the worker, and written as those bytes by
+//     /simulate, the batch stream, the journal, the grid and GET /corpus —
+//     the serve tests assert cached, deduped and fresh responses are
+//     byte-identical across every registered policy;
 //   - admission is a token bucket (-rate/-burst → typed 429s) in front of a
 //     bounded work queue (-queue → typed 503s), so overload degrades into
 //     fast, typed rejections;
@@ -225,7 +228,8 @@
 //     without recomputing anything. The restart decodes the journal and
 //     checks every row's result bytes on all CPUs (a one-pass scanner
 //     accepts exactly the bytes json.Marshal writes), then fills the
-//     cache in journal order.
+//     cache in journal order; a row's bytes are held once, shared by its
+//     job and its cache entry.
 //
 // The serve.FaultInjector hook (wired to the -inject-panic-every /
 // -inject-stall-every / -inject-delay-every flags) deterministically

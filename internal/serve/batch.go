@@ -78,8 +78,8 @@ func newJobID() (string, error) {
 }
 
 // rowRequest builds the normalized Request of one grid cell; the row's
-// canonical key is Request.Key() — the same SHA-256 keying /simulate,
-// the result cache and the single-flight group use.
+// canonical key is Request.Key() — the same SHA-256 keying /simulate and
+// the result table use.
 func rowRequest(spec *jobs.Spec, c jobs.Cell) Request {
 	r := Request{
 		Alg: c.Alg, N: c.N, P: c.P, Seed: c.Seed, Runs: spec.Runs,
@@ -149,7 +149,7 @@ func rowKeys(rows []Request) []string {
 }
 
 // journaledJob is one replayed job made ready to apply: its spec expanded,
-// as expandRows would, into rows and their keys, and, when gated, the
+// as expandRows would, into rows and their keys, and, under WarmCache, the
 // outcome of canonicalRuns for each journal row.
 type journaledJob struct {
 	spec jobs.Spec // normalized
@@ -171,16 +171,17 @@ type gatedRow struct {
 // takes, so that a large job splits across the CPUs too.
 const prepareUnit = 256
 
-// prepareJournal readies replayed jobs for resume and for the /corpus
-// export, on up to GOMAXPROCS goroutines: it expands each spec into rows and
-// keys and, when gate is set, passes each journal row through
-// storedPayload. A journal row is a RowOK record whose index lies in the
-// re-expanded grid and whose key equals the key the expansion computed —
-// the trust rule ApplyReplayed applies; records are checked against those
-// keys, never re-normalized and re-keyed. The result, index-aligned with
-// replayed, is what a job-by-job, row-by-row pass would compute; callers
-// then apply it in journal order.
-func (s *Server) prepareJournal(replayed []jobs.ReplayedJob, gate bool) []journaledJob {
+// prepareJournal readies replayed jobs for resume, on up to GOMAXPROCS
+// goroutines: it expands each spec into rows and keys and, under WarmCache,
+// passes each journal row through storedPayload, which keeps the row's bytes
+// as they were read, so the job's record and its cache entry share them. A
+// journal row is a RowOK record whose index lies in the re-expanded grid and
+// whose key equals the key the expansion computed — the trust rule
+// ApplyReplayed applies; records are checked against those keys, never
+// re-normalized and re-keyed. The result, index-aligned with replayed, is
+// what a job-by-job, row-by-row pass would compute; resumeJournaledJobs then
+// applies it in journal order.
+func (s *Server) prepareJournal(replayed []jobs.ReplayedJob) []journaledJob {
 	out := make([]journaledJob, len(replayed))
 	cells := make([][]jobs.Cell, len(replayed))
 	jobs.ForEach(len(out), func(i int) {
@@ -207,7 +208,7 @@ func (s *Server) prepareJournal(replayed []jobs.ReplayedJob, gate bool) []journa
 			out[e.job].err = e.err
 		}
 	}
-	if !gate {
+	if !s.cfg.WarmCache {
 		return out
 	}
 	for i := range out {
@@ -222,7 +223,7 @@ func (s *Server) prepareJournal(replayed []jobs.ReplayedJob, gate bool) []journa
 			if rec.Status != jobs.RowOK || rec.Index < 0 || rec.Index >= len(pj.rows) || rec.Key != pj.keys[rec.Index] {
 				continue
 			}
-			p, err := storedPayload(corpusRow{Type: "row", Key: rec.Key, Request: wireRequest(pj.rows[rec.Index]), Result: rec.Result}, sourceJournal)
+			p, err := storedPayload(rec.Key, wireRequest(pj.rows[rec.Index]), rec.Result, sourceJournal)
 			pj.gated[r] = gatedRow{p: p, rejected: err != nil}
 		}
 		return nil
@@ -308,6 +309,17 @@ func (s *Server) batch(id string) (*batchEntry, bool) {
 	return e, ok
 }
 
+// batchList returns the indexed jobs in index order.
+func (s *Server) batchList() []*batchEntry {
+	s.batchMu.Lock()
+	defer s.batchMu.Unlock()
+	out := make([]*batchEntry, len(s.batchOrder))
+	for i, id := range s.batchOrder {
+		out[i] = s.batches[id]
+	}
+	return out
+}
+
 // resumeJournaledJobs rebuilds every journaled job at startup: the spec is
 // re-expanded (deterministically, so row indexes and keys line up), the
 // journal's terminal rows are applied — those are served as-is, never
@@ -332,7 +344,7 @@ func (s *Server) resumeJournaledJobs() {
 		s.cfg.Logf("serve: journal replay failed (jobs not resumed): %v", err)
 		return
 	}
-	prepared := s.prepareJournal(replayed, s.cfg.WarmCache)
+	prepared := s.prepareJournal(replayed)
 	for n, rj := range replayed {
 		pj := &prepared[n]
 		if pj.err != nil {
@@ -664,12 +676,7 @@ func (s *Server) runRow(e *batchEntry, i int) {
 	rec := jobs.RowRecord{Type: "row", Index: i, Key: key}
 	switch {
 	case reject == nil:
-		runs, err := json.Marshal(res.p.Runs)
-		if err != nil {
-			rec.Status, rec.Error = jobs.RowFailed, fmt.Sprintf("marshal result: %v", err)
-		} else {
-			rec.Status, rec.Result = jobs.RowOK, runs
-		}
+		rec.Status, rec.Result = jobs.RowOK, res.p.Runs
 	case reject.Code == codeQuarantined:
 		rec.Status, rec.Error = jobs.RowQuarantined, reject.Message
 		s.stats.add(&s.stats.RowsQuarantined, 1)
@@ -764,14 +771,10 @@ type batchListEntry struct {
 }
 
 func (s *Server) handleBatchList(w http.ResponseWriter, r *http.Request) {
-	s.batchMu.Lock()
-	order := append([]string(nil), s.batchOrder...)
-	s.batchMu.Unlock()
-	out := make([]batchListEntry, 0, len(order))
-	for _, id := range order {
-		if e, ok := s.batch(id); ok {
-			out = append(out, batchListEntry{Job: id, Status: jobStatus(e.job), Rows: e.job.Rows()})
-		}
+	list := s.batchList()
+	out := make([]batchListEntry, len(list))
+	for i, e := range list {
+		out[i] = batchListEntry{Job: e.job.ID, Status: jobStatus(e.job), Rows: e.job.Rows()}
 	}
 	writeJSON(w, http.StatusOK, map[string][]batchListEntry{"jobs": out})
 }

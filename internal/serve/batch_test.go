@@ -565,7 +565,7 @@ func TestBatchRowRetriesInheritedDeadline(t *testing.T) {
 			key := req.Key()
 
 			// Occupy the flight, standing in for a /simulate leader.
-			c, leader := s.flight.join(key)
+			_, f, leader := s.cache.lookup(key)
 			if !leader {
 				t.Fatal("test flight already occupied")
 			}
@@ -575,13 +575,13 @@ func TestBatchRowRetriesInheritedDeadline(t *testing.T) {
 				defer cancel()
 				done <- s.resolve(ctx, ctx, &req, key, nil, admitBlock)
 			}()
-			// The row must join as a follower (the key is held until finish),
+			// The row must join as a follower (the key is held until settle),
 			// so wait for the dedup, then hand it the leader's rejection.
 			deadline := time.Now().Add(5 * time.Second)
 			for s.Stats().Dedups == 0 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			s.flight.finish(key, c, nil, inherited)
+			s.cache.settle(f, nil, inherited)
 			got := <-done
 			if got.reject != nil {
 				t.Fatalf("row inherited the leader's %s as a terminal outcome: %+v", inherited.Code, got.reject)
@@ -611,7 +611,7 @@ func TestBatchTransientRejectCheckpointsRow(t *testing.T) {
 	job := jobs.NewJob("ckpt", spec, rowKeys(rows))
 	e := &batchEntry{job: job, rows: rows}
 	key := job.Key(0)
-	c, leader := s.flight.join(key)
+	_, f, leader := s.cache.lookup(key)
 	if !leader {
 		t.Fatal("test flight already occupied")
 	}
@@ -628,7 +628,7 @@ func TestBatchTransientRejectCheckpointsRow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Drain() // stopping: the transient outcome escapes instead of retrying
-	s.flight.finish(key, c, nil, errRateLimited())
+	s.cache.settle(f, nil, errRateLimited())
 	<-done
 	if st := job.StatusOf(0); st != jobs.RowUnstarted {
 		t.Fatalf("transient rejection must checkpoint the row to unstarted, got %q", st)

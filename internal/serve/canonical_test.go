@@ -25,26 +25,24 @@ func roundTripRuns(result []byte) ([]RunSummary, bool) {
 }
 
 // FuzzCanonicalRuns holds the one-pass gate to the round trip: for any
-// bytes, both accept or both refuse, and when both accept they return the
-// same slice (a nil one for null, an empty one for []). The checked-in seeds
-// cover a journaled row, the int64 extremes, null and the empty arrays,
-// whitespace, non-canonical numbers, reordered, duplicated, unknown and
-// upper-case keys, and a truncated row.
+// bytes, both accept or both refuse. The round trip accepts exactly the
+// bytes that re-marshal to themselves, and accepted bytes are stored and
+// served as they are, so equal verdicts are the whole property. The
+// checked-in seeds cover a journaled row, the int64 extremes, null and the
+// empty arrays, whitespace, non-canonical numbers, reordered, duplicated,
+// unknown and upper-case keys, and a truncated row.
 func FuzzCanonicalRuns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
-		got, ok := canonicalRuns(b)
-		want, wantOK := roundTripRuns(b)
-		if ok != wantOK {
-			t.Fatalf("canonicalRuns(%q) accepts = %v, the round trip says %v", b, ok, wantOK)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("canonicalRuns(%q) = %#v, the round trip gives %#v", b, got, want)
+		_, want := roundTripRuns(b)
+		if got := canonicalRuns(b); got != want {
+			t.Fatalf("canonicalRuns(%q) accepts = %v, the round trip says %v", b, got, want)
 		}
 	})
 }
 
 // TestCanonicalRunsRandomRuns feeds the gate json.Marshal's own output for
-// random runs, int64 extremes included, and one-byte mutations of it.
+// random runs, int64 extremes included, which it must accept, and one-byte
+// mutations of it, on which it must agree with the round trip.
 func TestCanonicalRunsRandomRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	edges := []int64{0, 1, -1, 9, 10, -10, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
@@ -66,15 +64,13 @@ func TestCanonicalRunsRandomRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := canonicalRuns(b); !ok || !reflect.DeepEqual(got, runs) {
-			t.Fatalf("canonicalRuns(%s) = %v, %v; want the runs it was marshalled from", b, got, ok)
+		if !canonicalRuns(b) {
+			t.Fatalf("canonicalRuns refuses json.Marshal's bytes %s", b)
 		}
 		m := bytes.Clone(b)
 		m[rng.Intn(len(m))] = "0-,:{}[]\"e. 9"[rng.Intn(13)]
-		got, ok := canonicalRuns(m)
-		want, wantOK := roundTripRuns(m)
-		if ok != wantOK || !reflect.DeepEqual(got, want) {
-			t.Fatalf("canonicalRuns(%s) = %v, %v; the round trip gives %v, %v", m, got, ok, want, wantOK)
+		if _, want := roundTripRuns(m); canonicalRuns(m) != want {
+			t.Fatalf("canonicalRuns(%s) accepts = %v, the round trip says %v", m, !want, want)
 		}
 	}
 }

@@ -15,17 +15,20 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"rwsfs/internal/serve/jobs"
 )
 
 // Fleet corpus sharing. GET /corpus streams this node's verified result
-// corpus — journal-backed RowOK rows plus live cache entries — as canonical
-// NDJSON: a header record with node identity and row count, one row record
-// per entry carrying the canonical SHA-256 key, the normalized request and
-// the exact cacheable result bytes, and an end trailer whose checksum runs
-// over the row lines so a truncated or tampered transfer is always
-// detectable. The peer warm-up client (Config.Peers) pulls that stream from a
-// sibling at startup, re-verifies every row (verifyCorpusRow), and inserts it
-// through the same sink as -warm-cache with source=peer provenance.
+// corpus — its journaled jobs' RowOK rows plus live cache entries — as
+// canonical NDJSON: a header record with node identity and row count, one
+// row record per entry carrying the canonical SHA-256 key, the normalized
+// request and the exact cacheable result bytes, and an end trailer whose
+// checksum runs over the row lines so a truncated or tampered transfer is
+// always detectable. The peer warm-up client (Config.Peers) pulls that
+// stream from a sibling at startup, re-verifies every row (verifyCorpusRow),
+// and inserts it through the same sink as -warm-cache with source=peer
+// provenance.
 
 // corpusFaultKey is the key the export handler passes the fault injector;
 // the worker slot is -1 and the attempt is the export ordinal.
@@ -99,51 +102,45 @@ var runKeys = func() [][]byte {
 
 // canonicalRuns is the gate stored result bytes pass before they may ever be
 // served as a cache hit or exported. It accepts exactly the bytes that
-// json.Marshal produces for some []RunSummary, and returns that slice, so
-// re-marshalling it gives back result byte for byte: null (a nil slice), []
-// (an empty one), or objects carrying every field once, in order, with no
-// whitespace anywhere and each value written as json.Marshal writes an
-// int64. It reads the bytes once and allocates only the slice it returns.
-func canonicalRuns(result []byte) ([]RunSummary, bool) {
+// json.Marshal produces for some []RunSummary, so accepted bytes are stored
+// and served as they are: null (a nil slice), [] (an empty one), or objects
+// carrying every field once, in order, with no whitespace anywhere and each
+// value written as json.Marshal writes an int64. It reads the bytes once
+// and allocates nothing.
+func canonicalRuns(result []byte) bool {
 	switch string(result) {
-	case "null":
-		return nil, true
-	case "[]":
-		return []RunSummary{}, true
+	case "null", "[]":
+		return true
 	}
 	if len(result) == 0 || result[0] != '[' {
-		return nil, false
+		return false
 	}
-	var runs []RunSummary
 	for b := result[1:]; ; {
-		runs = append(runs, RunSummary{})
-		v := reflect.ValueOf(&runs[len(runs)-1]).Elem()
-		for f, key := range runKeys {
+		for _, key := range runKeys {
 			if !bytes.HasPrefix(b, key) {
-				return nil, false
+				return false
 			}
-			n, w, ok := scanInt64(b[len(key):])
-			if !ok {
-				return nil, false
+			w := scanInt64(b[len(key):])
+			if w == 0 {
+				return false
 			}
-			v.Field(f).SetInt(n)
 			b = b[len(key)+w:]
 		}
 		switch {
 		case len(b) >= 2 && b[0] == '}' && b[1] == ',':
 			b = b[2:]
 		case len(b) == 2 && b[0] == '}' && b[1] == ']':
-			return runs, true
+			return true
 		default:
-			return nil, false
+			return false
 		}
 	}
 }
 
-// scanInt64 reads an integer the way json.Marshal writes an int64 from the
-// start of b, -?(0|[1-9][0-9]*) in int64's range and never -0, and returns it
-// with the number of bytes it took.
-func scanInt64(b []byte) (n int64, width int, ok bool) {
+// scanInt64 returns the width of the integer at the start of b written the
+// way json.Marshal writes an int64, -?(0|[1-9][0-9]*) in int64's range and
+// never -0, or 0 when b does not start with one.
+func scanInt64(b []byte) int {
 	digits := b
 	neg := len(b) > 0 && b[0] == '-'
 	if neg {
@@ -155,34 +152,34 @@ func scanInt64(b []byte) (n int64, width int, ok bool) {
 	}
 	// An int64 has at most 19 digits, and any 19 digits fit a uint64.
 	if d == 0 || d > 19 || digits[0] == '0' && (d > 1 || neg) {
-		return 0, 0, false
+		return 0
 	}
 	var u uint64
 	for _, c := range digits[:d] {
 		u = u*10 + uint64(c-'0')
 	}
 	if neg {
-		if u > 1<<63 {
-			return 0, 0, false
+		if u > 1<<63 { // -(1<<63) is MinInt64
+			return 0
 		}
-		return -int64(u), 1 + d, true // int64(1<<63) is MinInt64, its own negation
+		return 1 + d
 	}
 	if u > math.MaxInt64 {
-		return 0, 0, false
+		return 0
 	}
-	return int64(u), d, true
+	return d
 }
 
 // storedPayload turns a stored result row — a journaled row or a peer's
-// corpus row — into a cacheable payload marked with its source. The result
-// bytes must pass canonicalRuns, so a cache hit later serves exactly the
-// stored bytes and never an approximation of them.
-func storedPayload(row corpusRow, source string) (*payload, error) {
-	runs, ok := canonicalRuns(row.Result)
-	if !ok {
+// corpus row — into a cacheable payload for key, holding result as it is
+// and marked with its source. The bytes must pass canonicalRuns, so a cache
+// hit later serves exactly the stored bytes and never an approximation of
+// them. req is the row's request in wire form.
+func storedPayload(key string, req Request, result []byte, source string) (*payload, error) {
+	if !canonicalRuns(result) {
 		return nil, errNotCanonical
 	}
-	return &payload{Key: row.Key, Alg: row.Request.Alg, Runs: runs, warmSrc: source, req: row.Request}, nil
+	return &payload{Key: key, Alg: req.Alg, Runs: result, warmSrc: source, req: req}, nil
 }
 
 // errNotCanonical is storedPayload's error for result bytes that fail
@@ -208,33 +205,24 @@ func (s *Server) warm(p *payload) bool {
 	return true
 }
 
-// corpusRows gathers the node's exportable corpus: every journal row that
-// passes the gate (prepareJournal, as at a warm restart), plus every live
-// cache entry, deduplicated by key and sorted so the export is
-// deterministic. Rows are re-verified at export time — a node never
-// re-exports bytes it would not itself serve.
+// corpusRows gathers the node's exportable corpus from what it holds: with
+// a journal configured, the RowOK rows of every indexed job whose bytes pass
+// canonicalRuns, then every cache entry, deduplicated by key and sorted so
+// the export is deterministic. A node never re-exports bytes it would not
+// itself serve.
 func (s *Server) corpusRows() []corpusRow {
 	byKey := make(map[string]corpusRow)
 	if s.journal != nil {
-		replayed, err := s.journal.Replay()
-		if err != nil {
-			s.cfg.Logf("serve: corpus export: journal replay failed (exporting cache only): %v", err)
-		}
-		for i, pj := range s.prepareJournal(replayed, true) {
-			for r, g := range pj.gated {
-				if g.p != nil {
-					byKey[g.p.Key] = corpusRow{Type: "row", Key: g.p.Key, Request: g.p.req, Result: replayed[i].Rows[r].Result}
+		for _, e := range s.batchList() {
+			for _, rec := range e.job.TerminalRecords() {
+				if rec.Status == jobs.RowOK && canonicalRuns(rec.Result) {
+					byKey[rec.Key] = corpusRow{Type: "row", Key: rec.Key, Request: wireRequest(e.rows[rec.Index]), Result: rec.Result}
 				}
 			}
 		}
 	}
 	for _, p := range s.cache.Snapshot() {
-		result, err := json.Marshal(p.Runs)
-		if err != nil {
-			continue
-		}
-		byKey[p.Key] = corpusRow{Type: "row", Key: p.Key,
-			Request: wireRequest(p.req), Result: result}
+		byKey[p.Key] = corpusRow{Type: "row", Key: p.Key, Request: p.req, Result: p.Runs}
 	}
 	keys := make([]string, 0, len(byKey))
 	for k := range byKey {
@@ -432,19 +420,17 @@ func importCorpusStream(r io.Reader, lim Limits, insert func(*payload) bool) (co
 // request must normalize, validate against this node's limits, and
 // re-canonicalize to exactly the advertised key, and the result bytes must
 // pass canonicalRuns (storedPayload). Only then does the row become a
-// cacheable payload, marked source=peer.
+// cacheable payload, marked source=peer, holding the bytes as they arrived.
 func verifyCorpusRow(rec corpusRow, lim Limits) (*payload, error) {
-	req := rec.Request
+	req := wireRequest(rec.Request)
 	req.normalize()
-	req.DeadlineMS, req.Trace = 0, false
 	if err := req.validate(lim); err != nil {
 		return nil, fmt.Errorf("invalid request: %w", err)
 	}
 	if got := req.Key(); got != rec.Key {
 		return nil, fmt.Errorf("key %s does not match re-canonicalized request (%s)", rec.Key, got)
 	}
-	rec.Request = req
-	return storedPayload(rec, sourcePeer)
+	return storedPayload(rec.Key, req, rec.Result, sourcePeer)
 }
 
 // warmFromPeers is the warm-up goroutine: it walks the configured peers in

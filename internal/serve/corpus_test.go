@@ -10,8 +10,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,9 +115,8 @@ func TestCorpusExportRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("journaled row %s missing from export", rec.Key)
 		}
-		runs, merr := json.Marshal(p.Runs)
-		if merr != nil || !bytes.Equal(runs, rec.Result) {
-			t.Fatalf("imported payload differs from journal:\n%s\nvs\n%s", runs, rec.Result)
+		if !bytes.Equal(p.Runs, rec.Result) {
+			t.Fatalf("imported payload differs from journal:\n%s\nvs\n%s", p.Runs, rec.Result)
 		}
 		if p.warmSrc != sourcePeer {
 			t.Fatalf("imported payload provenance = %q, want %q", p.warmSrc, sourcePeer)
@@ -536,6 +538,49 @@ func TestWarmCacheCapacitySkips(t *testing.T) {
 	}
 	if want := []string{rj.Rows[1].Key, rj.Rows[0].Key}; !slices.Equal(resident, want) {
 		t.Fatalf("cache holds %q, want the first two journaled rows, most recent first: %q", resident, want)
+	}
+}
+
+// TestCorpusExportLogsNothing: GET /corpus builds its journal-backed rows
+// from the jobs the node holds, not from a second journal replay, so an
+// export neither re-reads the journal nor repeats its start-up warnings
+// about an unreadable file.
+func TestCorpusExportLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	a := newTestServer(t, Config{Workers: 2, JournalDir: dir})
+	if sp := parseStream(t, postBatch(a, baseSpec).Body.Bytes()); sp.trailer.Status != "done" {
+		t.Fatalf("corpus batch did not finish: %+v", sp.trailer)
+	}
+	a.Close()
+	if err := os.WriteFile(filepath.Join(dir, "junk.ndjson"), []byte("not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	b := newTestServer(t, Config{Workers: 2, JournalDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	mu.Lock()
+	startup := len(logs)
+	mu.Unlock()
+	if !strings.Contains(fmt.Sprint(logs[:startup]), "junk.ndjson") {
+		t.Fatalf("start-up did not log the unreadable journal file: %q", logs[:startup])
+	}
+	for range 3 {
+		var rows int
+		for _, ln := range bytes.Split(corpusBody(t, b), []byte("\n")) {
+			rows += bytes.Count(ln, []byte(`{"type":"row"`))
+		}
+		if rows != 6 {
+			t.Fatalf("export carried %d rows, want the journaled job's 6", rows)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logs) != startup {
+		t.Fatalf("exports logged %q", logs[startup:])
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -198,9 +199,9 @@ func (r *Request) config() (rws.Config, error) {
 //
 // with the strings as they are and the integers in decimal. Two requests
 // with the same key produce byte-equal results (determinism of the engine
-// plus deterministic workload inputs), which is what licenses the
-// single-flight dedup and the result cache; journaled rows carry these keys,
-// so the rendering never changes. DeadlineMS is excluded: it affects
+// plus deterministic workload inputs), which is what licenses the result
+// table's dedup and cache; journaled rows carry these keys, so the
+// rendering never changes. DeadlineMS is excluded: it affects
 // serving, never the simulated result.
 func (r *Request) Key() string {
 	var buf [192]byte
@@ -276,10 +277,15 @@ func summarize(seed int64, res rws.Result) RunSummary {
 
 // payload is the shared (cacheable, dedup-shareable) part of a response.
 type payload struct {
-	Key    string       `json:"key"`
-	Alg    string       `json:"alg"`
-	Cached bool         `json:"cached"`
-	Runs   []RunSummary `json:"runs"`
+	Key    string `json:"key"`
+	Alg    string `json:"alg"`
+	Cached bool   `json:"cached"`
+	// Runs is exactly json.Marshal's bytes for the result's []RunSummary:
+	// marshalled once by the worker (or stored after canonicalRuns passed
+	// them) and written as they are by /simulate, the batch stream, the
+	// journal, the grid and /corpus. encoding/json compacts a RawMessage,
+	// which leaves these bytes unchanged.
+	Runs json.RawMessage `json:"runs"`
 
 	// warmSrc marks a payload loaded from outside this process's own
 	// computations: sourceJournal (batch journal warm-up at startup,
@@ -288,10 +294,10 @@ type payload struct {
 	// the wire — it only feeds cache_hit / batch-row provenance.
 	warmSrc string
 
-	// req is the normalized request that produced this payload, kept so GET
-	// /corpus can export the row with enough context for an importer to
-	// re-verify the key against a re-canonicalized request. Unexported:
-	// never serialized into responses.
+	// req is the normalized request that produced this payload, in its wire
+	// form (wireRequest), kept so GET /corpus can export the row with enough
+	// context for an importer to re-verify the key against a
+	// re-canonicalized request. Unexported: never serialized into responses.
 	req Request
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"rwsfs/internal/harness"
 	"rwsfs/internal/rws"
+	"rwsfs/internal/serve/jobs"
 )
 
 // wireResp decodes either shape the daemon produces: a success Response or
@@ -248,6 +249,48 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 	if st.RateLimited != 0 {
 		t.Fatalf("dedup must not spend extra admission tokens: %+v", st)
+	}
+}
+
+// TestCacheDisabledStillDedups covers -cache -1 (a negative CacheEntries):
+// a request that arrives while an identical one is being computed still
+// follows its flight, but a settled result is not kept, so a later request
+// computes it again, and a -warm-cache restart loads no journaled row.
+func TestCacheDisabledStillDedups(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{
+		Workers: 2, CacheEntries: -1, JournalDir: dir,
+		Injector: func(int, int, string) Fault { return Fault{Delay: 150 * time.Millisecond} },
+	})
+	const body = `{"alg":"prefix","n":64,"p":4,"seed":7}`
+	first := make(chan *httptest.ResponseRecorder)
+	go func() { first <- post(s, body) }()
+	waitFor(t, 5*time.Second, func() bool { return s.inFlight.Load() == 1 })
+	time.Sleep(20 * time.Millisecond) // let the first request claim the flight
+	second := mustOK(t, s, body)
+	rr := <-first
+	if rr.Code != http.StatusOK {
+		t.Fatalf("first request: want 200, got %d: %s", rr.Code, rr.Body.String())
+	}
+	// Whichever request led, the other followed its flight.
+	if st := s.Stats(); decode(t, rr).Dedup == second.Dedup || st.Dedups != 1 || st.Simulations != 1 {
+		t.Fatalf("the two requests did not share one flight: dedup %v and %v, %+v", decode(t, rr).Dedup, second.Dedup, st)
+	}
+	if third := mustOK(t, s, body); third.Cached {
+		t.Fatal("a request after the flight settled was served from the cache")
+	}
+	if st := s.Stats(); st.Simulations != 2 || st.CacheHits != 0 {
+		t.Fatalf("a request after the flight settled must simulate again: %+v", st)
+	}
+
+	sp := parseStream(t, postBatch(s, baseSpec).Body.Bytes())
+	if sp.trailer.Status != "done" || sp.trailer.Counts[jobs.RowOK] != 6 {
+		t.Fatalf("batch did not finish with 6 OK rows: %+v", sp.trailer)
+	}
+	s.Close()
+	w := newTestServer(t, Config{Workers: 2, CacheEntries: -1, JournalDir: dir, WarmCache: true})
+	if st := w.Stats(); st.CacheWarmed != 0 || st.WarmSkipped != 6 {
+		t.Fatalf("a -warm-cache restart with the cache off must skip all 6 journaled rows: %+v", st)
 	}
 }
 

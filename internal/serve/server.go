@@ -10,11 +10,13 @@
 //   - per-request deadlines propagated via context.Context into the sweep
 //     loop, landing at run boundaries (individual runs always complete, so
 //     the runs that did execute stay bit-for-bit deterministic);
-//   - one key-resolution path (resolve) for /simulate and batch rows alike:
-//     single-flight dedup plus an LRU result cache keyed on the canonical
-//     Config hash — engine determinism (same Config+Seed ⇒ byte-equal
-//     Result) makes both trivially correct, and the cache tests assert the
-//     byte equality end to end;
+//   - one key-resolution path (resolve) for /simulate and batch rows alike,
+//     through one table keyed on the canonical Config hash (resultCache):
+//     a key is in flight, its followers sharing its leader's computation,
+//     or settled in an LRU. Engine determinism (same Config+Seed ⇒
+//     byte-equal Result) gives each key one result, so the worker marshals
+//     a result's runs once and every surface writes those bytes as they
+//     are, and the cache tests assert the byte equality end to end;
 //   - replay: a request's op stream is fixed by its workload, size and
 //     block size, so a worker runs it through the server's one
 //     harness.TraceCache (TraceCache.Run), shared by the workers and
@@ -64,7 +66,7 @@
 // the counters and the log are those of a single pass.
 //
 // The corpus also travels between nodes. GET /corpus streams the node's
-// verified results (journal-backed OK rows plus live cache entries) as
+// verified results (its journaled jobs' OK rows plus live cache entries) as
 // canonical NDJSON — a header with node identity, one row per entry carrying
 // the canonical key, the normalized request and the exact cacheable result
 // bytes, and an end trailer with a running checksum so truncation or
@@ -112,8 +114,9 @@ type Config struct {
 	// second; Rate <= 0 disables the limiter.
 	Rate  float64
 	Burst int
-	// CacheEntries bounds the LRU result cache (default 1024; negative
-	// disables caching).
+	// CacheEntries bounds the LRU result cache (default 1024). A negative
+	// value keeps no results: concurrent identical requests still share one
+	// computation, and a later one computes again.
 	CacheEntries int
 	// MaxAttempts is the per-request attempt budget around panicking runs
 	// (default 3: one try, two retries).
@@ -380,7 +383,6 @@ type Server struct {
 	queue   chan *job
 	bucket  *tokenBucket
 	cache   *resultCache
-	flight  *flightGroup
 	breaker *jobs.Breaker
 	tracer  *tracer
 	traces  harness.TraceCache // op traces, shared by the workers
@@ -430,7 +432,6 @@ func New(cfg Config) *Server {
 		queue:   make(chan *job, cfg.QueueDepth),
 		bucket:  newTokenBucket(cfg.Rate, cfg.Burst, cfg.now),
 		cache:   newResultCache(cfg.CacheEntries),
-		flight:  newFlightGroup(),
 		breaker: jobs.NewBreaker(cfg.QuarantineAfter),
 		tracer:  newTracerRing(cfg.TraceBuffer),
 		batches: make(map[string]*batchEntry),
@@ -701,11 +702,11 @@ type resolved struct {
 }
 
 // resolve is the one path from a canonical key to its result, shared by
-// /simulate and batch rows. The first caller for a key leads a single
-// flight: it serves the key from the result cache or admits it to the worker
-// queue, and caches a fresh result before releasing the flight, so a later
-// caller finds either the flight or the cache and never recomputes. Callers
-// arriving while the flight is open follow it. work bounds the leader's
+// /simulate and batch rows. One lookup in the result table answers it: a
+// settled result is a cache hit; an open flight is followed; otherwise the
+// caller leads a new flight, admits the key to the worker queue, and
+// settles the flight with the outcome, so a later caller finds either the
+// flight or the result and never recomputes. work bounds the leader's
 // computation; wait bounds a follower.
 //
 // A follower shares the leader's outcome, with one exception in admitBlock
@@ -716,24 +717,37 @@ type resolved struct {
 func (s *Server) resolve(work, wait context.Context, req *Request, key string, tr *trace, mode admission) resolved {
 	backoff := time.Millisecond
 	for {
-		c, leader := s.flight.join(key)
-		if leader {
+		p, f, lead := s.cache.lookup(key)
+		if p != nil {
+			s.stats.add(&s.stats.CacheHits, 1)
+			// Entries warmed from the journal or a peer name their source on
+			// the timeline; this process's own results name none.
+			source, detail := sourceCache, ""
+			if p.warmSrc != "" {
+				source, detail = p.warmSrc, "source="+p.warmSrc
+			}
+			tr.event(evCacheHit, detail)
+			hit := *p // shallow copy: Runs is shared and immutable
+			hit.Cached = true
+			return resolved{p: &hit, source: source}
+		}
+		if lead {
 			r := s.lead(work, req, key, tr, mode)
-			s.flight.finish(key, c, r.p, r.reject)
+			s.cache.settle(f, r.p, r.reject)
 			return r
 		}
 		s.stats.add(&s.stats.Dedups, 1)
 		tr.event(evDedupFollower, "awaiting in-flight leader")
 		select {
-		case <-c.done:
+		case <-f.done:
 		case <-wait.Done():
 			return resolved{reject: s.errCtxExpired(wait)}
 		}
-		if c.reject == nil {
-			return resolved{p: c.p, source: sourceDedup}
+		if f.reject == nil {
+			return resolved{p: f.p, source: sourceDedup}
 		}
-		if mode == admitShed || !c.reject.inherited() || s.stopDispatch() {
-			return resolved{reject: c.reject}
+		if mode == admitShed || !f.reject.inherited() || s.stopDispatch() {
+			return resolved{reject: f.reject}
 		}
 		if !sleepCtx(wait, backoff) {
 			return resolved{reject: s.errCtxExpired(wait)}
@@ -742,22 +756,9 @@ func (s *Server) resolve(work, wait context.Context, req *Request, key string, t
 	}
 }
 
-// lead is the flight leader's half of resolve: the result cache, then
-// admission, then the worker queue.
+// lead is the flight leader's half of resolve: admission, then the worker
+// queue.
 func (s *Server) lead(ctx context.Context, req *Request, key string, tr *trace, mode admission) resolved {
-	if p, ok := s.cache.Get(key); ok {
-		s.stats.add(&s.stats.CacheHits, 1)
-		// Entries warmed from the journal or a peer name their source on the
-		// timeline; this process's own results name none.
-		source, detail := sourceCache, ""
-		if p.warmSrc != "" {
-			source, detail = p.warmSrc, "source="+p.warmSrc
-		}
-		tr.event(evCacheHit, detail)
-		hit := *p // shallow copy: Runs is shared and immutable
-		hit.Cached = true
-		return resolved{p: &hit, source: source}
-	}
 	j := &job{ctx: ctx, req: req, key: key, res: make(chan resolved, 1), tr: tr}
 	if mode == admitShed {
 		if !s.bucket.Take() {
@@ -780,7 +781,6 @@ func (s *Server) lead(ctx context.Context, req *Request, key string, tr *trace, 
 	case r := <-j.res:
 		if r.reject == nil {
 			r.source = sourceFresh
-			s.cache.Add(key, r.p)
 		}
 		return r
 	case <-ctx.Done():

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -197,7 +198,12 @@ func (w *worker) attempt(j *job, attempt int) (*payload, error) {
 		}
 		out = append(out, sum)
 	}
-	return &payload{Key: j.key, Alg: j.req.Alg, Runs: out, req: wireRequest(*j.req)}, nil
+	// The one place runs are marshalled: every surface writes these bytes.
+	runs, err := json.Marshal(out)
+	if err != nil {
+		return nil, err
+	}
+	return &payload{Key: j.key, Alg: j.req.Alg, Runs: runs, req: wireRequest(*j.req)}, nil
 }
 
 // injectedPanic is the kernel Fault.Panic runs in place of an attempt's
