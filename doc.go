@@ -226,10 +226,11 @@
 //     into the result cache at startup, so a restarted daemon serves its
 //     recorded corpus as cache hits (source=journal on the timeline)
 //     without recomputing anything. The restart decodes the journal and
-//     checks every row's result bytes on all CPUs (a one-pass scanner
-//     accepts exactly the bytes json.Marshal writes), then fills the
-//     cache in journal order; a row's bytes are held once, shared by its
-//     job and its cache entry.
+//     checks every row's result bytes on all CPUs, each with a one-pass
+//     scanner that accepts exactly the bytes json.Marshal writes (the row
+//     line's, then the result's; json.Unmarshal decodes any line the
+//     first declines), then fills the cache in journal order; a row's
+//     bytes are held once, shared by its job and its cache entry.
 //
 // The serve.FaultInjector hook (wired to the -inject-panic-every /
 // -inject-stall-every / -inject-delay-every flags) deterministically

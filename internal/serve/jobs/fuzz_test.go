@@ -1,10 +1,16 @@
 package jobs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,6 +34,14 @@ const fuzzSeedJournal = `{"type":"spec","job":"fz","spec":{"algs":["prefix"],"ns
 //     deduped replay-before, byte for byte, and is never Corrupt.
 //  4. The resume protocol never strands appends: after Compact (the repair
 //     Rewrite) and Reopen, an appended record is visible to the next Replay.
+//  5. The row scanner changes nothing: Replay returns the same jobs, rows,
+//     SpecRaw and Corrupt flag, and logs the same warnings in the same
+//     order, as unmarshalReplayOne, which decodes every line with
+//     json.Unmarshal.
+//
+// The checked-in corpus adds a benchmark-shaped job and a file that mixes
+// rows the scanner takes with rows it leaves to the decode before a corrupt
+// line.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(fuzzSeedJournal))
 	f.Add([]byte(fuzzSeedJournal + `{"type":"row","index":2,"key":"k2","st`))                                        // torn tail
@@ -50,9 +64,29 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 
+		var logs []string
+		j.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
 		re, err := j.Replay()
+		j.Logf = nil
 		if err != nil {
 			t.Fatalf("Replay errored on arbitrary bytes: %v", err)
+		}
+
+		// Invariant 5: Replay equals the decode of every line, warnings
+		// included.
+		var wantLogs []string
+		logf := func(format string, args ...any) { wantLogs = append(wantLogs, fmt.Sprintf(format, args...)) }
+		var wantJobs []ReplayedJob
+		if oj, err := unmarshalReplayOne(j, "fz", logf); err != nil {
+			logf("jobs: skipping journal %s: %v", "fz"+journalExt, err)
+		} else {
+			wantJobs = append(wantJobs, oj)
+		}
+		if !reflect.DeepEqual(re, wantJobs) {
+			t.Fatalf("Replay = %+v, decoding every line gives %+v", re, wantJobs)
+		}
+		if !slices.Equal(logs, wantLogs) {
+			t.Fatalf("Replay logged %q, decoding every line logs %q", logs, wantLogs)
 		}
 		if len(re) == 0 {
 			return // unreadable spec: file skipped, nothing more to check
@@ -113,4 +147,60 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("post-resume append stranded: last row %+v", rows)
 		}
 	})
+}
+
+// unmarshalReplayOne is replayOne as it was before scanRow, decoding every
+// line with json.Unmarshal: FuzzJournalReplay's oracle for Replay.
+func unmarshalReplayOne(j *Journal, id string, logf func(format string, args ...any)) (ReplayedJob, error) {
+	f, err := os.Open(j.path(id))
+	if err != nil {
+		return ReplayedJob{}, err
+	}
+	defer f.Close()
+
+	job := ReplayedJob{ID: id}
+	r := bufio.NewReader(f)
+	first := true
+	for lineNo := 1; ; lineNo++ {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			if err == io.EOF {
+				if len(line) > 0 {
+					logf("jobs: journal %s: discarding torn final record", id)
+				}
+				break
+			}
+			return ReplayedJob{}, err
+		}
+		var rec record
+		if uerr := json.Unmarshal(line, &rec); uerr != nil {
+			logf("jobs: journal %s: stopping replay at corrupt line %d: %v", id, lineNo, uerr)
+			job.Corrupt = true
+			break
+		}
+		if first {
+			if rec.Type != "spec" {
+				return ReplayedJob{}, fmt.Errorf("first record is %q, want spec", rec.Type)
+			}
+			if err := json.Unmarshal(rec.Spec, &job.Spec); err != nil {
+				return ReplayedJob{}, fmt.Errorf("unreadable spec: %w", err)
+			}
+			job.SpecRaw = rec.Spec
+			job.Spec.Normalize()
+			first = false
+			continue
+		}
+		if rec.Type != "row" || !rec.Status.Terminal() {
+			logf("jobs: journal %s: ignoring unexpected %q record at line %d", id, rec.Type, lineNo)
+			continue
+		}
+		job.Rows = append(job.Rows, RowRecord{
+			Type: "row", Index: rec.Index, Key: rec.Key,
+			Status: rec.Status, Result: rec.Result, Error: rec.Error,
+		})
+	}
+	if first {
+		return ReplayedJob{}, errors.New("empty journal (no spec record)")
+	}
+	return job, nil
 }

@@ -50,7 +50,10 @@ func (s RowStatus) Terminal() bool {
 // RowRecord is one journaled row completion. The same shape is the wire
 // format of the /batch NDJSON stream and the /batch/{id}/grid rows, so the
 // bytes a client streams, the bytes the journal holds, and the bytes the
-// grid serves after a resume are all the same bytes.
+// grid serves after a resume are all the same bytes. Replay reads the line
+// json.Marshal writes for one with scanRow, so a replayed row's Result is
+// a capped subslice of the line it was read from; any other line takes
+// json.Unmarshal and gives the same record.
 type RowRecord struct {
 	Type   string          `json:"type"` // always "row"
 	Index  int             `json:"index"`
@@ -298,6 +301,12 @@ type ReplayedJob struct {
 // every file is decoded, file by file in that order and each file's in line
 // order: the same calls, in the same order, as a decode of one file after
 // another.
+//
+// Each row line that holds exactly json.Marshal's bytes for a terminal
+// RowRecord is decoded by scanRow, in one pass and without reflection.
+// Every other line, the spec record included, takes json.Unmarshal: the
+// fallback, and the oracle that FuzzJournalReplay holds Replay to, so the
+// jobs, rows, Corrupt flags and warnings are those of decoding every line.
 func (j *Journal) Replay() ([]ReplayedJob, error) {
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
@@ -388,16 +397,23 @@ func (j *Journal) replayOne(id string, logf func(format string, args ...any)) (R
 			}
 			return ReplayedJob{}, err
 		}
-		var rec record
-		if uerr := json.Unmarshal(line, &rec); uerr != nil {
-			// Anything after a bad line is suspect, so stop here and keep
-			// what replayed. The complete (newline-terminated) bad line is
-			// real corruption, not a torn tail: mark the job so the resume
-			// path rewrites the log before appending — appends landing after
-			// the corrupt line would be invisible to every future replay.
-			logf("jobs: journal %s: stopping replay at corrupt line %d: %v", id, lineNo, uerr)
-			job.Corrupt = true
-			break
+		// A row as json.Marshal writes it takes the scanner; every other
+		// line, the spec record included, takes the decode.
+		rec, ok := scanRow(line)
+		if !ok {
+			dec := new(record) // a heap record for the decode only, not every line
+			if uerr := json.Unmarshal(line, dec); uerr != nil {
+				// Anything after a bad line is suspect, so stop here and keep
+				// what replayed. The complete (newline-terminated) bad line is
+				// real corruption, not a torn tail: mark the job so the resume
+				// path rewrites the log before appending — appends landing
+				// after the corrupt line would be invisible to every future
+				// replay.
+				logf("jobs: journal %s: stopping replay at corrupt line %d: %v", id, lineNo, uerr)
+				job.Corrupt = true
+				break
+			}
+			rec = *dec
 		}
 		if first {
 			if rec.Type != "spec" {

@@ -9,6 +9,12 @@
 // identified by an opaque key (the serving layer's canonical SHA-256
 // request hash) and results are opaque JSON, so the journal can replay a
 // job without knowing how rows are computed.
+//
+// Replay reads a row line that holds exactly what json.Marshal writes for a
+// terminal RowRecord with a one-pass scanner (scanRow) that builds the
+// record without reflection; the spec line and every other line take
+// json.Unmarshal, which is both the scanner's fallback and its fuzz oracle
+// (FuzzJournalRow per line, FuzzJournalReplay per file).
 package jobs
 
 import (

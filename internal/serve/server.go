@@ -58,12 +58,14 @@
 // into the LRU result cache at startup, so the restarted daemon serves its
 // recorded corpus as cache hits with source=journal timeline provenance.
 // A warm restart uses every CPU before /healthz answers: Journal.Replay
-// decodes the job files concurrently, and prepareJournal expands the specs,
-// keys the rows and passes each journaled result through canonicalRuns, a
-// one-pass scanner that accepts exactly json.Marshal's bytes, in units of
-// at most a few hundred rows. The jobs are then rebuilt and the cache
-// filled one row at a time in journal order, so the cache, its LRU order,
-// the counters and the log are those of a single pass.
+// decodes the job files concurrently, each row line that json.Marshal wrote
+// with a one-pass scanner and any other line with json.Unmarshal (the
+// scanner's fallback and fuzz oracle), and prepareJournal expands the
+// specs, keys the rows and passes each journaled result through
+// canonicalRuns, a one-pass scanner that accepts exactly json.Marshal's
+// bytes, in units of at most a few hundred rows. The jobs are then rebuilt
+// and the cache filled one row at a time in journal order, so the cache,
+// its LRU order, the counters and the log are those of a single pass.
 //
 // The corpus also travels between nodes. GET /corpus streams the node's
 // verified results (its journaled jobs' OK rows plus live cache entries) as

@@ -7,15 +7,17 @@
 #
 # Run it with the change under test uncommitted: the parent is HEAD. The
 # script exports HEAD with `git archive` into a temporary directory, builds
-# the parent's and the working tree's test binaries of the two hot packages
+# the parent's and the working tree's test binaries of three packages
 # (internal/machine: coherence core; internal/rws: engine step loop,
 # fork-join throughput, steal-heavy workloads, trace replay up to P = 128,
 # and BenchmarkStealPriced — the distance-priced steal path on a
 # four-socket topology, tracked so steal pricing stays a branch, not a
-# tax), and runs every benchmark of both for BENCH_COUNT rounds (default
-# 3), alternating which side goes first. On a tree with nothing
-# uncommitted, it compares HEAD with itself, which shows the guard's noise
-# floor.
+# tax; internal/serve/jobs: BenchmarkJournalReplay, the journal replay
+# under a warm restart's set-up), and runs every benchmark of them for
+# BENCH_COUNT rounds (default 3), alternating which side goes first. A
+# benchmark the parent lacks is recorded without a ratio. On a tree with
+# nothing uncommitted, it compares HEAD with itself, which shows the guard's
+# noise floor.
 #
 # Regression guard: for each benchmark both sides have, the per-round
 # change/parent ns/op ratios are taken, and the script exits non-zero when
@@ -54,7 +56,7 @@ cd "$(dirname "$0")/.."
 COUNT="${BENCH_COUNT:-3}"
 OUT="BENCH_rws.json"
 REF="scripts/bench_reference.json"
-PKGS="internal/machine internal/rws"
+PKGS="internal/machine internal/rws internal/serve/jobs"
 if [ ! -f "$REF" ]; then
     echo "bench.sh: $REF is missing; it holds the frozen seed and sweep references" >&2
     exit 1
