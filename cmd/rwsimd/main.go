@@ -35,8 +35,12 @@
 // payload bytes are unchanged). GET /batch/{id} reports each row's attempt
 // count and result source (fresh, cache, dedup, journal, peer) the same way.
 //
-// With -journal-dir set, every batch spec and row completion is fsync'd to an
-// append-only NDJSON journal; a restarted daemon replays it, serves finished
+// A batch job runs on -batch-parallel lanes, each taking the job's next
+// unstarted row, and one committer. With -journal-dir set, the spec is
+// fsync'd to an append-only NDJSON journal when the job starts, and the
+// committer appends every row finished since its last commit with one write
+// and one fsync, and only then streams those rows, so a streamed row is
+// always a journaled one; a restarted daemon replays it, serves finished
 // rows without recomputing them, and resumes the unfinished remainder — the
 // final grid is byte-identical to an uninterrupted run, across arbitrarily
 // many crash/restart cycles: resume truncates a torn final record before
@@ -69,10 +73,10 @@
 // checksummed end to end, so truncation and tampering are always detected.
 //
 // A SIGTERM or SIGINT triggers graceful drain: admission stops with typed
-// 503s, in-flight requests and dispatched batch rows run to completion
-// (bounded by -drain-grace) and are journaled; batch rows not yet dispatched
-// are checkpointed as unstarted for the next process. The HTTP listener shuts
-// down and the final stats are flushed to the log.
+// 503s, in-flight requests and the batch rows a lane took run to completion
+// (bounded by -drain-grace) and are journaled; batch rows no lane took stay
+// unstarted for the next process. The HTTP listener shuts down and the final
+// stats are flushed to the log.
 //
 // The -inject-* flags wire a serve.FaultInjector for chaos drills: they
 // deterministically pick requests (by canonical key) whose first attempt is
@@ -123,7 +127,7 @@ func main() {
 	flag.IntVar(&cfg.QuarantineAfter, "quarantine-after", cfg.QuarantineAfter, "circuit-break a request key after it panics on this many distinct engines (-1 = off)")
 	flag.IntVar(&cfg.MaxBatchRows, "max-batch-rows", cfg.MaxBatchRows, "largest row grid one batch spec may expand to")
 	flag.IntVar(&cfg.MaxBatchJobs, "max-batch-jobs", cfg.MaxBatchJobs, "completed batch jobs retained in memory and on the journal (-1 = unbounded)")
-	flag.IntVar(&cfg.BatchParallel, "batch-parallel", cfg.BatchParallel, "batch rows in flight at once per job (0 = workers)")
+	flag.IntVar(&cfg.BatchParallel, "batch-parallel", cfg.BatchParallel, "lanes per batch job, each computing one row at a time while the job's journal commits in groups (0 = workers)")
 	flag.IntVar(&cfg.TraceBuffer, "trace-buffer", cfg.TraceBuffer, "completed attempt timelines retained for GET /tracez (-1 disables the ring)")
 
 	flag.StringVar(&cfg.NodeID, "node-id", cfg.NodeID, "node identity in GET /corpus export headers (empty = random per process)")

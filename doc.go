@@ -217,10 +217,13 @@
 //     last -trace-buffer completed timelines, and GET /batch/{id} rows
 //     report attempts and result source (fresh/cache/dedup/journal);
 //   - batch jobs are durable: with -journal-dir every spec and row
-//     completion is fsync'd to an append-only NDJSON journal whose replay
-//     survives arbitrary crash/restart sequences — resume truncates torn
-//     final records, atomically rewrites past corrupt lines before
-//     appending, compacts finished jobs' logs to spec + one record per
+//     completion goes to an append-only NDJSON journal (a job's lanes
+//     compute rows without waiting for it; its committer appends every row
+//     finished since its last commit with one write and one fsync, and
+//     streams those rows only then) whose replay survives arbitrary
+//     crash/restart sequences — resume truncates torn final records,
+//     atomically rewrites past corrupt lines before appending, compacts
+//     finished jobs' logs to spec + one record per
 //     terminal row, and ages out idle completed jobs (-journal-max-age) —
 //     and doubles as a result corpus: -warm-cache loads journaled rows
 //     into the result cache at startup, so a restarted daemon serves its

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -184,7 +185,7 @@ const prepareUnit = 256
 func (s *Server) prepareJournal(replayed []jobs.ReplayedJob) []journaledJob {
 	out := make([]journaledJob, len(replayed))
 	cells := make([][]jobs.Cell, len(replayed))
-	jobs.ForEach(len(out), func(i int) {
+	jobs.ForEach(runtime.GOMAXPROCS(0), len(out), func(i int) {
 		pj := &out[i]
 		pj.spec = replayed[i].Spec
 		cells[i], pj.err = expandCells(&pj.spec, s.cfg.MaxBatchRows)
@@ -249,7 +250,7 @@ func forEachUnit(n int, size func(job int) int, f func(job, lo, hi int) error) [
 		}
 	}
 	errs := make([]unitErr, len(units))
-	jobs.ForEach(len(units), func(k int) {
+	jobs.ForEach(runtime.GOMAXPROCS(0), len(units), func(k int) {
 		u := units[k]
 		errs[k] = unitErr{u.job, f(u.job, u.lo, u.hi)}
 	})
@@ -596,41 +597,33 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, e *batchEnt
 	flush()
 }
 
-// runBatch fans a job's unfinished rows over the worker fleet, at most
-// BatchParallel in flight, until the grid is complete or the server
-// drains. On drain, rows already dispatched finish (inside the drain
-// grace) and are journaled; rows not yet dispatched stay unstarted with no
-// journal record — exactly the set a restart recomputes. Zero rows are
-// lost either way.
+// runBatch brings a job's unfinished rows to a terminal state on
+// BatchParallel lanes (jobs.ForEach), until the grid is complete or the
+// server drains. Each lane takes the next unstarted row from a shared
+// cursor, resolves it, and hands its record to the job's committer
+// (commitRows, on runBatch's own goroutine), so no lane waits for the
+// journal. On drain, lanes stop taking rows: rows already taken finish
+// (inside the drain grace) and are journaled; rows not taken stay unstarted
+// with no journal record — exactly the set a restart recomputes. Zero rows
+// are lost either way.
 func (s *Server) runBatch(e *batchEntry) {
 	defer s.handlerWG.Done() // registered by the caller, outside the in-flight gauge
 	job := e.job
-	sem := make(chan struct{}, s.cfg.BatchParallel)
-	var wg sync.WaitGroup
-	for i := range e.rows {
-		if job.StatusOf(i).Terminal() {
-			continue // replayed from the journal; never recomputed
-		}
-		if s.stopDispatch() {
-			break
-		}
-		sem <- struct{}{}
-		if s.stopDispatch() {
-			<-sem
-			break
-		}
-		if !job.Start(i) {
-			<-sem
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			s.runRow(e, i)
-		}(i)
-	}
-	wg.Wait()
+	finished := make(chan finishedRow, job.Rows()) // one slot per row: a send never blocks a lane
+	go func() {
+		jobs.ForEach(s.cfg.BatchParallel, job.Rows(), func(i int) {
+			// A stopping server's lanes take no more rows, and a terminal row
+			// was replayed from the journal: it is never recomputed.
+			if s.stopDispatch() || !job.Start(i) {
+				return
+			}
+			if row, ok := s.runRow(e, i); ok {
+				finished <- row
+			}
+		})
+		close(finished)
+	}()
+	s.commitRows(e, finished)
 	if e.log != nil {
 		e.log.Close()
 	}
@@ -648,12 +641,20 @@ func (s *Server) stopDispatch() bool {
 	return s.Draining() || s.baseCtx.Err() != nil
 }
 
-// runRow brings one row to a terminal state: compute, journal (fsync),
-// then publish. If the server was draining or hard-cancelled while the row
-// was in flight, a cancellation outcome checkpoints the row back to
-// unstarted instead — it holds no journal record and is recomputed on
-// restart, never recorded as a spurious failure.
-func (s *Server) runRow(e *batchEntry, i int) {
+// finishedRow is a row a lane brought to its terminal record, on its way to
+// the committer.
+type finishedRow struct {
+	rec  jobs.RowRecord
+	meta rowMeta
+	tr   *trace
+}
+
+// runRow resolves one started row to its terminal record. If the server
+// was draining or hard-cancelled while the row was in flight, a
+// cancellation outcome checkpoints the row back to unstarted instead and
+// runRow returns false: the row holds no journal record and is recomputed
+// on restart, never recorded as a spurious failure.
+func (s *Server) runRow(e *batchEntry, i int) (finishedRow, bool) {
 	req := &e.rows[i]
 	key := e.job.Key(i)
 	tr := s.tracer.start(kindBatchRow)
@@ -670,7 +671,7 @@ func (s *Server) runRow(e *batchEntry, i int) {
 		// instead of serving a spurious failure.
 		e.job.Revert(i)
 		s.tracer.push(tr.finish("reverted"))
-		return
+		return finishedRow{}, false
 	}
 
 	rec := jobs.RowRecord{Type: "row", Index: i, Key: key}
@@ -685,17 +686,43 @@ func (s *Server) runRow(e *batchEntry, i int) {
 	default:
 		rec.Status, rec.Error = jobs.RowFailed, reject.Message
 	}
-	if e.log != nil {
-		if err := e.log.AppendRow(rec); err != nil {
-			// The row still completes in memory; durability for it is lost.
-			s.cfg.Logf("serve: batch %s row %d: journal append failed (row will recompute after a restart): %v",
-				e.job.ID, i, err)
+	return finishedRow{rec: rec, meta: rowMeta{Attempts: res.attempts, Source: res.source}, tr: tr}, true
+}
+
+// commitRows is a job's committer, until the lanes close finished. It takes
+// every row that has arrived, journals the group with one write and one
+// fsync (JobLog.AppendRows), and only then publishes those rows, in that
+// order: a row is streamed, counted and in the grid only once its line is
+// durable, so a crash loses only unpublished rows, which a restart
+// recomputes. It holds one group at a time.
+func (s *Server) commitRows(e *batchEntry, finished <-chan finishedRow) {
+	var group []finishedRow
+	var recs []jobs.RowRecord
+	for row := range finished {
+		group = append(group[:0], row)
+		for range len(finished) {
+			group = append(group, <-finished)
+		}
+		if e.log != nil {
+			recs = recs[:0]
+			for _, r := range group {
+				recs = append(recs, r.rec)
+			}
+			if err := e.log.AppendRows(recs); err != nil {
+				// The rows still complete in memory; durability for them is lost.
+				s.cfg.Logf("serve: batch %s: journal append of %d rows failed (they will recompute after a restart): %v",
+					e.job.ID, len(recs), err)
+			} else {
+				s.stats.add(&s.stats.JournalCommits, 1)
+			}
+		}
+		for _, r := range group {
+			s.stats.add(&s.stats.BatchRows, 1)
+			e.setMeta(r.rec.Index, r.meta)
+			s.tracer.push(r.tr.finish(string(r.rec.Status)))
+			e.job.Finish(r.rec)
 		}
 	}
-	s.stats.add(&s.stats.BatchRows, 1)
-	e.setMeta(i, rowMeta{Attempts: res.attempts, Source: res.source})
-	s.tracer.push(tr.finish(string(rec.Status)))
-	e.job.Finish(rec)
 }
 
 // writeBatchReject writes a typed rejection for the batch surface. Unlike

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -464,6 +465,96 @@ func TestBatchDrainCheckpointsRows(t *testing.T) {
 	}
 }
 
+// TestBatchRowStreamedOnlyWhenJournaled pins group commit's durability
+// rule: a job's committer publishes a row only after the write and fsync
+// that cover its journal line, so for every row the job's subscription
+// delivers, the journal file already holds that row's exact line; and the
+// finished grid is the journal's rows in index order.
+func TestBatchRowStreamedOnlyWhenJournaled(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 2, JournalDir: dir})
+	spec := jobs.Spec{Algs: []string{"prefix", "fft"}, Ns: []int{64}, Ps: []int{2, 4}}
+	for seed := int64(1); seed <= 16; seed++ {
+		spec.Seeds = append(spec.Seeds, seed)
+	}
+	rows, err := expandRows(&spec, s.cfg.Limits, s.cfg.MaxBatchRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := newJobID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := s.journal.Create(id, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := jobs.NewJob(id, spec, rowKeys(rows))
+	e := &batchEntry{job: job, rows: rows, log: log}
+	s.registerBatch(e)
+	delivered, cancel := job.Subscribe()
+	defer cancel()
+	s.handlerWG.Add(1)
+	go s.runBatch(e)
+
+	// The subscription is polled, not received from: a blocked receiver is
+	// woken on the committer's P and runs only once the committer moves on,
+	// by when a journal write that followed the delivery would already have
+	// landed. Polling reads the file as soon as a row arrives.
+	path := filepath.Join(dir, id+".ndjson")
+	deadline := time.Now().Add(30 * time.Second)
+	for n := 0; n < job.Rows(); n++ {
+		var rec jobs.RowRecord
+	poll:
+		for {
+			select {
+			case rec = <-delivered:
+				break poll
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d rows delivered: %v", n, job.Rows(), job.Counts())
+			}
+			runtime.Gosched()
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, append(append([]byte{'\n'}, line...), '\n')) {
+			t.Fatalf("row %d was delivered before the journal held its line %s", rec.Index, line)
+		}
+	}
+
+	replayed, err := s.journal.Replay()
+	if err != nil || len(replayed) != 1 {
+		t.Fatalf("replay: %v (%d jobs)", err, len(replayed))
+	}
+	journaled := replayed[0].Rows
+	sort.Slice(journaled, func(a, b int) bool { return journaled[a].Index < journaled[b].Index })
+	var want bytes.Buffer
+	for _, rec := range journaled {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(append(line, '\n'))
+	}
+	if got := gridBody(t, s, id); len(journaled) != job.Rows() || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("grid differs from the journal's %d rows in index order:\n%s\nvs\n%s", len(journaled), got, want.Bytes())
+	}
+	st := s.Stats()
+	if st.BatchRows != int64(job.Rows()) || st.JournalCommits < 1 || st.JournalCommits > st.BatchRows {
+		t.Fatalf("want %d batch rows in 1 to %d journal commits, got %d in %d",
+			job.Rows(), job.Rows(), st.BatchRows, st.JournalCommits)
+	}
+	t.Logf("%d rows in %d journal commits", st.BatchRows, st.JournalCommits)
+}
+
 // TestBatchRowQuarantine fences one poisoned configuration: a row whose
 // config panics on every attempt trips the per-key breaker, lands as a typed
 // row_quarantined row, and must NOT sink the rest of the job. The quarantine
@@ -740,7 +831,7 @@ func TestStatzSchemaStable(t *testing.T) {
 		"batch_jobs", "batch_rows", "body_too_large", "cache_hits", "cache_warmed",
 		"corpus_exported_rows", "corpus_imported_rows", "corpus_rejected_rows",
 		"deadline_expired", "dedups", "drain_rejected",
-		"internal", "invalid", "ok", "panics", "peer_warm_failures", "quarantined",
+		"internal", "invalid", "journal_commits", "ok", "panics", "peer_warm_failures", "quarantined",
 		"queue_full", "rate_limited", "received", "recordings", "recordings_rejected",
 		"replays", "retries", "rows_quarantined", "simulations", "trace_bytes",
 		"trace_evictions", "warm_skipped_rows",

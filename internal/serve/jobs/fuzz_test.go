@@ -39,9 +39,10 @@ const fuzzSeedJournal = `{"type":"spec","job":"fz","spec":{"algs":["prefix"],"ns
 //     order, as unmarshalReplayOne, which decodes every line with
 //     json.Unmarshal.
 //
-// The checked-in corpus adds a benchmark-shaped job and a file that mixes
+// The checked-in corpus adds a benchmark-shaped job, a file that mixes
 // rows the scanner takes with rows it leaves to the decode before a corrupt
-// line.
+// line, and a file whose spec line, some rows and torn tail are longer than
+// the line reader's 4,096-byte buffer.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(fuzzSeedJournal))
 	f.Add([]byte(fuzzSeedJournal + `{"type":"row","index":2,"key":"k2","st`))                                        // torn tail

@@ -51,9 +51,9 @@ func (s RowStatus) Terminal() bool {
 // format of the /batch NDJSON stream and the /batch/{id}/grid rows, so the
 // bytes a client streams, the bytes the journal holds, and the bytes the
 // grid serves after a resume are all the same bytes. Replay reads the line
-// json.Marshal writes for one with scanRow, so a replayed row's Result is
-// a capped subslice of the line it was read from; any other line takes
-// json.Unmarshal and gives the same record.
+// json.Marshal writes for one with scanRow and copies just its result bytes
+// into the row's Result; any other line takes json.Unmarshal and gives the
+// same record.
 type RowRecord struct {
 	Type   string          `json:"type"` // always "row"
 	Index  int             `json:"index"`
@@ -85,10 +85,12 @@ type record struct {
 
 const journalExt = ".ndjson"
 
-// Journal is a directory of append-only per-job NDJSON logs. Every record
-// is fsync'd as it is appended, so a job survives a process hard-kill: on
-// restart, Replay rebuilds each job's spec and its finished rows, and only
-// the rows without a record are recomputed.
+// Journal is a directory of append-only per-job NDJSON logs. A job's spec
+// record is fsync'd when its log is created, and its row records are
+// appended in groups, each with one write and one fsync (JobLog.AppendRows),
+// so a job survives a process hard-kill: on restart, Replay rebuilds each
+// job's spec and every row whose group's fsync returned, and only the rows
+// without a record are recomputed.
 type Journal struct {
 	dir string
 	// Logf receives replay warnings (torn tails, unreadable files); nil
@@ -165,7 +167,11 @@ func (j *Journal) Create(id string, spec *Spec) (*JobLog, error) {
 		return nil, fmt.Errorf("jobs: create journal: %w", err)
 	}
 	l := &JobLog{f: f}
-	if err := l.append(specRecord{Type: "spec", Job: id, Spec: raw}); err != nil {
+	b, err := appendLine(nil, specRecord{Type: "spec", Job: id, Spec: raw})
+	if err == nil {
+		err = l.writeSync(b)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -328,7 +334,7 @@ func (j *Journal) Replay() ([]ReplayedJob, error) {
 		logs []logCall
 	}
 	res := make([]replayed, len(names))
-	ForEach(len(names), func(i int) {
+	ForEach(runtime.GOMAXPROCS(0), len(names), func(i int) {
 		r := &res[i]
 		r.job, r.err = j.replayOne(strings.TrimSuffix(names[i], journalExt), func(format string, args ...any) {
 			r.logs = append(r.logs, logCall{format, args})
@@ -348,11 +354,13 @@ func (j *Journal) Replay() ([]ReplayedJob, error) {
 	return out, nil
 }
 
-// ForEach calls f(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
-// and returns once every call has. Replay decodes its files through it, and
-// the serving layer's warm-up prepares its units of rows.
-func ForEach(n int, f func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
+// ForEach calls f(i) for every i in [0, n) on up to workers goroutines, each
+// taking the next i from a shared cursor, and returns once every call has.
+// Replay decodes its files through it on GOMAXPROCS goroutines, the serving
+// layer's warm-up prepares its units of rows the same way, and a batch job's
+// lanes take its rows.
+func ForEach(workers, n int, f func(i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
@@ -383,9 +391,21 @@ func (j *Journal) replayOne(id string, logf func(format string, args ...any)) (R
 
 	job := ReplayedJob{ID: id}
 	r := bufio.NewReader(f)
+	// A line is read in place, in r's buffer, or, when it is longer than
+	// the buffer, gathered in long, which the next long line reuses; so
+	// nothing decoded may alias line.
+	var long []byte
 	first := true
 	for lineNo := 1; ; lineNo++ {
-		line, err := r.ReadBytes('\n')
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if err != nil {
 			// A line without a trailing newline is a torn tail: the crash hit
 			// mid-write, before the fsync could have returned. Discard it.
@@ -397,10 +417,13 @@ func (j *Journal) replayOne(id string, logf func(format string, args ...any)) (R
 			}
 			return ReplayedJob{}, err
 		}
-		// A row as json.Marshal writes it takes the scanner; every other
-		// line, the spec record included, takes the decode.
+		// A row as json.Marshal writes it takes the scanner, and its result
+		// gets its own copy; every other line, the spec record included,
+		// takes the decode, which copies.
 		rec, ok := scanRow(line)
-		if !ok {
+		if ok {
+			rec.Result = bytes.Clone(rec.Result)
+		} else {
 			dec := new(record) // a heap record for the decode only, not every line
 			if uerr := json.Unmarshal(line, dec); uerr != nil {
 				// Anything after a bad line is suspect, so stop here and keep
@@ -481,11 +504,10 @@ func (j *Journal) Rewrite(rj ReplayedJob) error {
 	}
 	w := bufio.NewWriter(f)
 	writeLine := func(rec any) error {
-		b, err := json.Marshal(rec)
+		b, err := appendLine(nil, rec)
 		if err != nil {
 			return err
 		}
-		b = append(b, '\n')
 		_, err = w.Write(b)
 		return err
 	}
@@ -579,31 +601,52 @@ func (j *Journal) Entries() ([]JournalEntry, error) {
 	return out, nil
 }
 
-// JobLog is the append side of one job's journal. Appends are serialized
-// and fsync'd: when AppendRow returns nil, the row is durable.
+// JobLog is the append side of one job's journal. Each append is one write
+// and one fsync, serialized with the others: when AppendRows returns nil,
+// every row in its group is durable.
 type JobLog struct {
 	mu sync.Mutex
 	f  *os.File
 }
 
-// AppendRow durably appends one terminal row record. The line written is
-// exactly json.Marshal(rec) — the same bytes the /batch stream and the
-// grid endpoint emit for the row, which is what makes a resumed job's
-// final grid byte-identical to an uninterrupted run's.
+// AppendRow durably appends one terminal row record: AppendRows with a
+// group of one.
 func (l *JobLog) AppendRow(rec RowRecord) error {
-	if !rec.Status.Terminal() {
-		return fmt.Errorf("jobs: refusing to journal non-terminal status %q", rec.Status)
-	}
-	rec.Type = "row"
-	return l.append(rec)
+	return l.AppendRows([]RowRecord{rec})
 }
 
-func (l *JobLog) append(rec any) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: marshal record: %w", err)
+// AppendRows durably appends a group of terminal row records, in order, with
+// one write and one fsync. Each line written is exactly json.Marshal(rec) —
+// the same bytes the /batch stream and the grid endpoint emit for the row,
+// which is what makes a resumed job's final grid byte-identical to an
+// uninterrupted run's. A group that holds a non-terminal record writes
+// nothing.
+func (l *JobLog) AppendRows(recs []RowRecord) error {
+	var b []byte
+	for _, rec := range recs {
+		if !rec.Status.Terminal() {
+			return fmt.Errorf("jobs: refusing to journal non-terminal status %q", rec.Status)
+		}
+		rec.Type = "row"
+		var err error
+		if b, err = appendLine(b, rec); err != nil {
+			return err
+		}
 	}
-	b = append(b, '\n')
+	return l.writeSync(b)
+}
+
+// appendLine appends json.Marshal(rec) and a newline to b.
+func appendLine(b []byte, rec any) ([]byte, error) {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return b, fmt.Errorf("jobs: marshal record: %w", err)
+	}
+	return append(append(b, line...), '\n'), nil
+}
+
+// writeSync writes b, whole lines, with one write, and fsyncs the log.
+func (l *JobLog) writeSync(b []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {

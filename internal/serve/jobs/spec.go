@@ -1,7 +1,7 @@
 // Package jobs is the durable batch-job layer behind rwsimd's /batch
 // endpoints: a sweep Spec that expands into row-level work items, an
-// append-only fsync'd journal that makes finished rows survive process
-// death, a per-key circuit breaker that quarantines poisoned
+// append-only journal, fsync'd once per group of rows, that makes finished
+// rows survive process death, a per-key circuit breaker that quarantines poisoned
 // configurations, and a Job row-state machine that feeds both the NDJSON
 // stream and the status endpoint.
 //

@@ -34,24 +34,29 @@
 //     finish, Close flushes the final stats.
 //
 // On top of /simulate sits the durable batch surface (package jobs):
-// POST /batch expands a sweep spec into row-level work items fanned over the
-// same worker fleet and streams completed rows back as NDJSON; GET /batch/{id}
-// reports per-row status and GET /batch/{id}/grid re-serves the terminal rows.
-// With a journal directory configured, the spec and every row completion are
-// fsync'd to an append-only log: a restarted server resumes unfinished jobs,
-// serves journaled rows without recomputing them, and — because row keys and
-// expansion order are canonical — produces a final grid byte-identical to an
-// uninterrupted run. That identity holds across arbitrary crash/restart
-// sequences: resume truncates a torn final record before appending, and a
-// journal whose replay stopped at a corrupt line is atomically rewritten
-// from its intact prefix before any append, so no record is ever stranded
-// behind corruption. A per-row-key circuit breaker quarantines configurations
+// POST /batch expands a sweep spec into row-level work items and streams
+// completed rows back as NDJSON; GET /batch/{id} reports per-row status and
+// GET /batch/{id}/grid re-serves the terminal rows. A job runs on
+// BatchParallel lanes, each taking the next unstarted row and resolving it
+// through the same worker fleet, and on one committer, which journals every
+// row the lanes have finished since its last commit with one write and one
+// fsync, then publishes those rows in journal order: a row is streamed,
+// counted and in the grid only once its line is durable, and no lane waits
+// for a fsync. With a journal directory configured, the spec and every row
+// completion are in an append-only log: a restarted server resumes
+// unfinished jobs, serves journaled rows without recomputing them, and —
+// because row keys and expansion order are canonical — produces a final
+// grid byte-identical to an uninterrupted run. That identity holds across
+// arbitrary crash/restart sequences: resume truncates a torn final record
+// before appending, and a journal whose replay stopped at a corrupt line is
+// atomically rewritten from its intact prefix before any append, so no
+// record is ever stranded behind corruption. A per-row-key circuit breaker quarantines configurations
 // that panic across QuarantineAfter distinct engines (typed row_quarantined),
 // so one poisoned cell cannot sink the rest of its job. Drain extends to
-// batches: dispatched rows finish and are journaled, undispatched rows are
-// checkpointed as unstarted, zero rows lost. Retention keeps a long-lived
-// daemon bounded: past MaxBatchJobs, the oldest completed jobs are evicted
-// from the index and their journal files deleted (unfinished jobs never are);
+// batches: rows a lane took finish and are journaled, rows no lane took stay
+// unstarted, zero rows lost. Retention keeps a long-lived daemon bounded:
+// past MaxBatchJobs, the oldest completed jobs are evicted from the index
+// and their journal files deleted (unfinished jobs never are);
 // JournalMaxAge adds a time bound with startup + periodic GC, and finished
 // jobs' logs are compacted at resume to spec + one record per terminal row.
 // The journal doubles as a result corpus: WarmCache loads journaled rows
@@ -138,10 +143,12 @@ type Config struct {
 	// oversized body is rejected with a typed 413 instead of being decoded
 	// unboundedly (default 1 MiB).
 	MaxBodyBytes int64
-	// JournalDir, when non-empty, enables the durable batch-job journal:
-	// every batch spec and row completion is fsync'd there, and a restarted
-	// server resumes unfinished jobs from it. Empty disables durability
-	// (batch jobs still work, but die with the process).
+	// JournalDir, when non-empty, enables the durable batch-job journal: a
+	// batch's spec is fsync'd there when the job starts, and its finished
+	// rows in groups, one write and one fsync for every row finished since
+	// the job's last commit, each row published only after its group's
+	// fsync; a restarted server resumes unfinished jobs from it. Empty
+	// disables durability (batch jobs still work, but die with the process).
 	JournalDir string
 	// WarmCache, with a journal configured, loads every replayed RowOK
 	// record into the LRU result cache at startup: row keys are exactly
@@ -175,8 +182,10 @@ type Config struct {
 	// hold no resume value). Unfinished jobs are never evicted. Default 64;
 	// negative disables retention (the index and journal grow without bound).
 	MaxBatchJobs int
-	// BatchParallel bounds how many rows of one batch job are in flight at
-	// once (default: Workers).
+	// BatchParallel is how many lanes run one batch job: each lane takes the
+	// job's next unstarted row, resolves it and hands it to the job's
+	// committer without waiting for the journal, so at most this many of the
+	// job's rows are computing at once (default: Workers).
 	BatchParallel int
 	// TraceBuffer is how many completed attempt timelines GET /tracez
 	// retains (default 256; negative disables the ring — per-request
@@ -321,6 +330,10 @@ type Stats struct {
 	BatchJobs       int64 `json:"batch_jobs"`
 	BatchRows       int64 `json:"batch_rows"`
 	RowsQuarantined int64 `json:"rows_quarantined"`
+	// JournalCommits counts the groups of batch rows journaled with one
+	// write and one fsync, so BatchRows over JournalCommits is the rows per
+	// fsync when every row is journaled.
+	JournalCommits int64 `json:"journal_commits"`
 
 	// Fleet corpus sharing: rows streamed out of GET /corpus, rows imported
 	// from / rejected by the peer warm-up verification gate, warm-up rows
